@@ -48,3 +48,11 @@ go test -run='^$' -bench 'BenchmarkPlacementHeat' \
 # program — the incremental re-flood path's per-batch cost. Gated.
 go test -run='^$' -bench 'BenchmarkStreamingCCChurn' \
   -benchtime="$BENCHTIME" -count="$COUNT" ./internal/apps
+# Tick-path housekeeping (internal/graph, internal/activeset): one
+# quiet-point arena compaction of a growing Barabási–Albert graph, and
+# one frontier drain preparation (a sorted kept prefix plus random
+# wakes). Reported with allocations for the benchstat view; not gated.
+go test -run='^$' -bench 'BenchmarkCompactGrowth' -benchmem \
+  -benchtime="$BENCHTIME" -count="$COUNT" ./internal/graph
+go test -run='^$' -bench 'BenchmarkPrepareFrontier' -benchmem \
+  -benchtime="$BENCHTIME" -count="$COUNT" ./internal/activeset

@@ -7,7 +7,7 @@
 package activeset
 
 import (
-	"sort"
+	"slices"
 
 	"xdgp/internal/graph"
 	"xdgp/internal/partition"
@@ -144,19 +144,52 @@ func (s *Set) UnparkAll() {
 // valid until the next Keep/Commit/Rebuild and must be drained by the
 // caller: every vertex either Keep'd (stays scheduled), Park'd, or
 // Unschedule'd.
+//
+// The frontier is usually a long ascending run (the vertices kept from
+// the previous pass, in drain order) followed by the vertices woken
+// since, so Prepare finds the ascending prefix in the same scan that
+// drops the dead, sorts only the remainder and merges it in: O(D + W log
+// W) for D scheduled and W woken vertices. Nothing relies on callers
+// keeping the prefix sorted; an unsorted frontier just has a short one.
 func (s *Set) Prepare(alive func(graph.VertexID) bool) []graph.VertexID {
 	live := s.frontier[:0]
+	sorted := 0 // live[:sorted] is strictly ascending
 	for _, v := range s.frontier {
-		if alive(v) {
-			live = append(live, v)
-		} else {
+		if !alive(v) {
 			s.dirty[v] = false
+			continue
 		}
+		if sorted == len(live) && (sorted == 0 || live[sorted-1] < v) {
+			sorted++
+		}
+		live = append(live, v)
 	}
-	sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
+	if sorted < len(live) {
+		s.next = mergeTail(live, sorted, s.next)
+	}
 	s.frontier = live
 	s.next = s.next[:0]
 	return live
+}
+
+// mergeTail sorts ids, whose first n entries are already ascending. The
+// tail is sorted in scratch (returned, for reuse) and merged back into
+// ids from the end, so prefix entries below the smallest tail entry never
+// move.
+func mergeTail(ids []graph.VertexID, n int, scratch []graph.VertexID) []graph.VertexID {
+	tail := append(scratch[:0], ids[n:]...)
+	slices.Sort(tail)
+	i, k := n-1, len(ids)-1
+	for j := len(tail) - 1; j >= 0; k-- {
+		if i >= 0 && ids[i] > tail[j] {
+			ids[k] = ids[i]
+			i--
+		} else {
+			ids[k] = tail[j]
+			j--
+		}
+	}
+	return tail
 }
 
 // Keep retains a prepared vertex on the frontier for the next pass (its
@@ -169,8 +202,10 @@ func (s *Set) Commit() {
 }
 
 // Rebuild replaces the frontier with the concatenation of the given keep
-// lists — the sharded drain's barrier-side Commit. Order is irrelevant
-// (the next Prepare re-sorts).
+// lists — the sharded drain's barrier-side Commit. Lists kept from
+// contiguous, ascending shard ranges concatenate to an ascending
+// frontier, which the next Prepare keeps without sorting; any other
+// order is still correct, just sorted there.
 func (s *Set) Rebuild(keeps ...[]graph.VertexID) {
 	s.next = s.next[:0]
 	for _, keep := range keeps {

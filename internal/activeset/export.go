@@ -2,7 +2,7 @@ package activeset
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"xdgp/internal/graph"
 )
@@ -13,9 +13,10 @@ import (
 // which destinations — in a normalized shape: both collections sorted,
 // stale park entries (vertices woken since parking) dropped, and
 // duplicates within one destination list collapsed. The scheduler's
-// behaviour is invariant under this normalization: Prepare re-sorts the
-// frontier every pass, and Mark/UnparkDest are idempotent, so a restored
-// Set drains identically to the live one it was exported from.
+// behaviour is invariant under this normalization: Prepare drains the
+// frontier in ascending ID order whatever order it was scheduled in, and
+// Mark/UnparkDest are idempotent, so a restored Set drains identically
+// to the live one it was exported from.
 type State struct {
 	// Frontier holds the scheduled vertices, ascending.
 	Frontier []graph.VertexID
@@ -31,7 +32,7 @@ func (s *Set) Export() State {
 		Frontier: append([]graph.VertexID(nil), s.frontier...),
 		Parked:   make([][]graph.VertexID, len(s.parked)),
 	}
-	sortVertexIDs(st.Frontier)
+	slices.Sort(st.Frontier)
 	for j, list := range s.parked {
 		var out []graph.VertexID
 		for _, v := range list {
@@ -39,7 +40,7 @@ func (s *Set) Export() State {
 				out = append(out, v)
 			}
 		}
-		sortVertexIDs(out)
+		slices.Sort(out)
 		st.Parked[j] = dedupSorted(out)
 	}
 	return st
@@ -74,10 +75,6 @@ func RestoreSet(k, slots int, st State) (*Set, error) {
 		}
 	}
 	return s, nil
-}
-
-func sortVertexIDs(ids []graph.VertexID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
 
 func dedupSorted(ids []graph.VertexID) []graph.VertexID {

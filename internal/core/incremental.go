@@ -43,13 +43,16 @@ import (
 // steady-state cost is proportional to churn — the property SDP and the
 // near-real-time survey demand of a streaming partitioner.
 //
-// The frontier is drained in ascending vertex-ID order (sorted once per
-// iteration, O(D log D) for D dirty vertices), which keeps both execution
-// paths deterministic: the sequential path replays one RNG over a
-// deterministic vertex sequence, and the parallel path splits the sorted
-// frontier into Config.Parallelism contiguous chunks, each served by its
-// shard's own RNG and granted through the same fixed-order atomic quota
-// ledger as the full parallel sweep.
+// The frontier is drained in ascending vertex-ID order, which keeps both
+// execution paths deterministic: the sequential path replays one RNG
+// over a deterministic vertex sequence, and the parallel path splits the
+// sorted frontier into Config.Parallelism contiguous chunks, each served
+// by its shard's own RNG and granted through the same fixed-order atomic
+// quota ledger as the full parallel sweep. The vertices kept from the
+// previous pass are already ascending (sequential Keep follows drain
+// order; the sharded Rebuild concatenates contiguous shard ranges), so
+// activeset.Prepare sorts only the W vertices woken since and merges them
+// in: O(D + W) per iteration for D scheduled vertices, not a full sort.
 
 // DirtyCount returns the current size of the active set — the number of
 // vertices scheduled for re-examination. It is 0 when the scheduler is
@@ -156,9 +159,10 @@ func (p *Partitioner) stepIncrementalParallel(frontier []graph.VertexID, weight 
 		requested += sh.requested
 	}
 	p.grantAll()
-	// Rebuild the frontier from the shards' keep lists (order is
-	// irrelevant: the next Prepare re-sorts; dirty bits of kept vertices
-	// are still set, so barrier-side wakes dedupe against them), then
+	// Rebuild the frontier from the shards' keep lists (contiguous
+	// ascending chunks, so the next Prepare need not re-sort them; dirty
+	// bits of kept vertices are still set, so barrier-side wakes dedupe
+	// against them), then
 	// merge the shards' park buffers. Hard denials are decided against
 	// the read-only iteration-start quotas, so they are competition- and
 	// interleaving-independent; the shared park lists are only written

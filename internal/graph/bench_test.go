@@ -109,3 +109,47 @@ func BenchmarkRemoveVertexWithEdges(b *testing.B) {
 		b.StopTimer()
 	}
 }
+
+// BenchmarkCompactGrowth measures one quiet-point compaction of a graph
+// growing by preferential attachment, the shape of a streamed bulk load:
+// a 200k-vertex Barabási–Albert graph (three edges per arrival) is
+// compacted, then grown until its overlay crosses MaybeCompact's eager
+// 1/64 bar. Each iteration compacts a fresh clone of that state, so most
+// vertices are clean and only the arrivals and their targets merge.
+func BenchmarkCompactGrowth(b *testing.B) {
+	const n0, m = 200000, 3
+	rng := rand.New(rand.NewSource(1))
+	g := NewUndirected(n0)
+	var ends []VertexID // one entry per edge end: degree-proportional sampling
+	for i := 0; i <= m; i++ {
+		g.AddVertex()
+	}
+	for u := VertexID(0); u <= m; u++ {
+		for w := u + 1; w <= m; w++ {
+			g.AddEdge(u, w)
+			ends = append(ends, u, w)
+		}
+	}
+	grow := func() {
+		v := g.AddVertex()
+		for j := 0; j < m; j++ {
+			if w := ends[rng.Intn(len(ends))]; g.AddEdge(v, w) {
+				ends = append(ends, v, w)
+			}
+		}
+	}
+	for g.NumVertices() < n0 {
+		grow()
+	}
+	g.Compact()
+	for g.overlayLoad() <= g.eagerCompactThreshold() {
+		grow()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := g.Clone()
+		b.StartTimer()
+		c.Compact()
+	}
+}

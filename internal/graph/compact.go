@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // This file implements arena compaction: folding the mutation overlay
 // (per-vertex appends and tombstones) and the arena garbage left by
 // removed vertices back into a fresh, fully sorted CSR arena.
@@ -12,8 +14,18 @@ package graph
 // exactly the same future points as the uninterrupted run, preserving the
 // determinism contract of internal/snapshot. The daemon additionally
 // calls MaybeCompact between coalescing ticks so a long-idle process
-// folds its last burst eagerly; that call is behaviourally neutral (the
-// heuristic's neighbourhood counts are order-independent sums).
+// folds its last burst eagerly. That call is a function of the same
+// history (the overlay mass at a tick boundary), so runs still replay
+// byte-identically, but it is not behaviourally neutral: compaction
+// reorders a dirty vertex's neighbours from base-then-adds to ascending,
+// and the heat-weighted scorer sums float64 votes in that order, so with
+// WorkloadWeight > 0 a compaction point can flip a near-tie. The integer
+// scorer's counts are order-independent and never change.
+//
+// The rebuild itself is proportional to the overlay, not to a per-vertex
+// pass over the arena: the new arena's size comes from the store's own
+// counters, runs of clean vertices whose spans are contiguous move with
+// one copy each, and only dirty vertices merge their adds.
 
 // compactThreshold returns the overlay mass (adds + arena garbage, in
 // entries) beyond which the next mutation compacts.
@@ -84,26 +96,41 @@ func (g *Graph) Compact() {
 	g.compactions++
 }
 
+// compact rebuilds the store's arena in slot order. The layout is the
+// canonical one: each slot's span starts where the previous slot's ended
+// (zero-length spans included), and a dirty vertex's span is the
+// ascending merge of its base and adds.
 func (s *store) compact() {
-	total := 0
+	// Live entries are the arena minus its garbage, plus the overlay
+	// adds — the accounting CheckInvariants verifies.
+	arena := make([]VertexID, len(s.arena)-s.garbage+s.ovEnts)
+	var pos uint32 // end of the new arena so far, including the pending run
+	// runLo/runHi delimit the pending run of clean spans in the old
+	// arena; it lands in the new arena just below pos.
+	var runLo, runHi uint32
 	for i := range s.spans {
-		total += s.degree(VertexID(i))
-	}
-	arena := make([]VertexID, 0, total)
-	for i := range s.spans {
-		v := VertexID(i)
-		off := uint32(len(arena))
-		o := s.overlayOf(v)
-		base := s.base(v)
+		sp := &s.spans[i]
+		o := s.overlayOf(VertexID(i))
 		if o == nil {
-			arena = append(arena, base...)
-		} else {
-			// The overlay is being discarded, so its adds can sort in place.
-			sortIDs(o.adds)
-			arena = mergeAdjacency(arena, base, o.adds)
+			if sp.n > 0 && sp.off != runHi {
+				copy(arena[pos-(runHi-runLo):pos], s.arena[runLo:runHi])
+				runLo, runHi = sp.off, sp.off
+			}
+			runHi += uint32(sp.n)
+			sp.off = pos
+			pos += uint32(sp.n)
+			continue
 		}
-		s.spans[i] = span{off: off, n: int32(len(arena)) - int32(off)}
+		copy(arena[pos-(runHi-runLo):pos], s.arena[runLo:runHi])
+		runLo = runHi
+		// The overlay is being discarded, so its adds can sort in place.
+		slices.Sort(o.adds)
+		n := uint32(sp.n) + uint32(len(o.adds))
+		mergeAdjacency(arena[pos:pos+n], s.arena[sp.off:sp.off+uint32(sp.n)], o.adds)
+		*sp = span{off: pos, n: int32(n)}
+		pos += n
 	}
+	copy(arena[pos-(runHi-runLo):pos], s.arena[runLo:runHi])
 	s.arena = arena
 	// Release the overlay structures entirely: a compacted graph carries
 	// zero overlay memory until the next mutation re-materialises the
@@ -114,18 +141,21 @@ func (s *store) compact() {
 	s.garbage = 0
 }
 
-// mergeAdjacency appends to dst the ascending merge of base with adds;
-// both inputs are ascending and disjoint.
-func mergeAdjacency(dst, base, adds []VertexID) []VertexID {
-	ai := 0
+// mergeAdjacency writes to dst the ascending merge of base with adds;
+// both inputs are ascending and disjoint, and dst holds exactly
+// len(base)+len(adds) entries.
+func mergeAdjacency(dst, base, adds []VertexID) {
+	k, ai := 0, 0
 	for _, w := range base {
 		for ai < len(adds) && adds[ai] < w {
-			dst = append(dst, adds[ai])
+			dst[k] = adds[ai]
+			k++
 			ai++
 		}
-		dst = append(dst, w)
+		dst[k] = w
+		k++
 	}
-	return append(dst, adds[ai:]...)
+	copy(dst[k:], adds[ai:])
 }
 
 // MemoryStats reports the adjacency storage footprint, the observability

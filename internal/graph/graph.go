@@ -822,7 +822,3 @@ func containsSorted(list []VertexID, id VertexID) bool {
 	i := sort.Search(len(list), func(i int) bool { return list[i] >= id })
 	return i < len(list) && list[i] == id
 }
-
-func sortIDs(ids []VertexID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}

@@ -82,6 +82,10 @@ type Options struct {
 	MaxSlots int
 	// CheckEvery is the batch size between full model comparisons.
 	CheckEvery int
+	// Check, when set, runs on the graph at every comparison point,
+	// after the model comparison passes. An error counts as a divergence
+	// and shrinks like one. Check must not mutate the graph.
+	Check func(*graph.Graph) error
 }
 
 // withDefaults fills zero fields.
@@ -280,6 +284,11 @@ func replay(ops []op, opts Options) error {
 		if (i+1)%opts.CheckEvery == 0 || i == len(ops)-1 {
 			if err := compare(g, m); err != nil {
 				return fmt.Errorf("after op %d (%s): %w", i, o.kind, err)
+			}
+			if opts.Check != nil {
+				if err := opts.Check(g); err != nil {
+					return fmt.Errorf("after op %d (%s): %w", i, o.kind, err)
+				}
 			}
 		}
 	}

@@ -17,22 +17,18 @@ type Frozen struct {
 
 // Freeze copies the current table into a new Frozen. The copy is what
 // makes the immutability contract hold: later Assign calls on the
-// Assignment cannot reach a published Frozen. Cost is O(slots); callers
-// on a hot write path should freeze once per batch of changes, not once
-// per change. (The other builders — NewFrozen and Apply — exist for
-// replicas reconstructing a table from the wire instead of from a live
-// Assignment.)
+// Assignment cannot reach a published Frozen. Cost is one O(slots) copy
+// (the assigned count comes from the size counters, not a rescan);
+// callers on a hot write path should freeze once per batch of changes,
+// not once per change. (The other builders — NewFrozen and Apply —
+// exist for replicas reconstructing a table from the wire instead of
+// from a live Assignment.)
 func (a *Assignment) Freeze() *Frozen {
-	f := &Frozen{
-		of: append([]ID(nil), a.of...),
-		k:  a.k,
+	return &Frozen{
+		of:       append([]ID(nil), a.of...),
+		k:        a.k,
+		assigned: a.Assigned(),
 	}
-	for _, p := range f.of {
-		if p != None {
-			f.assigned++
-		}
-	}
-	return f
 }
 
 // Of returns the partition of v, or None when v is unassigned or outside

@@ -579,15 +579,21 @@ func (r *Replica) tail(ctx context.Context) tailOutcome {
 		if ev.Resync {
 			return tailResync
 		}
+		if ev.Epoch > r.cur.Load().epoch+1 {
+			// Diffs within one stream are consecutive; a jump means the
+			// feed skipped epochs this table never saw. Never apply
+			// across the gap — re-bootstrap instead.
+			return tailResync
+		}
 		r.apply(&ev)
 	}
 	return tailDisconnect
 }
 
 // apply folds one epoch diff into a fresh table generation and publishes
-// it. Diffs at or below the current epoch are skipped (idempotence);
-// within one watch connection epochs arrive consecutively, so anything
-// newer advances the table exactly one epoch at a time.
+// it. Diffs at or below the current epoch are skipped (idempotence); tail
+// has already refused any diff beyond the next epoch, so anything newer
+// advances the table exactly one epoch.
 func (r *Replica) apply(ev *watchEvent) {
 	t := r.cur.Load()
 	if ev.Epoch <= t.epoch {

@@ -235,6 +235,43 @@ func TestReplicaResyncsAfterRingEviction(t *testing.T) {
 	}
 }
 
+// TestReplicaResyncsOnEpochGap feeds the replica a watch stream that
+// skips an epoch without a resync event — the symptom of a primary that
+// stamps a resync with the wrong epoch. The replica must refuse the
+// diff past the gap (it would otherwise serve a table no primary epoch
+// ever held) and re-bootstrap.
+func TestReplicaResyncsOnEpochGap(t *testing.T) {
+	s := newPrimary(t, nil)
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	advance(t, s, ringBatch(30))
+
+	var gapped atomic.Bool
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if strings.HasPrefix(req.URL.Path, "/v1/watch") && gapped.CompareAndSwap(false, true) {
+			// One diff two epochs past the resume point, then hold the
+			// stream open.
+			from := s.Routing().Epoch + 1
+			w.Header().Set("X-Apartd-Instance", s.Instance())
+			w.WriteHeader(200)
+			fmt.Fprintf(w, "{\"epoch\":%d,\"changes\":[{\"vertex\":0,\"from\":0,\"to\":3}]}\n", from+1)
+			w.(http.Flusher).Flush()
+			<-req.Context().Done()
+			return
+		}
+		s.ServeHTTP(w, req)
+	}))
+	t.Cleanup(proxy.Close)
+
+	r := testReplica(t, proxy.URL, nil)
+	r.Start()
+	waitFor(t, 5*time.Second, func() bool { return r.Stats().Resyncs >= 1 }, "a resync on the epoch gap")
+	waitConverged(t, r, s)
+	if st := r.Stats(); st.Resyncs != 1 || st.Bootstraps != 2 {
+		t.Fatalf("resyncs %d, bootstraps %d; want 1 and 2", st.Resyncs, st.Bootstraps)
+	}
+}
+
 // --- upstream restart ------------------------------------------------------
 
 func TestReplicaResyncsAfterPrimaryRestart(t *testing.T) {

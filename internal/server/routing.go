@@ -1,7 +1,7 @@
 package server
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"xdgp/internal/graph"
@@ -107,7 +107,7 @@ func (s *Server) publishInitialRouting() {
 // round-trips included) to the sorted, deduplicated transition list
 // between two frozen tables.
 func diffChanges(prev, cur *partition.Frozen, candidates []graph.VertexID) []PlacementChange {
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
+	slices.Sort(candidates)
 	changes := make([]PlacementChange, 0, len(candidates))
 	last := graph.NoVertex
 	for _, v := range candidates {

@@ -665,12 +665,14 @@ func (s *Server) TickNow() TickResult {
 	res.Converged = converged
 
 	// Between-tick housekeeping: fold the adjacency overlay back into the
-	// CSR arena once it outgrows the policy threshold, off the ingest and
-	// query paths. Mutations also self-compact at the same deterministic
-	// threshold, so this call only moves work to a quiet point; it never
-	// changes what the heuristic computes (neighbourhood counts are
-	// order-independent), and checkpoints taken mid-overlay serialize the
-	// overlay exactly either way.
+	// CSR arena once it outgrows the eager threshold, off the ingest and
+	// query paths. Compaction reorders dirty adjacency lists, which the
+	// integer scorer ignores but the heat-weighted scorer's float sums
+	// can see (a near-tie may round the other way), so this call is part
+	// of the replayed history, not a neutral optimisation. It stays
+	// deterministic: it runs at tick boundaries on the overlay mass, a
+	// pure function of the mutation history, and checkpoints taken
+	// mid-overlay serialize the overlay exactly either way.
 	s.mu.Lock()
 	// Publish the tick's adaptation outcome as one epoch: every migration
 	// granted across the step loop above, folded into a single snapshot

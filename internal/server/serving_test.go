@@ -115,7 +115,7 @@ func TestEpochDiffsReconstructEveryTable(t *testing.T) {
 			model := map[int64]int64{}
 			modelEpoch := uint64(1)
 			catchUp := func() {
-				diffs, resync := s.hub.since(modelEpoch + 1)
+				diffs, _, resync := s.hub.since(modelEpoch + 1)
 				if resync {
 					t.Fatal("ring evicted despite oversized WatchRing")
 				}

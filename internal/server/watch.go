@@ -79,24 +79,26 @@ func (h *watchHub) wait() <-chan struct{} {
 // consumer resuming across a daemon restart — so that arm survives here
 // only as defence for direct (in-process) callers. from == next is the
 // normal caught-up case: no diffs, no resync, wait for the next publish.
-// The returned slice aliases immutable diffs and may be used without the
-// hub's lock.
-func (h *watchHub) since(from uint64) (diffs []*EpochDiff, needResync bool) {
+// next is the epoch the next published diff will carry, read under the
+// same lock as the ring: a resynced consumer's table is current as of
+// next−1 and resumes from next. The returned slice aliases immutable
+// diffs and may be used without the hub's lock.
+func (h *watchHub) since(from uint64) (diffs []*EpochDiff, next uint64, needResync bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	oldest := h.next - uint64(len(h.ring))
 	if from < oldest || from > h.next {
-		return nil, true
+		return nil, h.next, true
 	}
 	if from == h.next {
-		return nil, false
+		return nil, h.next, false
 	}
 	idx := int(from - oldest)
-	return h.ring[idx:], false
+	return h.ring[idx:], h.next, false
 }
 
 // nextEpoch returns the epoch the next published diff will carry — the
-// resume point a freshly resynced consumer should continue from.
+// resume point of a consumer that wants only changes from now on.
 func (h *watchHub) nextEpoch() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -113,7 +115,8 @@ func (h *watchHub) retained() (n int, evicted uint64) {
 
 // watchEvent is one NDJSON line of the feed: either an epoch diff
 // (Resync false, Epoch+Changes set) or a resync instruction (Resync
-// true, Epoch = the epoch of the currently published snapshot).
+// true, Epoch = the last epoch whose diff the hub had published; the
+// stream continues at Epoch+1).
 type watchEvent struct {
 	Resync  bool              `json:"resync,omitempty"`
 	Epoch   uint64            `json:"epoch"`
@@ -203,19 +206,19 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		// Register for wakeup BEFORE checking the ring: a diff published
 		// between since() and the select would otherwise be missed.
 		wakeup := s.hub.wait()
-		diffs, needResync := s.hub.since(from)
+		diffs, next, needResync := s.hub.since(from)
 		if needResync {
 			s.watchResyncs.Add(1)
-			if !write(watchEvent{Resync: true, Epoch: s.Routing().Epoch}) {
+			// Stamp the resync with next−1 and resume from next, both
+			// read in one critical section. The write may block on a
+			// slow consumer while the hub keeps publishing; whatever it
+			// publishes meanwhile is then served as consecutive diffs
+			// from next, or, if already evicted, as another resync.
+			if !write(watchEvent{Resync: true, Epoch: next - 1}) {
 				return
 			}
 			flusher.Flush()
-			// Resume from the hub's own next epoch (not routing's
-			// epoch+1): routing may momentarily lead the hub inside a
-			// publish, and a from beyond hub.next would resync again in
-			// a loop. The consumer's refetch covers any diff ≤ its
-			// stamped epoch either way.
-			from = s.hub.nextEpoch()
+			from = next
 			continue
 		}
 		for _, d := range diffs {
