@@ -56,3 +56,11 @@ go test -run='^$' -bench 'BenchmarkCompactGrowth' -benchmem \
   -benchtime="$BENCHTIME" -count="$COUNT" ./internal/graph
 go test -run='^$' -bench 'BenchmarkPrepareFrontier' -benchmem \
   -benchtime="$BENCHTIME" -count="$COUNT" ./internal/activeset
+# Replication plane (internal/server, internal/replica): encoding one
+# 2k-change watch line, and decoding one 2k-change watch line and one
+# 100k-placement bootstrap page on the canonical fast path. Reported
+# with allocations for the benchstat view; not gated.
+go test -run='^$' -bench 'BenchmarkWatchEncode' -benchmem \
+  -benchtime="$BENCHTIME" -count="$COUNT" ./internal/server
+go test -run='^$' -bench 'BenchmarkWatchDecode|BenchmarkPageDecode' -benchmem \
+  -benchtime="$BENCHTIME" -count="$COUNT" ./internal/replica

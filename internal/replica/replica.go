@@ -15,9 +15,9 @@
 //   - Tail: stream GET /v1/watch?from=N and apply each epoch diff to an
 //     immutable partition.Frozen copy swapped in via atomic.Pointer.
 //   - Resync: on a {"resync":true} event (diff ring eviction), an
-//     instance-token change, or an epoch regression (primary restart),
-//     throw the table away and re-bootstrap. Counted in
-//     apartr_resyncs_total.
+//     instance-token change, an epoch regression or gap (primary
+//     restart), or a watch line over maxWatchLine, throw the table away
+//     and re-bootstrap. Counted in apartr_resyncs_total.
 //
 // Consistency contract, in one sentence: a replica serves some exact
 // past epoch of its primary (never a torn mixture), with bounded
@@ -30,6 +30,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -192,6 +193,12 @@ type Replica struct {
 	pollFailures atomic.Uint64 // upstream stat-poll failures
 	reads        atomic.Uint64 // placement lookups served
 	notReady     atomic.Uint64 // reads refused with 503 (no servable table)
+
+	// fallbacks counts watch lines and bootstrap pages the canonical
+	// scanner did not recognise and encoding/json decoded instead
+	// (wire.go). Not exported: a test pins it at 0 against a real
+	// primary, so an encoder change cannot silently fall back.
+	fallbacks atomic.Uint64
 
 	mux      *http.ServeMux
 	started  atomic.Bool
@@ -371,8 +378,9 @@ func (r *Replica) run(ctx context.Context) {
 			outcome := r.tail(ctx)
 			switch outcome {
 			case tailResync:
-				// Ring eviction, instance change or epoch regression:
-				// the incremental feed cannot reconstruct our table.
+				// Ring eviction, instance change, epoch regression or
+				// gap, or an unreadably long line: the incremental feed
+				// cannot reconstruct our table.
 			case tailDisconnect:
 				// Transport failure: reconnect the stream and resume
 				// from our current epoch — no data was lost.
@@ -390,6 +398,11 @@ func (r *Replica) run(ctx context.Context) {
 	}
 }
 
+// maxWatchLine caps one watch line (64 MiB ≈ 1.6M changes). A longer
+// line forces a resync, since reconnecting would meet it again. A
+// variable so tests can lower it.
+var maxWatchLine = 64 << 20
+
 // tailOutcome classifies why one tail attempt ended.
 type tailOutcome int
 
@@ -398,22 +411,6 @@ const (
 	tailDisconnect                    // transport drop; backoff then resume
 	tailResync                        // protocol signal; re-bootstrap
 )
-
-// pageResponse mirrors the primary's paged POST /v1/placements reply
-// (server.PageResponse). The replica deliberately declares its own wire
-// structs: the JSON documented in docs/API.md is the protocol contract,
-// not shared Go types.
-type pageResponse struct {
-	Epoch      uint64 `json:"epoch"`
-	Instance   string `json:"instance"`
-	K          int    `json:"k"`
-	Slots      int64  `json:"slots"`
-	NextCursor int64  `json:"next_cursor"`
-	Placements []struct {
-		Vertex    int64 `json:"vertex"`
-		Partition int64 `json:"partition"`
-	} `json:"placements"`
-}
 
 // bootstrap pages the primary's full table. The pages need not all come
 // from one epoch: the result records the lowest and highest page epochs
@@ -430,39 +427,35 @@ restart:
 		lo, hi   uint64
 		instance string
 		k        int
+		page     pageHeader
+		err      error
 	)
 	for {
-		page, err := r.fetchPage(ctx, cursor)
+		page, entries, err = r.fetchPage(ctx, cursor, entries)
 		if err != nil {
 			return nil, err
 		}
 		r.pages.Add(1)
 		if instance == "" {
-			instance, k, lo, hi = page.Instance, page.K, page.Epoch, page.Epoch
-		} else if page.Instance != instance {
+			instance, k, lo, hi = page.instance, page.k, page.epoch, page.epoch
+		} else if page.instance != instance {
 			// The primary restarted underneath the bootstrap; its new
 			// incarnation's table shares nothing with the pages so far.
 			goto restart
 		}
-		if page.Epoch < lo {
-			lo = page.Epoch
+		if page.epoch < lo {
+			lo = page.epoch
 		}
-		if page.Epoch > hi {
-			hi = page.Epoch
-		}
-		for _, p := range page.Placements {
-			entries = append(entries, partition.Change{
-				Vertex: graph.VertexID(p.Vertex),
-				To:     partition.ID(p.Partition),
-			})
+		if page.epoch > hi {
+			hi = page.epoch
 		}
 		if r.testAfterPage != nil {
 			r.testAfterPage(cursor)
 		}
-		if page.NextCursor < 0 {
+		if page.nextCursor < 0 {
 			break
 		}
-		cursor = page.NextCursor
+		cursor = page.nextCursor
 	}
 	return &table{
 		frozen:   partition.NewFrozen(k).Apply(entries),
@@ -472,50 +465,46 @@ restart:
 	}, nil
 }
 
-// fetchPage posts one cursor+limit page request.
-func (r *Replica) fetchPage(ctx context.Context, cursor int64) (*pageResponse, error) {
-	body, err := json.Marshal(map[string]int64{
+// fetchPage posts one cursor+limit page request and returns its header
+// with the page's placements appended to entries.
+func (r *Replica) fetchPage(ctx context.Context, cursor int64, entries []partition.Change) (pageHeader, []partition.Change, error) {
+	reqBody, err := json.Marshal(map[string]int64{
 		"cursor": cursor,
 		"limit":  int64(r.cfg.PageSize),
 	})
 	if err != nil {
-		return nil, err
+		return pageHeader{}, entries, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		r.cfg.Upstream+"/v1/placements", bytes.NewReader(body))
+		r.cfg.Upstream+"/v1/placements", bytes.NewReader(reqBody))
 	if err != nil {
-		return nil, err
+		return pageHeader{}, entries, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := r.client.Do(req)
 	if err != nil {
-		return nil, err
+		return pageHeader{}, entries, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		return nil, fmt.Errorf("page cursor=%d: status %d: %s", cursor, resp.StatusCode, raw)
+		return pageHeader{}, entries, fmt.Errorf("page cursor=%d: status %d: %s", cursor, resp.StatusCode, raw)
 	}
-	var page pageResponse
-	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
-		return nil, fmt.Errorf("page cursor=%d: %w", cursor, err)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return pageHeader{}, entries, fmt.Errorf("page cursor=%d: %w", cursor, err)
 	}
-	if page.Instance == "" || page.K < 1 {
-		return nil, fmt.Errorf("page cursor=%d: malformed header (instance=%q k=%d)", cursor, page.Instance, page.K)
+	page, out, fast, err := decodePage(body, entries)
+	if !fast {
+		r.fallbacks.Add(1)
 	}
-	return &page, nil
-}
-
-// watchEvent mirrors one NDJSON line of the primary's GET /v1/watch
-// feed: an epoch diff, or a resync instruction.
-type watchEvent struct {
-	Resync  bool   `json:"resync"`
-	Epoch   uint64 `json:"epoch"`
-	Changes []struct {
-		Vertex int64 `json:"vertex"`
-		From   int64 `json:"from"`
-		To     int64 `json:"to"`
-	} `json:"changes"`
+	if err != nil {
+		return pageHeader{}, entries, fmt.Errorf("page cursor=%d: %w", cursor, err)
+	}
+	if page.instance == "" || page.k < 1 {
+		return pageHeader{}, entries, fmt.Errorf("page cursor=%d: malformed header (instance=%q k=%d)", cursor, page.instance, page.k)
+	}
+	return page, out, nil
 }
 
 // tail opens the watch stream at the published table's epoch+1 and
@@ -566,26 +555,36 @@ func (r *Replica) tail(ctx context.Context) tailOutcome {
 	}
 
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
+	sc.Buffer(make([]byte, 0, min(64<<10, maxWatchLine)), maxWatchLine)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		var ev watchEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
+		ev, fast, err := decodeWatchLine(line)
+		if !fast {
+			r.fallbacks.Add(1)
+		}
+		if err != nil {
 			return tailDisconnect
 		}
-		if ev.Resync {
+		if ev.resync {
 			return tailResync
 		}
-		if ev.Epoch > r.cur.Load().epoch+1 {
+		if ev.epoch > r.cur.Load().epoch+1 {
 			// Diffs within one stream are consecutive; a jump means the
 			// feed skipped epochs this table never saw. Never apply
 			// across the gap — re-bootstrap instead.
 			return tailResync
 		}
-		r.apply(&ev)
+		r.apply(ev)
+	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		// This epoch's diff can never be read: reconnecting at the same
+		// epoch would fail on the same line until the primary's ring
+		// evicts it, which on an idle primary never happens. Re-bootstrap
+		// past it instead.
+		return tailResync
 	}
 	return tailDisconnect
 }
@@ -594,26 +593,19 @@ func (r *Replica) tail(ctx context.Context) tailOutcome {
 // it. Diffs at or below the current epoch are skipped (idempotence); tail
 // has already refused any diff beyond the next epoch, so anything newer
 // advances the table exactly one epoch.
-func (r *Replica) apply(ev *watchEvent) {
+func (r *Replica) apply(ev watchLine) {
 	t := r.cur.Load()
-	if ev.Epoch <= t.epoch {
+	if ev.epoch <= t.epoch {
 		return
 	}
-	cs := make([]partition.Change, 0, len(ev.Changes))
-	for _, c := range ev.Changes {
-		cs = append(cs, partition.Change{
-			Vertex: graph.VertexID(c.Vertex),
-			To:     partition.ID(c.To),
-		})
-	}
 	r.publish(&table{
-		frozen:   t.frozen.Apply(cs),
-		epoch:    ev.Epoch,
+		frozen:   t.frozen.Apply(ev.changes),
+		epoch:    ev.epoch,
 		floor:    t.floor,
 		instance: t.instance,
 	})
 	r.events.Add(1)
-	r.changes.Add(uint64(len(cs)))
+	r.changes.Add(uint64(len(ev.changes)))
 	r.lastEventUnixNano.Store(time.Now().UnixNano())
 }
 

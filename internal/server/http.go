@@ -9,7 +9,6 @@ import (
 	"strconv"
 
 	"xdgp/internal/graph"
-	"xdgp/internal/partition"
 )
 
 // This file is the daemon's HTTP surface. All request and response
@@ -269,7 +268,9 @@ func (s *Server) BatchLookup(ids []graph.VertexID) BatchResponse {
 // a full bootstrap must page through — and NextCursor is the cursor of
 // the following page, -1 when this page was the last. Instance is the
 // serving process's incarnation token, duplicated from the
-// X-Apartd-Instance header so paging clients need only the JSON.
+// X-Apartd-Instance header so paging clients need only the JSON. The
+// handler does not build this struct: writePage (encode.go) writes its
+// JSON straight from the snapshot.
 type PageResponse struct {
 	Epoch      uint64           `json:"epoch"`
 	Instance   string           `json:"instance"`
@@ -279,41 +280,20 @@ type PageResponse struct {
 	Placements []BatchPlacement `json:"placements"`
 }
 
-// PageLookup answers one bootstrap page: every placed vertex with ID in
+// servePage answers one bootstrap page: every placed vertex with ID in
 // [cursor, cursor+limit) of the current routing snapshot. Like
 // BatchLookup it pins the snapshot with a single atomic load and never
 // touches the adaptation state lock; cost is O(limit) regardless of how
-// sparse the range is.
-func (s *Server) PageLookup(cursor, limit int64) PageResponse {
+// sparse the range is. Replica-originated bootstrap pages are read
+// traffic too — a replica serving a flash crowd re-pages through it on
+// resync — so every entry is recorded in the heat table.
+func (s *Server) servePage(w http.ResponseWriter, cursor, limit int64) {
 	snap := s.routing.Load()
-	slots := int64(snap.Table.Slots())
-	resp := PageResponse{
-		Epoch:      snap.Epoch,
-		Instance:   s.instance,
-		K:          snap.Table.K(),
-		Slots:      slots,
-		NextCursor: -1,
-		Placements: []BatchPlacement{},
-	}
-	end := cursor + limit
-	if end > slots {
-		end = slots
-	}
-	snap.Table.Scan(int(cursor), int(end), func(v graph.VertexID, p partition.ID) {
-		resp.Placements = append(resp.Placements, BatchPlacement{
-			Vertex:    int64(v),
-			Partition: int64(p),
-		})
-		// Replica-originated bootstrap pages are read traffic too: a
-		// replica serving a flash crowd re-pages through it on resync.
-		s.heatTable.Record(v)
-	})
-	if end < slots {
-		resp.NextCursor = end
-	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	n, _ := writePage(w, s.instance, snap.Epoch, snap.Table, cursor, limit, s.heatTable.Record) // best-effort: headers already sent
 	s.batchRequests.Add(1)
-	s.batchLookups.Add(uint64(len(resp.Placements)))
-	return resp
+	s.batchLookups.Add(uint64(n))
 }
 
 func (s *Server) handleBatchPlacements(w http.ResponseWriter, r *http.Request) {
@@ -345,7 +325,7 @@ func (s *Server) handleBatchPlacements(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("limit %d exceeds the per-request maximum %d", req.Limit, maxBatchVertices))
 			return
 		}
-		writeJSON(w, http.StatusOK, s.PageLookup(*req.Cursor, req.Limit))
+		s.servePage(w, *req.Cursor, req.Limit)
 		return
 	}
 	if len(req.Vertices) > maxBatchVertices {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -116,7 +115,8 @@ func (h *watchHub) retained() (n int, evicted uint64) {
 // watchEvent is one NDJSON line of the feed: either an epoch diff
 // (Resync false, Epoch+Changes set) or a resync instruction (Resync
 // true, Epoch = the last epoch whose diff the hub had published; the
-// stream continues at Epoch+1).
+// stream continues at Epoch+1). The tags define the wire bytes;
+// chunkWriter.watchEvent (encode.go) writes them without reflection.
 type watchEvent struct {
 	Resync  bool              `json:"resync,omitempty"`
 	Epoch   uint64            `json:"epoch"`
@@ -190,12 +190,12 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	if deadline == 0 {
 		deadline = DefaultWatchWriteTimeout
 	}
-	enc := json.NewEncoder(w)
+	cw := newChunkWriter(w)
 	write := func(ev watchEvent) bool {
 		if deadline > 0 {
 			rc.SetWriteDeadline(time.Now().Add(deadline)) //nolint:errcheck // unsupported writers just keep no deadline
 		}
-		if err := enc.Encode(ev); err != nil {
+		if err := cw.watchEvent(ev); err != nil {
 			s.watchDropped.Add(1)
 			return false
 		}
