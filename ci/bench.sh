@@ -48,6 +48,11 @@ go test -run='^$' -bench 'BenchmarkPlacementHeat' \
 # program — the incremental re-flood path's per-batch cost. Gated.
 go test -run='^$' -bench 'BenchmarkStreamingCCChurn' \
   -benchtime="$BENCHTIME" -count="$COUNT" ./internal/apps
+# The same churn batch absorbed by streaming PageRank, which has no
+# combiner: every announcement crosses the BSP message plane on its own.
+# Reported with allocations for the benchstat view; not gated.
+go test -run='^$' -bench 'BenchmarkStreamingPageRankChurn' -benchmem \
+  -benchtime="$BENCHTIME" -count="$COUNT" ./internal/apps
 # Tick-path housekeeping (internal/graph, internal/activeset): one
 # quiet-point arena compaction of a growing Barabási–Albert graph, and
 # one frontier drain preparation (a sorted kept prefix plus random

@@ -1,8 +1,9 @@
 package apps
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"xdgp/internal/bsp"
 	"xdgp/internal/graph"
@@ -101,14 +102,16 @@ func floodCompute(ctx *bsp.VertexContext, msgs []any, root func(graph.VertexID) 
 	notice := ctx.TopologyChanged()
 
 	// Collect announcements in sender order: delivery order varies with
-	// the worker count and with combining, the sorted fold does not.
-	var entries []floodEntry
+	// the worker count and with combining, the sorted fold does not. The
+	// buffer stays on the stack unless more than 16 senders announce.
+	var buf [16]floodEntry
+	entries := buf[:0]
 	for _, m := range msgs {
 		if fm, ok := m.(floodMsg); ok {
 			entries = append(entries, fm.entries...)
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].from < entries[j].from })
+	slices.SortFunc(entries, func(a, b floodEntry) int { return cmp.Compare(a.from, b.from) })
 
 	oldKey, oldHops := st.key, st.hops
 

@@ -15,7 +15,18 @@ import (
 // converged BA(10000, 3) instance takes a batch of paired edge rewires and
 // is drained back to quiescence per iteration. This is the incremental
 // path's headline — re-flood work proportional to the damage, not to |V|.
-func BenchmarkStreamingCCChurn(b *testing.B) {
+func BenchmarkStreamingCCChurn(b *testing.B) { benchmarkChurn(b, NewStreamingCC()) }
+
+// BenchmarkStreamingPageRankChurn is the same measurement for streaming
+// PageRank, which has no combiner: every announcement crosses the engine's
+// message plane on its own, so this tracks the per-message cost of the
+// delivery path and the program's announcement fold.
+func BenchmarkStreamingPageRankChurn(b *testing.B) { benchmarkChurn(b, NewStreamingPageRank()) }
+
+// benchmarkChurn converges prog on BA(10000, 3), k=8, then times absorbing
+// one batch of 100 paired edge rewires per iteration, drained back to
+// quiescence.
+func benchmarkChurn(b *testing.B, prog bsp.Program) {
 	const (
 		n        = 10000
 		k        = 8
@@ -23,7 +34,7 @@ func BenchmarkStreamingCCChurn(b *testing.B) {
 		drainCap = 2000
 	)
 	g := gen.BarabasiAlbert(n, 3, 1)
-	e, err := bsp.NewEngine(g, partition.Hash(g, k), NewStreamingCC(), bsp.Config{Workers: k, Seed: 1})
+	e, err := bsp.NewEngine(g, partition.Hash(g, k), prog, bsp.Config{Workers: k, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 package apps
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"xdgp/internal/bsp"
 	"xdgp/internal/graph"
@@ -85,26 +86,31 @@ func (p *StreamingPageRank) Compute(ctx *bsp.VertexContext, msgs []any) {
 
 	// Apply announcements in sender order (delivery order varies with the
 	// worker count), dropping senders that are no longer neighbours —
-	// their edge vanished while the message was in flight.
+	// their edge vanished while the message was in flight. The buffer
+	// stays on the stack unless a hub hears from more than 16 senders.
 	if len(msgs) > 0 {
-		anns := make([]prMsg, 0, len(msgs))
+		var buf [16]prMsg
+		anns := buf[:0]
 		for _, m := range msgs {
 			if pm, ok := m.(prMsg); ok {
 				anns = append(anns, pm)
 			}
 		}
-		sort.Slice(anns, func(i, j int) bool { return anns[i].from < anns[j].from })
+		slices.SortFunc(anns, func(a, b prMsg) int { return cmp.Compare(a.from, b.from) })
+		// Senders ascend, as does st.in: merge the two. The walk costs no
+		// more than the rank sum below, which reads all of st.in anyway.
+		i := 0
 		for _, a := range anns {
 			if !ctx.HasNeighbor(a.from) {
 				continue
 			}
-			i := sort.Search(len(st.in), func(i int) bool { return st.in[i].from >= a.from })
+			for i < len(st.in) && st.in[i].from < a.from {
+				i++
+			}
 			if i < len(st.in) && st.in[i].from == a.from {
 				st.in[i].share = a.share
 			} else {
-				st.in = append(st.in, prContrib{})
-				copy(st.in[i+1:], st.in[i:])
-				st.in[i] = prContrib{from: a.from, share: a.share}
+				st.in = slices.Insert(st.in, i, prContrib{from: a.from, share: a.share})
 			}
 		}
 	}

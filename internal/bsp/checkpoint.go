@@ -1,6 +1,8 @@
 package bsp
 
 import (
+	"slices"
+
 	"xdgp/internal/graph"
 	"xdgp/internal/partition"
 )
@@ -23,7 +25,9 @@ type checkpoint struct {
 	home        []int32
 	values      []any
 	halted      []bool
-	inbox       [][]any
+	inbox       []any
+	inboxOff    []int32
+	inboxLen    []int32
 	mutNotice   []bool
 	lastMutated []graph.VertexID
 	pendingHome map[graph.VertexID]partition.ID
@@ -41,7 +45,9 @@ func (e *Engine) snapshot() {
 		mutNotice:   append([]bool(nil), e.mutNotice...),
 		lastMutated: append([]graph.VertexID(nil), e.lastMutated...),
 		values:      make([]any, len(e.values)),
-		inbox:       make([][]any, len(e.inbox)),
+		inbox:       slices.Clone(e.inbox),
+		inboxOff:    slices.Clone(e.inboxOff),
+		inboxLen:    slices.Clone(e.inboxLen),
 		pendingHome: make(map[graph.VertexID]partition.ID, len(e.pendingHome)),
 		aggregated:  make(map[string]float64, len(e.aggregated)),
 	}
@@ -51,11 +57,6 @@ func (e *Engine) snapshot() {
 			cp.values[i] = cloner.CloneValue(v)
 		} else {
 			cp.values[i] = v
-		}
-	}
-	for i, box := range e.inbox {
-		if len(box) > 0 {
-			cp.inbox[i] = append([]any(nil), box...)
 		}
 	}
 	for k, v := range e.pendingHome {
@@ -87,12 +88,9 @@ func (e *Engine) restore() {
 			e.values[i] = v
 		}
 	}
-	e.inbox = make([][]any, len(cp.inbox))
-	for i, box := range cp.inbox {
-		if len(box) > 0 {
-			e.inbox[i] = append([]any(nil), box...)
-		}
-	}
+	e.inbox = slices.Clone(cp.inbox)
+	e.inboxOff = slices.Clone(cp.inboxOff)
+	e.inboxLen = slices.Clone(cp.inboxLen)
 	e.pendingHome = make(map[graph.VertexID]partition.ID, len(cp.pendingHome))
 	for k, v := range cp.pendingHome {
 		e.pendingHome[k] = v

@@ -3,7 +3,7 @@ package bsp
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"xdgp/internal/graph"
@@ -218,7 +218,17 @@ type Engine struct {
 
 	values []any
 	halted []bool
-	inbox  [][]any
+	// The inbox is flat: the messages delivered at the last barrier sit in
+	// one buffer, grouped by destination, and vertex v's are
+	// inbox[inboxOff[v] : inboxOff[v]+inboxLen[v]], in delivery order
+	// (sending worker, then destination partition, then send order; with
+	// a combiner, the merged order, partition 0 to k−1). The buffer is
+	// reused every superstep and dropped at a barrier that delivers
+	// nothing, so an idle engine holds no message memory. A vertex's
+	// length is zeroed once it has computed, and when it is removed.
+	inbox    []any
+	inboxOff []int32
+	inboxLen []int32
 	// mutNotice marks vertices whose immediate neighbourhood changed at the
 	// most recent barrier. Programs read it during the following compute
 	// phase via VertexContext.TopologyChanged; it is cleared at the next
@@ -236,8 +246,14 @@ type Engine struct {
 	// workers and pricing the merged messages per source partition.
 	mergeIdx      map[mergeKey]int
 	mergedBuf     []outMsg
+	boxes         [][]outMsg // the outboxes in delivery order
 	deliverLocal  []int
 	deliverRemote []int
+
+	// Barrier scratch reused across supersteps.
+	migCost    []float64 // per-partition migration cost
+	moves      []graph.VertexID
+	aggTouched map[string]bool
 
 	superstep     int
 	costPerVertex float64
@@ -277,6 +293,8 @@ func NewEngine(g *graph.Graph, asn *partition.Assignment, prog Program, cfg Conf
 		addr:          asn,
 		pendingHome:   make(map[graph.VertexID]partition.ID),
 		aggregated:    make(map[string]float64),
+		aggTouched:    make(map[string]bool),
+		migCost:       make([]float64, asn.K()),
 		failAt:        make(map[int]bool),
 		costPerVertex: 1,
 	}
@@ -318,7 +336,8 @@ func (e *Engine) grow() {
 		e.home = append(e.home, -1)
 		e.values = append(e.values, nil)
 		e.halted = append(e.halted, false)
-		e.inbox = append(e.inbox, nil)
+		e.inboxOff = append(e.inboxOff, 0)
+		e.inboxLen = append(e.inboxLen, 0)
 		e.mutNotice = append(e.mutNotice, false)
 	}
 	e.addr.Grow(e.g.NumSlots())
@@ -392,13 +411,15 @@ func (e *Engine) RunSuperstep() SuperstepStats {
 	st := SuperstepStats{Superstep: t, CutEdges: -1}
 
 	// 1. Complete physical moves decided at the previous barrier.
-	migCost := make([]float64, e.k)
+	migCost := e.migCost
+	clear(migCost)
 	if len(e.pendingHome) > 0 {
-		moves := make([]graph.VertexID, 0, len(e.pendingHome))
+		moves := e.moves[:0]
 		for v := range e.pendingHome {
 			moves = append(moves, v)
 		}
-		sort.Slice(moves, func(i, j int) bool { return moves[i] < moves[j] })
+		slices.Sort(moves)
+		e.moves = moves
 		for _, v := range moves {
 			dst := e.pendingHome[v]
 			src := e.home[v]
@@ -418,29 +439,26 @@ func (e *Engine) RunSuperstep() SuperstepStats {
 	// several goroutines — then price the merged messages, so message
 	// statistics match the one-machine-per-partition cluster regardless
 	// of the worker count.
-	delivered := 0
 	for _, w := range e.workers {
 		st.ActiveVertices += w.computed
 	}
+	var delivered int
 	if e.combiner == nil {
+		boxes := e.boxes[:0]
 		for _, w := range e.workers {
 			st.LocalMsgs += w.localMsgs
 			st.RemoteMsgs += w.remoteMsgs
-			for _, box := range w.outbox {
-				for _, m := range box {
-					if !e.g.Has(m.dst) {
-						continue // removed while in flight
-					}
-					e.inbox[m.dst] = append(e.inbox[m.dst], m.msg)
-					delivered++
-				}
-			}
+			boxes = append(boxes, w.outbox...)
 		}
+		delivered = e.deliver(boxes)
+		clear(boxes)
+		e.boxes = boxes[:0]
 	} else {
 		clear(e.deliverLocal)
 		clear(e.deliverRemote)
+		merged := e.mergedBuf[:0]
 		for p := 0; p < e.k; p++ {
-			merged := e.mergedBuf[:0]
+			start := len(merged)
 			clear(e.mergeIdx)
 			for _, w := range e.workers {
 				for _, m := range w.outbox[p] {
@@ -453,7 +471,7 @@ func (e *Engine) RunSuperstep() SuperstepStats {
 					}
 				}
 			}
-			for _, m := range merged {
+			for _, m := range merged[start:] {
 				if int(m.src) == p {
 					st.LocalMsgs++
 					e.deliverLocal[m.src]++
@@ -461,13 +479,24 @@ func (e *Engine) RunSuperstep() SuperstepStats {
 					st.RemoteMsgs++
 					e.deliverRemote[m.src]++
 				}
-				if !e.g.Has(m.dst) {
-					continue // removed while in flight
-				}
-				e.inbox[m.dst] = append(e.inbox[m.dst], m.msg)
-				delivered++
 			}
-			e.mergedBuf = merged[:0]
+		}
+		delivered = e.deliver([][]outMsg{merged})
+		clear(merged)
+		e.mergedBuf = merged[:0]
+	}
+	if delivered == 0 {
+		// Idle barrier: release everything sized by the last burst.
+		e.inbox = nil
+		e.mergedBuf = nil
+		if e.combiner != nil {
+			e.mergeIdx = make(map[mergeKey]int)
+		}
+		for _, w := range e.workers {
+			clear(w.outbox)
+			if w.combiner != nil {
+				w.combineIdx = make(map[mergeKey]combineRef)
+			}
 		}
 	}
 
@@ -532,7 +561,8 @@ func (e *Engine) RunSuperstep() SuperstepStats {
 	// name keeps its last written value until a superstep contributes to
 	// it again, so results published by programs that then halt (e.g. the
 	// clique sizes) survive trailing quiet supersteps.
-	touched := make(map[string]bool)
+	touched := e.aggTouched
+	clear(touched)
 	for _, w := range e.workers {
 		for k, v := range w.aggPartial {
 			if !touched[k] {
@@ -585,6 +615,51 @@ func (e *Engine) RunSuperstep() SuperstepStats {
 	return st
 }
 
+// deliver moves the deliverable messages of boxes into the flat inbox and
+// returns how many it delivered. Messages to vertices that are gone are
+// dropped. One counting pass sizes every destination's range, then a
+// second pass scatters, so each vertex receives its messages in the order
+// boxes lists them. The inbox must be empty on entry: every vertex that
+// received messages has computed since (or was removed), zeroing its
+// length.
+func (e *Engine) deliver(boxes [][]outMsg) int {
+	n := 0
+	for _, box := range boxes {
+		for _, m := range box {
+			if e.g.Has(m.dst) {
+				e.inboxLen[m.dst]++
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	var off int32
+	for v, c := range e.inboxLen {
+		e.inboxOff[v] = off
+		off += c
+		e.inboxLen[v] = 0
+	}
+	if old := len(e.inbox); n <= cap(e.inbox) {
+		e.inbox = e.inbox[:n]
+		if n < old {
+			clear(e.inbox[n:old]) // drop stale references past the new end
+		}
+	} else {
+		e.inbox = slices.Grow([]any(nil), n)[:n]
+	}
+	for _, box := range boxes {
+		for _, m := range box {
+			if e.g.Has(m.dst) {
+				e.inbox[e.inboxOff[m.dst]+e.inboxLen[m.dst]] = m.msg
+				e.inboxLen[m.dst]++
+			}
+		}
+	}
+	return n
+}
+
 func (e *Engine) computeWorker(w *worker, t int) {
 	ctx := VertexContext{engine: e, worker: w, superstep: t}
 	for id := w.lo; id < w.hi; id++ {
@@ -592,15 +667,20 @@ func (e *Engine) computeWorker(w *worker, t int) {
 		if hp < 0 {
 			continue // dead or not yet placed
 		}
-		msgs := e.inbox[id]
-		if len(msgs) == 0 && e.halted[id] {
+		n := e.inboxLen[id]
+		if n == 0 && e.halted[id] {
 			continue
+		}
+		var msgs []any
+		if n > 0 {
+			off := e.inboxOff[id]
+			msgs = e.inbox[off : off+n : off+n]
 		}
 		e.halted[id] = false
 		w.srcPart = partition.ID(hp)
 		ctx.id = graph.VertexID(id)
 		e.prog.Compute(&ctx, msgs)
-		e.inbox[id] = nil
+		e.inboxLen[id] = 0
 		w.computed++
 		w.computedBy[hp]++
 	}
@@ -632,11 +712,15 @@ func (e *Engine) applyBatch(b graph.Batch) int {
 			e.place(ctx, mu.U)
 			e.place(ctx, mu.V)
 		case graph.MutRemoveVertex:
+			// Messages in flight die with their destination, also when
+			// a later mutation of the batch re-adds the ID.
+			if mu.U >= 0 && int(mu.U) < len(e.inboxLen) {
+				e.inboxLen[mu.U] = 0
+			}
 			if !e.g.Has(mu.U) && e.addr.Of(mu.U) != partition.None {
 				e.addr.Unassign(mu.U)
 				e.home[mu.U] = -1
 				e.values[mu.U] = nil
-				e.inbox[mu.U] = nil
 				e.halted[mu.U] = false
 				e.mutNotice[mu.U] = false
 				delete(e.pendingHome, mu.U)
@@ -683,7 +767,7 @@ func (e *Engine) Quiescent() bool {
 	}
 	quiet := true
 	e.g.ForEachVertex(func(v graph.VertexID) {
-		if !e.halted[v] || len(e.inbox[v]) > 0 {
+		if !e.halted[v] || e.inboxLen[v] > 0 {
 			quiet = false
 		}
 	})
@@ -701,8 +785,9 @@ func (e *Engine) ResetComputation() {
 		ctx.id = v
 		e.values[v] = e.prog.Init(ctx)
 		e.halted[v] = false
-		e.inbox[v] = nil
 	})
+	clear(e.inboxLen)
+	e.inbox = nil
 }
 
 // RunSupersteps executes exactly n supersteps and returns their stats.

@@ -30,7 +30,9 @@ type Program interface {
 	Init(ctx *VertexContext) any
 	// Compute processes the messages delivered to the vertex this
 	// superstep. It may read and set the vertex value, send messages and
-	// vote to halt.
+	// vote to halt. msgs is valid only for the duration of the call: the
+	// engine reuses its buffer every superstep, so Compute must neither
+	// retain the slice nor modify it (copy what must outlive the call).
 	Compute(ctx *VertexContext, msgs []any)
 }
 
