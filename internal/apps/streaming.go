@@ -119,7 +119,11 @@ func floodCompute(ctx *bsp.VertexContext, msgs []any, root func(graph.VertexID) 
 	// (checked when the neighbourhood changed), and the parent must not
 	// have announced a potential worse than the one we derived from it.
 	if st.parent != me {
-		broken := notice && !ctx.HasNeighbor(st.parent)
+		broken := false
+		if notice {
+			nbrs := ctx.NeighborCursor()
+			broken = !nbrs.Contains(st.parent)
+		}
 		if !broken {
 			for _, en := range entries {
 				if en.from == st.parent && floodLess(st.key, st.hops, en.key, en.hops+1) {
@@ -135,10 +139,12 @@ func floodCompute(ctx *bsp.VertexContext, msgs []any, root func(graph.VertexID) 
 
 	// 2. Adopt the best admissible candidate: a strictly better potential
 	// announced over a live edge, with the hop bound cutting off
-	// count-to-infinity walks of detached potentials.
+	// count-to-infinity walks of detached potentials. Entries ascend by
+	// sender, so one neighbour walk validates every candidate.
 	bound := int32(ctx.NumVertices())
+	nbrs := ctx.NeighborCursor()
 	for _, en := range entries {
-		if floodLess(en.key, en.hops+1, st.key, st.hops) && en.hops+1 < bound && ctx.HasNeighbor(en.from) {
+		if floodLess(en.key, en.hops+1, st.key, st.hops) && en.hops+1 < bound && nbrs.Contains(en.from) {
 			st.key, st.hops, st.parent = en.key, en.hops+1, en.from
 		}
 	}
@@ -152,8 +158,9 @@ func floodCompute(ctx *bsp.VertexContext, msgs []any, root func(graph.VertexID) 
 		// Nothing changed here, but a neighbour announced a potential we
 		// can improve — typically a vertex that just reset and lost its
 		// derivation. Offer ours back, point-to-point.
+		nbrs := ctx.NeighborCursor()
 		for _, en := range entries {
-			if floodLess(st.key, st.hops+1, en.key, en.hops) && ctx.HasNeighbor(en.from) {
+			if floodLess(st.key, st.hops+1, en.key, en.hops) && nbrs.Contains(en.from) {
 				ctx.SendTo(en.from, floodMsg{entries: []floodEntry{{key: st.key, hops: st.hops, from: me}}})
 			}
 		}

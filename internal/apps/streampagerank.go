@@ -97,11 +97,13 @@ func (p *StreamingPageRank) Compute(ctx *bsp.VertexContext, msgs []any) {
 			}
 		}
 		slices.SortFunc(anns, func(a, b prMsg) int { return cmp.Compare(a.from, b.from) })
-		// Senders ascend, as does st.in: merge the two. The walk costs no
-		// more than the rank sum below, which reads all of st.in anyway.
+		// Senders ascend, as do st.in and the neighbour span: merge all
+		// three. The walk costs no more than the rank sum below, which reads
+		// all of st.in anyway.
 		i := 0
+		nbrs := ctx.NeighborCursor()
 		for _, a := range anns {
-			if !ctx.HasNeighbor(a.from) {
+			if !nbrs.Contains(a.from) {
 				continue
 			}
 			for i < len(st.in) && st.in[i].from < a.from {
@@ -116,10 +118,11 @@ func (p *StreamingPageRank) Compute(ctx *bsp.VertexContext, msgs []any) {
 	}
 	if notice {
 		// The neighbourhood changed: contributions from ex-neighbours are
-		// no longer part of the sum.
+		// no longer part of the sum. st.in ascends, so one walk validates it.
 		kept := st.in[:0]
+		nbrs := ctx.NeighborCursor()
 		for _, c := range st.in {
-			if ctx.HasNeighbor(c.from) {
+			if nbrs.Contains(c.from) {
 				kept = append(kept, c)
 			}
 		}

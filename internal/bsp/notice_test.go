@@ -101,8 +101,8 @@ func TestTopologyChangeNotices(t *testing.T) {
 	}
 }
 
-// TestVertexContextTopology pins the HasNeighbor and NumVertices context
-// accessors against a live mutation.
+// TestVertexContextTopology pins the NeighborCursor membership probe and
+// the NumVertices context accessor against a live mutation.
 func TestVertexContextTopology(t *testing.T) {
 	g := graph.NewUndirected(3)
 	a, b, c := g.AddVertex(), g.AddVertex(), g.AddVertex()
@@ -120,7 +120,8 @@ func TestVertexContextTopology(t *testing.T) {
 		compute: func(ctx *VertexContext, msgs []any) {
 			if ctx.ID() == a {
 				mu.Lock()
-				last = obs{hasB: ctx.HasNeighbor(b), hasC: ctx.HasNeighbor(c), n: ctx.NumVertices()}
+				nbrs := ctx.NeighborCursor()
+				last = obs{hasB: nbrs.Contains(b), hasC: nbrs.Contains(c), n: ctx.NumVertices()}
 				mu.Unlock()
 			}
 			ctx.VoteToHalt()

@@ -85,7 +85,9 @@ func (c *VertexContext) Degree() int { return c.engine.g.Degree(c.id) }
 func (c *VertexContext) Neighbors() []graph.VertexID { return c.engine.g.Neighbors(c.id) }
 
 // NeighborCursor returns an allocation-free iterator over the vertex's
-// out-neighbours, the form SendToNeighbors itself uses.
+// out-neighbours, the form SendToNeighbors itself uses. Streaming programs
+// also validate derivations (e.g. a shortest-path parent) against the
+// post-mutation topology with its ascending Contains probe.
 func (c *VertexContext) NeighborCursor() graph.Cursor { return c.engine.g.NeighborCursor(c.id) }
 
 // InNeighbors returns the vertex's in-neighbours (same as Neighbors on
@@ -121,13 +123,6 @@ func (c *VertexContext) SendToNeighbors(msg any) {
 // recomputing from scratch. The notice is visible for exactly one
 // superstep; vertices holding one are always activated for it.
 func (c *VertexContext) TopologyChanged() bool { return c.engine.mutNotice[c.id] }
-
-// HasNeighbor reports whether w is currently an out-neighbour of the
-// vertex. Streaming programs use it to validate derivations (e.g. a
-// shortest-path parent) against the post-mutation topology.
-func (c *VertexContext) HasNeighbor(w graph.VertexID) bool {
-	return c.engine.g.HasEdge(c.id, w)
-}
 
 // NumVertices returns the number of live vertices in the graph — the
 // bound incremental SSSP uses to cut count-to-infinity walks short.

@@ -126,6 +126,31 @@ func (c *Cursor) NextChunk() []VertexID {
 	return nil
 }
 
+// Contains reports whether x is a neighbour of the cursor's vertex; the
+// answer equals HasEdge(v, x). Successive queries on one cursor must not
+// descend: x must be ≥ the previous query. The sorted base span is then
+// walked forward once per cursor, never past an entry equal to x, so a
+// repeated query still finds it; the overlay adds, in insertion order, are
+// scanned per query exactly as HasEdge scans them. Removals splice base
+// entries out and dead vertices have no adjacency, so the walk needs no
+// liveness check. Contains reads base and adds directly — when the base is
+// empty NextChunk would return the adds first — and must not be mixed with
+// Next or NextChunk on the same cursor.
+func (c *Cursor) Contains(x VertexID) bool {
+	for c.bi < len(c.base) && c.base[c.bi] < x {
+		c.bi++
+	}
+	if c.bi < len(c.base) && c.base[c.bi] == x {
+		return true
+	}
+	for _, w := range c.adds {
+		if w == x {
+			return true
+		}
+	}
+	return false
+}
+
 // CleanNeighbors returns v's adjacency as a single zero-copy arena span
 // when the vertex has no pending overlay — the common case on a compacted
 // graph — with ok=true. ok=false means v is dirty and the caller must

@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"xdgp/internal/graph"
@@ -333,6 +334,38 @@ func compare(g *graph.Graph, m *model) error {
 			if !g.HasEdge(v, w) {
 				return fmt.Errorf("HasEdge(%d,%d) false, model has it", v, w)
 			}
+		}
+		if err := compareProbe(g, v, m.adj[v]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// compareProbe runs one ascending Cursor.Contains sweep over v's
+// neighbourhood and requires every answer to match the model, asking each
+// query twice. On small slot budgets the sweep visits every slot ID. On
+// wide ones, where that would be quadratic, it visits a strided sample
+// plus each model neighbour and the IDs either side of it.
+func compareProbe(g *graph.Graph, v graph.VertexID, want map[graph.VertexID]bool) error {
+	slots := g.NumSlots()
+	stride := 1 + slots/128
+	qs := make([]graph.VertexID, 0, 2+slots/stride+3*len(want))
+	qs = append(qs, -1)
+	for x := int(v) % stride; x < slots; x += stride {
+		qs = append(qs, graph.VertexID(x))
+	}
+	qs = append(qs, graph.VertexID(slots))
+	if stride > 1 {
+		for w := range want {
+			qs = append(qs, w-1, w, w+1)
+		}
+		slices.Sort(qs)
+	}
+	c := g.NeighborCursor(v)
+	for _, x := range qs {
+		if in := want[x]; c.Contains(x) != in || c.Contains(x) != in {
+			return fmt.Errorf("vertex %d: Contains(%d) disagrees with the model (%v)", v, x, in)
 		}
 	}
 	return nil
