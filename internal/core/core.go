@@ -325,7 +325,7 @@ func (p *Partitioner) Assignment() *partition.Assignment { return p.asn }
 // Graph returns the live graph the partitioner adapts. It is the same
 // object passed to New/Restore — mutated by ApplyBatch — and callers must
 // treat it as read-only between those calls; the snapshot path serializes
-// it with graph.EncodeBinary rather than retaining the reference.
+// it with graph.AppendBinary rather than retaining the reference.
 func (p *Partitioner) Graph() *graph.Graph { return p.g }
 
 // Capacities returns a copy of the current per-partition capacities.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -46,11 +45,11 @@ func stateChurnBatch(g *graph.Graph, rng *rand.Rand, size int) graph.Batch {
 // partitioner from the copies.
 func serializeRoundTrip(t *testing.T, p *Partitioner, cfg Config) *Partitioner {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := p.g.EncodeBinary(&buf); err != nil {
+	buf, err := p.g.AppendBinary(nil)
+	if err != nil {
 		t.Fatalf("encode graph: %v", err)
 	}
-	g2, err := graph.DecodeGraph(&buf)
+	g2, err := graph.DecodeGraph(buf)
 	if err != nil {
 		t.Fatalf("decode graph: %v", err)
 	}

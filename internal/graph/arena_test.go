@@ -220,11 +220,11 @@ func TestCheckInvariantsRejectsAliasedSpans(t *testing.T) {
 		t.Fatalf("aliased spans rejected for the wrong reason: %v", err)
 	}
 	// The same payload must be rejected at decode time.
-	var buf bytes.Buffer
-	if err := g.EncodeBinary(&buf); err != nil {
+	buf, err := g.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeGraph(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := DecodeGraph(buf); err == nil {
 		t.Fatal("decode accepted a payload with aliased spans")
 	}
 }
@@ -249,20 +249,20 @@ func TestCodecRoundTripMidOverlay(t *testing.T) {
 			t.Fatal("fixture has no overlay — test would be vacuous")
 		}
 
-		var a bytes.Buffer
-		if err := g.EncodeBinary(&a); err != nil {
+		a, err := g.AppendBinary(nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := DecodeGraph(bytes.NewReader(a.Bytes()))
+		dec, err := DecodeGraph(a)
 		if err != nil {
 			t.Fatalf("directed=%v: decode mid-overlay: %v", directed, err)
 		}
-		var b bytes.Buffer
-		if err := dec.EncodeBinary(&b); err != nil {
+		b, err := dec.AppendBinary(nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("directed=%v: mid-overlay re-encode not byte-identical (%d vs %d bytes)", directed, a.Len(), b.Len())
+		if !bytes.Equal(a, b) {
+			t.Fatalf("directed=%v: mid-overlay re-encode not byte-identical (%d vs %d bytes)", directed, len(a), len(b))
 		}
 		// Iteration order must survive exactly.
 		g.ForEachVertex(func(u VertexID) {

@@ -1,10 +1,9 @@
 package graph
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
+	"slices"
 )
 
 // This file implements the stable binary serialization of a Graph used by
@@ -35,315 +34,268 @@ import (
 // The format is versioned by the enclosing snapshot container, which also
 // carries a CRC; the decoder still bounds every length and finishes with
 // a full CheckInvariants pass, so a corrupt or adversarial payload errors
-// instead of panicking or allocating unbounded memory.
+// instead of panicking or allocating unbounded memory: lengths are
+// checked against the remaining bytes before allocation.
 
-// maxCodecSlots bounds the vertex-table size EncodeBinary/DecodeGraph
+// maxCodecSlots bounds the vertex-table size AppendBinary/DecodeGraph
 // accept, mirroring MaxReadVertexID for the text parsers.
 const maxCodecSlots = MaxReadVertexID + 1
 
-// maxCodecArena bounds a single direction's arena length. Decoding reads
-// the arena incrementally, so a lying header fails at EOF long before the
-// claimed allocation is reached.
+// maxCodecArena bounds a single direction's arena length, so a decoded
+// arena always fits the u32 span offsets.
 const maxCodecArena = 1 << 31
 
-// EncodeBinary writes the graph in the stable binary snapshot format.
-// Encoding does not canonicalise: the arena (including garbage), spans
-// and overlay serialize verbatim, so encode∘decode∘encode is
-// byte-identical and a restored graph compacts at exactly the same future
-// points as the original.
-func (g *Graph) EncodeBinary(w io.Writer) error {
+// BinarySize returns the exact number of bytes AppendBinary appends.
+func (g *Graph) BinarySize() int {
+	n := 1 + 4 + 8 + 8 + len(g.alive) + 4 + 4*len(g.free) + g.out.binarySize()
+	if g.directed {
+		n += g.in.binarySize()
+	}
+	return n
+}
+
+func (s *store) binarySize() int {
+	return 8 + 4*len(s.arena) + 8*len(s.spans) + 8 + 4 + 8*len(s.ovTab) + 4*s.ovEnts
+}
+
+// AppendBinary appends the graph in the stable binary snapshot format to
+// b (encoding.BinaryAppender). Encoding does not canonicalise: the arena
+// (including garbage), spans and overlay serialize verbatim, so
+// encode∘decode∘encode is byte-identical and a restored graph compacts
+// at exactly the same future points as the original.
+func (g *Graph) AppendBinary(b []byte) ([]byte, error) {
 	if len(g.out.spans) > maxCodecSlots {
-		return fmt.Errorf("graph: %d slots exceed the serializable maximum %d", len(g.out.spans), maxCodecSlots)
+		return b, fmt.Errorf("graph: %d slots exceed the serializable maximum %d", len(g.out.spans), maxCodecSlots)
 	}
 	// Mirror every decode-side bound at encode time: a checkpoint that
 	// writes cleanly must restore cleanly, never fail only on read.
 	if len(g.out.arena) > maxCodecArena || len(g.in.arena) > maxCodecArena {
-		return fmt.Errorf("graph: arena exceeds the serializable maximum %d entries", maxCodecArena)
+		return b, fmt.Errorf("graph: arena exceeds the serializable maximum %d entries", maxCodecArena)
 	}
-	bw := bufio.NewWriter(w)
+	b = slices.Grow(b, g.BinarySize())
 	dir := byte(0)
 	if g.directed {
 		dir = 1
 	}
-	if err := bw.WriteByte(dir); err != nil {
-		return err
-	}
-	writeU32(bw, uint32(len(g.out.spans)))
-	writeU64(bw, uint64(g.n))
-	writeU64(bw, uint64(g.m))
+	b = append(b, dir)
+	b = le.AppendUint32(b, uint32(len(g.out.spans)))
+	b = le.AppendUint64(b, uint64(g.n))
+	b = le.AppendUint64(b, uint64(g.m))
 	for _, a := range g.alive {
-		b := byte(0)
 		if a {
-			b = 1
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
 		}
-		bw.WriteByte(b)
 	}
-	writeU32(bw, uint32(len(g.free)))
-	for _, id := range g.free {
-		writeI32(bw, int32(id))
-	}
-	g.out.encode(bw)
+	b = le.AppendUint32(b, uint32(len(g.free)))
+	b = appendIDs(b, g.free)
+	b = g.out.appendBinary(b)
 	if g.directed {
-		g.in.encode(bw)
+		b = g.in.appendBinary(b)
 	}
-	return bw.Flush()
+	return b, nil
 }
 
-func (s *store) encode(bw *bufio.Writer) {
-	writeU64(bw, uint64(len(s.arena)))
-	for _, v := range s.arena {
-		writeI32(bw, int32(v))
-	}
+func (s *store) appendBinary(b []byte) []byte {
+	b = le.AppendUint64(b, uint64(len(s.arena)))
+	b = appendIDs(b, s.arena)
 	for _, sp := range s.spans {
-		writeU32(bw, sp.off)
-		writeU32(bw, uint32(sp.n))
+		b = le.AppendUint32(b, sp.off)
+		b = le.AppendUint32(b, uint32(sp.n))
 	}
-	writeU64(bw, uint64(s.garbage))
-	writeU32(bw, uint32(len(s.ovTab)))
+	b = le.AppendUint64(b, uint64(s.garbage))
+	b = le.AppendUint32(b, uint32(len(s.ovTab)))
 	// Slot-ascending overlay order keeps the encoding canonical (the
 	// dense table's internal order must never leak into the bytes).
 	for i := range s.spans {
-		v := VertexID(i)
-		o := s.overlayOf(v)
-		if o == nil {
-			continue
-		}
-		writeU32(bw, uint32(i))
-		writeU32(bw, uint32(len(o.adds)))
-		for _, w := range o.adds {
-			writeI32(bw, int32(w))
+		if o := s.overlayOf(VertexID(i)); o != nil {
+			b = le.AppendUint32(b, uint32(i))
+			b = le.AppendUint32(b, uint32(len(o.adds)))
+			b = appendIDs(b, o.adds)
 		}
 	}
+	return b
 }
 
-// DecodeGraph reads a graph previously written by EncodeBinary. The full
-// invariant suite (degree symmetry, counts, span/overlay bookkeeping)
-// is validated; a mismatch or out-of-range ID yields an error, never a
+func appendIDs(b []byte, ids []VertexID) []byte {
+	for _, v := range ids {
+		b = le.AppendUint32(b, uint32(v))
+	}
+	return b
+}
+
+var le = binary.LittleEndian
+
+// DecodeGraph decodes a graph previously encoded by AppendBinary from the
+// front of data (bytes after the payload are ignored). The full
+// invariant suite (degree symmetry, counts, span/overlay bookkeeping) is
+// validated; a mismatch or out-of-range ID yields an error, never a
 // panic or unbounded allocation.
-func DecodeGraph(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	dir, err := br.ReadByte()
+func DecodeGraph(data []byte) (*Graph, error) {
+	g, err := decodeGraph(data)
 	if err != nil {
 		return nil, fmt.Errorf("graph decode: %w", err)
 	}
-	if dir > 1 {
-		return nil, fmt.Errorf("graph decode: invalid directed flag %d", dir)
-	}
-	slots, err := readU32(br)
-	if err != nil {
-		return nil, fmt.Errorf("graph decode: slots: %w", err)
-	}
-	if int(slots) > maxCodecSlots {
-		return nil, fmt.Errorf("graph decode: %d slots exceed the supported maximum %d", slots, maxCodecSlots)
-	}
-	n, err := readU64(br)
-	if err != nil {
-		return nil, fmt.Errorf("graph decode: n: %w", err)
-	}
-	m, err := readU64(br)
-	if err != nil {
-		return nil, fmt.Errorf("graph decode: m: %w", err)
-	}
-	if n > uint64(slots) {
-		return nil, fmt.Errorf("graph decode: %d live vertices in %d slots", n, slots)
-	}
-	g := &Graph{directed: dir == 1, alive: make([]bool, slots)}
-	live := 0
-	for i := range g.alive {
-		b, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("graph decode: alive bitmap: %w", err)
-		}
-		switch b {
-		case 0:
-		case 1:
-			g.alive[i] = true
-			live++
-		default:
-			return nil, fmt.Errorf("graph decode: invalid alive byte %d at slot %d", b, i)
-		}
-	}
-	if uint64(live) != n {
-		return nil, fmt.Errorf("graph decode: alive bitmap has %d live vertices, header says %d", live, n)
-	}
-	freeLen, err := readU32(br)
-	if err != nil {
-		return nil, fmt.Errorf("graph decode: free list: %w", err)
-	}
-	if int(freeLen)+live != int(slots) {
-		return nil, fmt.Errorf("graph decode: free %d + live %d != slots %d", freeLen, live, slots)
-	}
-	g.free = make([]VertexID, freeLen)
-	for i := range g.free {
-		id, err := readSlotID(br, slots)
-		if err != nil {
-			return nil, fmt.Errorf("graph decode: free list entry %d: %w", i, err)
-		}
-		if g.alive[id] {
-			return nil, fmt.Errorf("graph decode: free list contains live vertex %d", id)
-		}
-		g.free[i] = id
-	}
-	if err := g.out.decode(br, slots); err != nil {
-		return nil, fmt.Errorf("graph decode: out store: %w", err)
-	}
-	if g.directed {
-		if err := g.in.decode(br, slots); err != nil {
-			return nil, fmt.Errorf("graph decode: in store: %w", err)
-		}
-	}
-	g.n = int(n)
-	g.m = int(m)
 	if err := g.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("graph decode: inconsistent payload: %w", err)
 	}
 	return g, nil
 }
 
-func (s *store) decode(br *bufio.Reader, slots uint32) error {
-	arenaLen, err := readU64(br)
-	if err != nil {
-		return fmt.Errorf("arena length: %w", err)
+// decodeGraph parses the payload with every range and length check but
+// without the closing CheckInvariants pass.
+func decodeGraph(data []byte) (*Graph, error) {
+	p := &unread{b: data}
+	hdr := p.next(1+4+8+8, "header")
+	if p.err != nil {
+		return nil, p.err
 	}
+	dir, slots, n, m := hdr[0], le.Uint32(hdr[1:]), le.Uint64(hdr[5:]), le.Uint64(hdr[13:])
+	if dir > 1 {
+		return nil, fmt.Errorf("invalid directed flag %d", dir)
+	}
+	if int(slots) > maxCodecSlots {
+		return nil, fmt.Errorf("%d slots exceed the supported maximum %d", slots, maxCodecSlots)
+	}
+	bitmap := p.next(uint64(slots), "alive bitmap")
+	freeLen := p.u32("free list length")
+	if p.err != nil {
+		return nil, p.err
+	}
+	g := &Graph{directed: dir == 1, alive: make([]bool, slots), n: int(n), m: int(m)}
+	live := 0
+	for i, b := range bitmap {
+		if b > 1 {
+			return nil, fmt.Errorf("invalid alive byte %d at slot %d", b, i)
+		}
+		g.alive[i] = b == 1
+		live += int(b)
+	}
+	if uint64(live) != n {
+		return nil, fmt.Errorf("alive bitmap has %d live vertices, header says %d", live, n)
+	}
+	if int(freeLen)+live != int(slots) {
+		return nil, fmt.Errorf("free %d + live %d != slots %d", freeLen, live, slots)
+	}
+	if g.free = p.ids(uint64(freeLen), slots, "free list"); p.err != nil {
+		return nil, p.err
+	}
+	for _, id := range g.free {
+		if g.alive[id] {
+			return nil, fmt.Errorf("free list contains live vertex %d", id)
+		}
+	}
+	if err := g.out.decode(p, slots); err != nil {
+		return nil, fmt.Errorf("out store: %w", err)
+	}
+	if g.directed {
+		if err := g.in.decode(p, slots); err != nil {
+			return nil, fmt.Errorf("in store: %w", err)
+		}
+	}
+	return g, nil
+}
+
+func (s *store) decode(p *unread, slots uint32) error {
+	arenaLen := p.u64("arena length")
 	if arenaLen > maxCodecArena {
 		return fmt.Errorf("arena length %d exceeds the supported maximum %d", arenaLen, maxCodecArena)
 	}
-	// Grow incrementally: a lying length hits EOF, not a huge allocation.
-	s.arena = make([]VertexID, 0, min64(arenaLen, 1<<16))
-	for i := uint64(0); i < arenaLen; i++ {
-		id, err := readSlotID(br, slots)
-		if err != nil {
-			return fmt.Errorf("arena entry %d: %w", i, err)
-		}
-		s.arena = append(s.arena, id)
+	s.arena = p.ids(arenaLen, slots, "arena")
+	raw := p.next(8*uint64(slots), "spans")
+	garbage := p.u64("garbage counter")
+	if p.err != nil {
+		return p.err
 	}
 	s.spans = make([]span, slots)
+	spanEnds := uint64(0)
 	for i := range s.spans {
-		off, err := readU32(br)
-		if err != nil {
-			return fmt.Errorf("slot %d span offset: %w", i, err)
-		}
-		length, err := readU32(br)
-		if err != nil {
-			return fmt.Errorf("slot %d span length: %w", i, err)
-		}
+		off, length := le.Uint32(raw[8*i:]), le.Uint32(raw[8*i+4:])
 		if uint64(off)+uint64(length) > arenaLen || length > uint32(maxCodecSlots) {
 			return fmt.Errorf("slot %d span [%d,+%d) exceeds arena %d", i, off, length, arenaLen)
 		}
 		s.spans[i] = span{off: off, n: int32(length)}
-	}
-	garbage, err := readU64(br)
-	if err != nil {
-		return fmt.Errorf("garbage counter: %w", err)
-	}
-	spanEnds := uint64(0)
-	for _, sp := range s.spans {
-		spanEnds += uint64(sp.n)
+		spanEnds += uint64(length)
 	}
 	if spanEnds+garbage != arenaLen {
 		return fmt.Errorf("span ends %d + garbage %d != arena %d", spanEnds, garbage, arenaLen)
 	}
 	s.garbage = int(garbage)
-	dirtyCount, err := readU32(br)
-	if err != nil {
-		return fmt.Errorf("overlay count: %w", err)
-	}
+	dirtyCount := p.u32("overlay count")
 	if dirtyCount > slots {
 		return fmt.Errorf("overlay count %d exceeds slot count %d", dirtyCount, slots)
 	}
 	prev := int64(-1)
 	for i := uint32(0); i < dirtyCount; i++ {
-		slot, err := readU32(br)
-		if err != nil {
-			return fmt.Errorf("overlay %d slot: %w", i, err)
+		slot, nAdds := p.u32("overlay slot"), p.u32("overlay length")
+		if p.err != nil {
+			break
 		}
 		if int64(slot) <= prev || slot >= slots {
 			return fmt.Errorf("overlay slots not ascending (%d after %d)", slot, prev)
 		}
+		if nAdds == 0 || nAdds > slots {
+			return fmt.Errorf("overlay %d holds %d adds, want 1..%d", slot, nAdds, slots)
+		}
 		prev = int64(slot)
 		o := s.ensureOverlay(VertexID(slot))
-		if o.adds, err = readVertexList(br, slots, "adds"); err != nil {
-			return fmt.Errorf("overlay %d: %w", slot, err)
-		}
-		if len(o.adds) == 0 {
-			return fmt.Errorf("overlay %d is empty", slot)
-		}
+		o.adds = p.ids(uint64(nAdds), slots, "overlay adds")
 		s.ovEnts += len(o.adds)
 	}
-	return nil
+	return p.err
 }
 
-func readVertexList(br *bufio.Reader, slots uint32, what string) ([]VertexID, error) {
-	n, err := readU32(br)
-	if err != nil {
-		return nil, fmt.Errorf("%s length: %w", what, err)
-	}
-	if n > slots {
-		return nil, fmt.Errorf("%s length %d exceeds slot count %d", what, n, slots)
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	list := make([]VertexID, n)
-	for i := range list {
-		id, err := readSlotID(br, slots)
-		if err != nil {
-			return nil, fmt.Errorf("%s entry %d: %w", what, i, err)
-		}
-		list[i] = id
-	}
-	return list, nil
+// unread is the not yet decoded tail of an encoded graph. Reads are
+// sticky: after the first failure every read returns zeros and err
+// keeps the failure.
+type unread struct {
+	b   []byte
+	err error
 }
 
-func readSlotID(br *bufio.Reader, slots uint32) (VertexID, error) {
-	raw, err := readI32(br)
-	if err != nil {
-		return NoVertex, err
+// next consumes n bytes, failing before anything is allocated for them
+// when fewer remain.
+func (p *unread) next(n uint64, what string) []byte {
+	if p.err == nil && n > uint64(len(p.b)) {
+		p.err = fmt.Errorf("%s: %d bytes claimed, %d remain", what, n, len(p.b))
 	}
-	if raw < 0 || uint32(raw) >= slots {
-		return NoVertex, fmt.Errorf("vertex id %d out of range [0,%d)", raw, slots)
+	if p.err != nil {
+		return nil
 	}
-	return VertexID(raw), nil
-}
-
-func min64(a uint64, b int) int {
-	if a < uint64(b) {
-		return int(a)
-	}
+	b := p.b[:n]
+	p.b = p.b[n:]
 	return b
 }
 
-func writeU32(w *bufio.Writer, v uint32) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	w.Write(buf[:])
-}
-
-func writeU64(w *bufio.Writer, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	w.Write(buf[:])
-}
-
-func writeI32(w *bufio.Writer, v int32) { writeU32(w, uint32(v)) }
-
-func readU32(r io.Reader) (uint32, error) {
-	var buf [4]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
+func (p *unread) u32(what string) uint32 {
+	if b := p.next(4, what); b != nil {
+		return le.Uint32(b)
 	}
-	return binary.LittleEndian.Uint32(buf[:]), nil
+	return 0
 }
 
-func readU64(r io.Reader) (uint64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
+func (p *unread) u64(what string) uint64 {
+	if b := p.next(8, what); b != nil {
+		return le.Uint64(b)
 	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
+	return 0
 }
 
-func readI32(r io.Reader) (int32, error) {
-	v, err := readU32(r)
-	return int32(v), err
+// ids consumes n vertex IDs, each of which must lie in [0, slots).
+func (p *unread) ids(n uint64, slots uint32, what string) []VertexID {
+	b := p.next(4*n, what)
+	if p.err != nil {
+		return nil
+	}
+	list := make([]VertexID, n)
+	for i := range list {
+		raw := le.Uint32(b[4*i:])
+		if raw >= slots {
+			p.err = fmt.Errorf("%s entry %d: vertex id %d out of range [0,%d)", what, i, int32(raw), slots)
+			return nil
+		}
+		list[i] = VertexID(raw)
+	}
+	return list
 }

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // buildChurnedGraph constructs a graph whose free list and slot layout are
 // non-trivial: vertices added, removed, and IDs recycled.
@@ -33,11 +30,11 @@ func buildChurnedGraph(directed bool) *Graph {
 func TestGraphCodecRoundTrip(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		g := buildChurnedGraph(directed)
-		var buf bytes.Buffer
-		if err := g.EncodeBinary(&buf); err != nil {
+		buf, err := g.AppendBinary(nil)
+		if err != nil {
 			t.Fatalf("directed=%v: encode: %v", directed, err)
 		}
-		got, err := DecodeGraph(bytes.NewReader(buf.Bytes()))
+		got, err := DecodeGraph(buf)
 		if err != nil {
 			t.Fatalf("directed=%v: decode: %v", directed, err)
 		}
@@ -72,39 +69,38 @@ func TestGraphCodecRoundTrip(t *testing.T) {
 
 func TestGraphCodecRejectsCorruption(t *testing.T) {
 	g := buildChurnedGraph(false)
-	var buf bytes.Buffer
-	if err := g.EncodeBinary(&buf); err != nil {
+	full, err := g.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
 
 	// Truncations at every prefix must error, never panic.
 	for cut := 0; cut < len(full); cut += 7 {
-		if _, err := DecodeGraph(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := DecodeGraph(full[:cut]); err == nil {
 			t.Fatalf("truncation at %d bytes decoded successfully", cut)
 		}
 	}
 	// A flipped alive byte breaks the live-count validation.
 	mut := append([]byte(nil), full...)
 	mut[1+4+8+8] ^= 1 // first alive byte
-	if _, err := DecodeGraph(bytes.NewReader(mut)); err == nil {
+	if _, err := DecodeGraph(mut); err == nil {
 		t.Fatal("flipped alive bitmap decoded successfully")
 	}
 	// A huge slot count must be rejected before allocation.
 	huge := append([]byte(nil), full...)
 	huge[1], huge[2], huge[3], huge[4] = 0xff, 0xff, 0xff, 0x7f
-	if _, err := DecodeGraph(bytes.NewReader(huge)); err == nil {
+	if _, err := DecodeGraph(huge); err == nil {
 		t.Fatal("oversized slot count decoded successfully")
 	}
 }
 
 func TestGraphCodecEmptyGraph(t *testing.T) {
 	g := NewUndirected(0)
-	var buf bytes.Buffer
-	if err := g.EncodeBinary(&buf); err != nil {
+	buf, err := g.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeGraph(&buf)
+	got, err := DecodeGraph(buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,15 +21,16 @@ func TestCompactMatchesReference(t *testing.T) {
 		got, want := g.Clone(), g.Clone()
 		got.Compact()
 		graph.CompactReference(want)
-		var gb, wb bytes.Buffer
-		if err := got.EncodeBinary(&gb); err != nil {
+		gb, err := got.AppendBinary(nil)
+		if err != nil {
 			return err
 		}
-		if err := want.EncodeBinary(&wb); err != nil {
+		wb, err := want.AppendBinary(nil)
+		if err != nil {
 			return err
 		}
-		if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
-			return fmt.Errorf("Compact encodes %d bytes that differ from the reference's %d", gb.Len(), wb.Len())
+		if !bytes.Equal(gb, wb) {
+			return fmt.Errorf("Compact encodes %d bytes that differ from the reference's %d", len(gb), len(wb))
 		}
 		if ms, rs := got.MemoryStats(), want.MemoryStats(); ms.Bytes != rs.Bytes {
 			return fmt.Errorf("Compact footprint %d B, reference %d B", ms.Bytes, rs.Bytes)

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"hash/crc32"
 	"strings"
 	"testing"
 )
@@ -90,26 +91,13 @@ func FuzzReadMetis(f *testing.F) {
 	})
 }
 
-// FuzzDecodeGraph feeds arbitrary bytes through the binary arena codec:
-// any input must either decode to a graph that passes CheckInvariants and
-// re-encodes byte-identically (the determinism contract checkpoints rely
-// on), or fail with a clean error — never panic, never allocate
-// unboundedly. The corpus seeds the interesting regions of the format:
-// a compacted snapshot (overlay-free), an overlay-heavy snapshot taken
-// mid-churn, a directed graph, and an empty graph.
-func FuzzDecodeGraph(f *testing.F) {
-	seed := func(g *Graph) []byte {
-		var buf bytes.Buffer
-		if err := g.EncodeBinary(&buf); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	// Compacted: everything in the arena.
+// fuzzSeedGraphs are the interesting regions of the binary format: a
+// compacted graph (overlay-free), an overlay-heavy one taken mid-churn,
+// a directed graph built purely in the overlay, an empty graph, and a
+// directed graph with both a base and an overlay in each direction.
+func fuzzSeedGraphs() []*Graph {
 	compacted := buildChurnedGraph(false)
 	compacted.Compact()
-	f.Add(seed(compacted))
-	// Overlay-heavy: compact, then churn without recompacting.
 	dirty := buildChurnedGraph(false)
 	dirty.Compact()
 	dirty.RemoveEdge(2, 3)
@@ -117,11 +105,58 @@ func FuzzDecodeGraph(f *testing.F) {
 	v := dirty.AddVertex()
 	dirty.AddEdge(v, 0)
 	dirty.AddEdge(v, 5)
-	f.Add(seed(dirty))
-	f.Add(seed(buildChurnedGraph(true)))
-	f.Add(seed(NewUndirected(0)))
+	dirDirty := buildChurnedGraph(true)
+	dirDirty.Compact()
+	dirDirty.RemoveEdge(2, 3)
+	dirDirty.RemoveVertex(9)
+	w := dirDirty.AddVertex()
+	dirDirty.AddEdge(w, 0)
+	dirDirty.AddEdge(5, w)
+	return []*Graph{compacted, dirty, buildChurnedGraph(true), NewUndirected(0), dirDirty}
+}
+
+// TestAppendBinaryPinned pins the bytes of the seed graphs: the lengths
+// and CRC-32s were recorded from the bufio-based encoder the append
+// encoder replaced.
+func TestAppendBinaryPinned(t *testing.T) {
+	want := []struct {
+		n   int
+		crc uint32
+	}{{229, 0x78efdc72}, {269, 0x9b7caebb}, {481, 0x4c117534}, {45, 0xc68097a4}, {393, 0x2fcdd470}}
+	for i, g := range fuzzSeedGraphs() {
+		data, err := g.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) != want[i].n || crc32.ChecksumIEEE(data) != want[i].crc || g.BinarySize() != len(data) {
+			t.Errorf("seed %d: %d bytes (BinarySize %d) crc %08x, pinned %d bytes crc %08x",
+				i, len(data), g.BinarySize(), crc32.ChecksumIEEE(data), want[i].n, want[i].crc)
+		}
+	}
+}
+
+// FuzzDecodeGraph feeds arbitrary bytes through the binary arena codec:
+// any input must either decode to a graph that passes CheckInvariants and
+// re-encodes byte-identically (the determinism contract checkpoints rely
+// on), or fail with a clean error — never panic, never allocate
+// unboundedly. Every input must also get the same verdict from the
+// per-end reference check (checkInvariantsRef) as from the one-pass
+// CheckInvariants. The corpus is fuzzSeedGraphs plus the differential
+// test's mutated encodes, committed under testdata/fuzz/FuzzDecodeGraph
+// (regenerate them with TestWriteDiffCorpus).
+func FuzzDecodeGraph(f *testing.F) {
+	for _, g := range fuzzSeedGraphs() {
+		data, err := g.AppendBinary(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := DecodeGraph(bytes.NewReader(data))
+		g, err := DecodeGraph(data)
+		if refErr := referenceDecode(data); (err == nil) != (refErr == nil) {
+			t.Fatalf("verdicts differ: production %v, reference %v", err, refErr)
+		}
 		if err != nil {
 			return
 		}
@@ -131,22 +166,22 @@ func FuzzDecodeGraph(f *testing.F) {
 		if err := g.CheckInvariants(); err != nil {
 			t.Fatalf("accepted payload produced inconsistent graph: %v", err)
 		}
-		var out bytes.Buffer
-		if err := g.EncodeBinary(&out); err != nil {
+		out, err := g.AppendBinary(nil)
+		if err != nil {
 			t.Fatalf("decoded graph failed to re-encode: %v", err)
 		}
 		// Re-decode the re-encode: the codec must be a fixed point after
 		// one round trip.
-		g2, err := DecodeGraph(bytes.NewReader(out.Bytes()))
+		g2, err := DecodeGraph(out)
 		if err != nil {
 			t.Fatalf("re-encoded payload failed to decode: %v", err)
 		}
-		var out2 bytes.Buffer
-		if err := g2.EncodeBinary(&out2); err != nil {
+		out2, err := g2.AppendBinary(nil)
+		if err != nil {
 			t.Fatalf("second re-encode failed: %v", err)
 		}
-		if !bytes.Equal(out.Bytes(), out2.Bytes()) {
-			t.Fatalf("codec is not a fixed point: %d vs %d bytes", out.Len(), out2.Len())
+		if !bytes.Equal(out, out2) {
+			t.Fatalf("codec is not a fixed point: %d vs %d bytes", len(out), len(out2))
 		}
 	})
 }

@@ -31,6 +31,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -520,17 +521,15 @@ func (s *store) degree(v VertexID) int {
 // has reports whether w is a live neighbour of v: binary search over the
 // sorted base span, then a linear scan of the bounded overlay adds.
 func (s *store) has(v, w VertexID) bool {
-	if base := s.base(v); containsSorted(base, w) {
-		return true
-	}
+	return containsSorted(s.base(v), w) || slices.Contains(s.addsOf(v), w)
+}
+
+// addsOf returns v's overlay adds, nil when v is clean.
+func (s *store) addsOf(v VertexID) []VertexID {
 	if o := s.overlayOf(v); o != nil {
-		for _, x := range o.adds {
-			if x == w {
-				return true
-			}
-		}
+		return o.adds
 	}
-	return false
+	return nil
 }
 
 // add inserts w into v's adjacency. The caller has established that w is
@@ -620,6 +619,12 @@ func (s *store) clone() store {
 // counts, liveness, arena/overlay bookkeeping) and returns a descriptive
 // error on the first violation. Tests — and the binary decoder — call it
 // after mutation sequences.
+//
+// The edge pass is linear: checkStructure makes every adjacency a set, so
+// probing the reverse half of each upper end (w > v; every out-end of a
+// digraph) maps upper ends injectively onto lower ends (in-ends), and m
+// of each makes that map a bijection — the symmetry (transpose) a lookup
+// per end would prove. With v ascending, the probes on each w ascend too.
 func (g *Graph) CheckInvariants() error {
 	slots := len(g.out.spans)
 	if len(g.alive) != slots {
@@ -631,78 +636,57 @@ func (g *Graph) CheckInvariants() error {
 	if err := g.out.checkStructure(slots, "out"); err != nil {
 		return err
 	}
+	reverse := &g.out
 	if g.directed {
 		if err := g.in.checkStructure(slots, "in"); err != nil {
 			return err
 		}
+		reverse = &g.in
 	}
-	liveCount := 0
-	outEnds, inEnds := 0, 0
-	for id := range g.alive {
+	rest := slices.Clone(reverse.spans)
+	liveCount, upper, lower := 0, 0, 0
+	for id, alive := range g.alive {
 		v := VertexID(id)
-		if !g.alive[id] {
-			if g.out.spans[v].n != 0 || g.out.overlayOf(v) != nil {
-				return fmt.Errorf("dead vertex %d has out-adjacency state", v)
-			}
-			if g.directed && (g.in.spans[v].n != 0 || g.in.overlayOf(v) != nil) {
-				return fmt.Errorf("dead vertex %d has in-adjacency state", v)
+		if !alive {
+			if g.out.spans[v].n != 0 || g.out.overlayOf(v) != nil ||
+				g.directed && (g.in.spans[v].n != 0 || g.in.overlayOf(v) != nil) {
+				return fmt.Errorf("dead vertex %d has adjacency state", v)
 			}
 			continue
 		}
 		liveCount++
-		for c := g.out.cursor(v); ; {
-			w, ok := c.Next()
-			if !ok {
-				break
-			}
-			outEnds++
-			if !g.Has(w) {
-				return fmt.Errorf("edge (%d,%d) points to dead vertex", v, w)
-			}
-			if w == v {
-				return fmt.Errorf("self-loop at %d", v)
-			}
-			if g.directed {
-				if !g.in.has(w, v) {
-					return fmt.Errorf("missing in-edge for (%d,%d)", v, w)
+		for _, run := range [2][]VertexID{g.out.base(v), g.out.addsOf(v)} {
+			for _, w := range run {
+				if !g.Has(w) {
+					return fmt.Errorf("edge (%d,%d) points to dead vertex", v, w)
 				}
-			} else if !g.out.has(w, v) {
-				return fmt.Errorf("missing reverse edge for (%d,%d)", v, w)
+				if w == v {
+					return fmt.Errorf("self-loop at %d", v)
+				}
+				if !g.directed && w < v {
+					lower++
+					continue
+				}
+				upper++
+				if !reverse.hasAscending(rest, w, v) {
+					return fmt.Errorf("missing reverse half of edge (%d,%d)", v, w)
+				}
 			}
 		}
 		if g.directed {
-			for c := g.in.cursor(v); ; {
-				w, ok := c.Next()
-				if !ok {
-					break
-				}
-				inEnds++
-				if !g.Has(w) {
-					return fmt.Errorf("in-edge (%d,%d) points to dead vertex", w, v)
-				}
-				if !g.out.has(w, v) {
-					return fmt.Errorf("in-edge (%d,%d) missing its out half", w, v)
-				}
-			}
+			lower += g.in.degree(v)
 		}
 	}
 	if liveCount != g.n {
 		return fmt.Errorf("live count %d != n %d", liveCount, g.n)
 	}
-	wantEnds := 2 * g.m
-	if g.directed {
-		wantEnds = g.m
-		if inEnds != g.m {
-			return fmt.Errorf("in-edge ends %d != m %d", inEnds, g.m)
-		}
-	}
-	if outEnds != wantEnds {
-		return fmt.Errorf("edge ends %d != expected %d (m=%d)", outEnds, wantEnds, g.m)
+	if upper != g.m || lower != g.m {
+		return fmt.Errorf("edge ends %d upper (out) + %d lower (in) != m %d each", upper, lower, g.m)
 	}
 	if len(g.free)+liveCount != slots {
 		return fmt.Errorf("free list %d + live %d != slots %d", len(g.free), liveCount, slots)
 	}
-	seen := make(map[VertexID]bool, len(g.free))
+	freed := make([]bool, slots)
 	for _, f := range g.free {
 		if f < 0 || int(f) >= slots {
 			return fmt.Errorf("free list entry %d out of range", f)
@@ -710,12 +694,23 @@ func (g *Graph) CheckInvariants() error {
 		if g.alive[f] {
 			return fmt.Errorf("free list contains live vertex %d", f)
 		}
-		if seen[f] {
+		if freed[f] {
 			return fmt.Errorf("free list contains %d twice", f)
 		}
-		seen[f] = true
+		freed[f] = true
 	}
 	return nil
+}
+
+// hasAscending is has(w, v) for queries ascending in v per w: rest[w]
+// is the part of w's sorted base span earlier queries have not passed.
+func (s *store) hasAscending(rest []span, w, v VertexID) bool {
+	sp := &rest[w]
+	for sp.n > 0 && s.arena[sp.off] < v {
+		sp.off++
+		sp.n--
+	}
+	return sp.n > 0 && s.arena[sp.off] == v || slices.Contains(s.addsOf(w), v)
 }
 
 // checkStructure validates one store's arena/span/overlay bookkeeping.

@@ -407,20 +407,20 @@ func collect(c graph.Cursor) []graph.VertexID {
 // depends on. The decoded graph replaces the original so the run
 // continues on restored state, exercising restore-then-mutate paths.
 func roundTrip(g *graph.Graph) (*graph.Graph, error) {
-	var a bytes.Buffer
-	if err := g.EncodeBinary(&a); err != nil {
+	a, err := g.AppendBinary(nil)
+	if err != nil {
 		return nil, fmt.Errorf("encode: %w", err)
 	}
-	dec, err := graph.DecodeGraph(bytes.NewReader(a.Bytes()))
+	dec, err := graph.DecodeGraph(a)
 	if err != nil {
 		return nil, fmt.Errorf("decode: %w", err)
 	}
-	var b bytes.Buffer
-	if err := dec.EncodeBinary(&b); err != nil {
+	b, err := dec.AppendBinary(nil)
+	if err != nil {
 		return nil, fmt.Errorf("re-encode: %w", err)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		return nil, fmt.Errorf("re-encode differs: %d vs %d bytes", a.Len(), b.Len())
+	if !bytes.Equal(a, b) {
+		return nil, fmt.Errorf("re-encode differs: %d vs %d bytes", len(a), len(b))
 	}
 	return dec, nil
 }

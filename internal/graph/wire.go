@@ -256,7 +256,7 @@ func readBatchPayload(r io.Reader, payload int) (Frame, error) {
 	}
 	// Read mutation-by-mutation: a frame lying about count fails at EOF
 	// without ever allocating for the claim.
-	b := make(Batch, 0, min64(uint64(count), 1<<16))
+	b := make(Batch, 0, min(count, 1<<16))
 	var mbuf [wireMutationSize]byte
 	for i := 0; i < count; i++ {
 		if _, err := io.ReadFull(r, mbuf[:]); err != nil {

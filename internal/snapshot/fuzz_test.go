@@ -95,6 +95,9 @@ func FuzzReadSnapshot(f *testing.F) {
 		if err := Write(&buf, s); err != nil {
 			t.Fatalf("re-encoding accepted snapshot: %v", err)
 		}
+		if size := encodedSize(s); size != int64(buf.Len()) {
+			t.Fatalf("encodedSize %d, Write produced %d bytes", size, buf.Len())
+		}
 		if _, err := s.NewPartitioner(); err != nil {
 			t.Logf("restore rejected: %v", err)
 		}

@@ -11,7 +11,7 @@
 //	u32      version (currently 3)
 //	params   fixed-width algorithm parameters (see Params)
 //	meta     daemon counters (see Meta)
-//	u64 len + graph payload      (graph.EncodeBinary)
+//	u64 len + graph payload      (graph.AppendBinary)
 //	i32 k, u32 slots, slots×i32  assignment table (partition.None = -1)
 //	core     counters, serialized PCG states, optional active-set state,
 //	         optional heat accumulator (v3+)
@@ -24,7 +24,6 @@
 package snapshot
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -52,9 +51,16 @@ const (
 	minReadVersion = 2
 )
 
-// maxSectionBytes bounds any length-prefixed section a reader will
-// allocate for, so a corrupt header cannot request gigabytes.
-const maxSectionBytes = 1 << 31
+// maxFileBytes bounds a whole snapshot file through checkFileSize, which
+// Write, Read and Load all apply, so a checkpoint that writes reads back.
+const maxFileBytes = 1 << 31
+
+func checkFileSize(n int64) error {
+	if n > maxFileBytes {
+		return fmt.Errorf("snapshot: %d bytes exceeds the maximum snapshot size %d", n, maxFileBytes)
+	}
+	return nil
+}
 
 // Params are the algorithm parameters a snapshot was taken under. They
 // mirror core.Config minus the non-serializable Placer hook;
@@ -194,93 +200,135 @@ func (s *Snapshot) NewPartitioner() (*core.Partitioner, error) {
 
 // Write serializes the snapshot to w in the versioned binary format.
 func Write(w io.Writer, s *Snapshot) error {
-	var buf bytes.Buffer
-	buf.WriteString(Magic)
-	putU32(&buf, Version)
+	buf, err := encode(s)
+	if err == nil {
+		_, err = w.Write(buf)
+	}
+	return err
+}
 
-	// Params.
-	putI64(&buf, int64(s.Params.K))
-	putF64(&buf, s.Params.CapacityFactor)
-	putF64(&buf, s.Params.S)
-	putI64(&buf, int64(s.Params.ConvergenceWindow))
-	putI64(&buf, int64(s.Params.MaxIterations))
-	putI64(&buf, s.Params.Seed)
-	putI64(&buf, int64(s.Params.Parallelism))
-	putBool(&buf, s.Params.Incremental)
-	putI64(&buf, int64(s.Params.RecordEvery))
-	putBool(&buf, s.Params.BalanceEdges)
-	putBool(&buf, s.Params.DisableQuotas)
-	putF64(&buf, s.Params.WorkloadWeight)
+// encodedSize is the exact length of the file encode produces: header,
+// params, meta, graph, assignment, core counters and RNG, shard count,
+// three presence bytes and the CRC, plus the optional sections.
+func encodedSize(s *Snapshot) int64 {
+	n := len(Magic) + 4 + 75 + 32 + 8 + s.Graph.BinarySize() + 8 + 4 + 4*s.Assignment.Slots() +
+		3*8 + 4 + len(s.Core.RNG) + 4 + 1 + 1 + 1 + 4
+	for _, b := range s.Core.ShardRNGs {
+		n += 4 + len(b)
+	}
+	if a := s.Core.Active; a != nil {
+		n += 4 + 4*len(a.Frontier) + 4
+		for _, list := range a.Parked {
+			n += 4 + 4*len(list)
+		}
+	}
+	if s.Core.Heat != nil {
+		n += 4 + 4*len(s.Core.Heat)
+	}
+	if s.Cluster != nil {
+		n += 16
+	}
+	return int64(n)
+}
 
-	// Meta.
-	putU64(&buf, s.Meta.Ticks)
-	putU64(&buf, s.Meta.MutationsIngested)
-	putU64(&buf, s.Meta.MutationsApplied)
-	putI64(&buf, s.Meta.CreatedUnix)
+// encode renders the file into one buffer presized by encodedSize.
+func encode(s *Snapshot) ([]byte, error) {
+	size := encodedSize(s)
+	if err := checkFileSize(size); err != nil {
+		return nil, err
+	}
+	b := make([]byte, 0, size)
+	b = append(b, Magic...)
+	b = le.AppendUint32(b, Version)
+
+	// Params: 7×8 + 1 + 8 + 1 + 1 + 8 = 75 bytes.
+	b = le.AppendUint64(b, uint64(s.Params.K))
+	b = le.AppendUint64(b, math.Float64bits(s.Params.CapacityFactor))
+	b = le.AppendUint64(b, math.Float64bits(s.Params.S))
+	b = le.AppendUint64(b, uint64(s.Params.ConvergenceWindow))
+	b = le.AppendUint64(b, uint64(s.Params.MaxIterations))
+	b = le.AppendUint64(b, uint64(s.Params.Seed))
+	b = le.AppendUint64(b, uint64(s.Params.Parallelism))
+	b = appendBool(b, s.Params.Incremental)
+	b = le.AppendUint64(b, uint64(s.Params.RecordEvery))
+	b = appendBool(b, s.Params.BalanceEdges)
+	b = appendBool(b, s.Params.DisableQuotas)
+	b = le.AppendUint64(b, math.Float64bits(s.Params.WorkloadWeight))
+
+	// Meta: 4×8 = 32 bytes.
+	b = le.AppendUint64(b, s.Meta.Ticks)
+	b = le.AppendUint64(b, s.Meta.MutationsIngested)
+	b = le.AppendUint64(b, s.Meta.MutationsApplied)
+	b = le.AppendUint64(b, uint64(s.Meta.CreatedUnix))
 
 	// Graph, length-prefixed.
-	var gbuf bytes.Buffer
-	if err := s.Graph.EncodeBinary(&gbuf); err != nil {
-		return fmt.Errorf("snapshot: encode graph: %w", err)
+	b = le.AppendUint64(b, uint64(s.Graph.BinarySize()))
+	b, err := s.Graph.AppendBinary(b)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: encode graph: %w", err)
 	}
-	putU64(&buf, uint64(gbuf.Len()))
-	buf.Write(gbuf.Bytes())
 
 	// Assignment.
 	table := s.Assignment.Table()
-	putI64(&buf, int64(s.Assignment.K()))
-	putU32(&buf, uint32(len(table)))
+	b = le.AppendUint64(b, uint64(s.Assignment.K()))
+	b = le.AppendUint32(b, uint32(len(table)))
 	for _, p := range table {
-		putU32(&buf, uint32(int32(p)))
+		b = le.AppendUint32(b, uint32(int32(p)))
 	}
 
 	// Core state.
-	putI64(&buf, int64(s.Core.Iteration))
-	putI64(&buf, int64(s.Core.Quiet))
-	putI64(&buf, int64(s.Core.LastMigration))
-	putBytes(&buf, s.Core.RNG)
-	putU32(&buf, uint32(len(s.Core.ShardRNGs)))
-	for _, b := range s.Core.ShardRNGs {
-		putBytes(&buf, b)
+	b = le.AppendUint64(b, uint64(s.Core.Iteration))
+	b = le.AppendUint64(b, uint64(s.Core.Quiet))
+	b = le.AppendUint64(b, uint64(s.Core.LastMigration))
+	b = appendBytes(b, s.Core.RNG)
+	b = le.AppendUint32(b, uint32(len(s.Core.ShardRNGs)))
+	for _, rng := range s.Core.ShardRNGs {
+		b = appendBytes(b, rng)
 	}
-	putBool(&buf, s.Core.Active != nil)
+	b = appendBool(b, s.Core.Active != nil)
 	if s.Core.Active != nil {
-		putVertexList(&buf, s.Core.Active.Frontier)
-		putU32(&buf, uint32(len(s.Core.Active.Parked)))
+		b = appendVertexList(b, s.Core.Active.Frontier)
+		b = le.AppendUint32(b, uint32(len(s.Core.Active.Parked)))
 		for _, list := range s.Core.Active.Parked {
-			putVertexList(&buf, list)
+			b = appendVertexList(b, list)
 		}
 	}
 	// Heat accumulator (v3): mid-decay per-slot read heat, so a restored
 	// workload-weighted run continues byte-identically.
-	putBool(&buf, s.Core.Heat != nil)
+	b = appendBool(b, s.Core.Heat != nil)
 	if s.Core.Heat != nil {
-		putU32(&buf, uint32(len(s.Core.Heat)))
+		b = le.AppendUint32(b, uint32(len(s.Core.Heat)))
 		for _, h := range s.Core.Heat {
-			putU32(&buf, math.Float32bits(h))
+			b = le.AppendUint32(b, math.Float32bits(h))
 		}
 	}
 
 	// Cluster identity (v4+).
-	putBool(&buf, s.Cluster != nil)
+	b = appendBool(b, s.Cluster != nil)
 	if s.Cluster != nil {
-		putU32(&buf, s.Cluster.ShardID)
-		putU32(&buf, s.Cluster.NumShards)
-		putU64(&buf, s.Cluster.RoundsCompleted)
+		b = le.AppendUint32(b, s.Cluster.ShardID)
+		b = le.AppendUint32(b, s.Cluster.NumShards)
+		b = le.AppendUint64(b, s.Cluster.RoundsCompleted)
 	}
 
-	putU32(&buf, crc32.ChecksumIEEE(buf.Bytes()))
-	_, err := w.Write(buf.Bytes())
-	return err
+	return le.AppendUint32(b, crc32.ChecksumIEEE(b)), nil
 }
 
 // Read parses a snapshot previously produced by Write, verifying the
 // magic, version and checksum before interpreting any content.
 func Read(r io.Reader) (*Snapshot, error) {
-	raw, err := io.ReadAll(io.LimitReader(r, maxSectionBytes))
+	raw, err := io.ReadAll(io.LimitReader(r, maxFileBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: read: %w", err)
 	}
+	if err := checkFileSize(int64(len(raw))); err != nil {
+		return nil, err
+	}
+	return decode(raw)
+}
+
+// decode parses a whole snapshot file held in raw.
+func decode(raw []byte) (*Snapshot, error) {
 	if len(raw) < len(Magic)+8 {
 		return nil, fmt.Errorf("snapshot: file too short (%d bytes)", len(raw))
 	}
@@ -322,14 +370,14 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if d.err == nil && glen > uint64(len(d.buf)) {
 		d.err = fmt.Errorf("graph section claims %d bytes, %d remain", glen, len(d.buf))
 	}
+	section := d.take(int(glen))
 	if d.err != nil {
 		return nil, fmt.Errorf("snapshot: %w", d.err)
 	}
-	g, err := graph.DecodeGraph(bytes.NewReader(d.buf[:glen]))
+	g, err := graph.DecodeGraph(section)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	d.buf = d.buf[glen:]
 	s.Graph = g
 
 	k := int(d.i64())
@@ -404,15 +452,20 @@ func Read(r io.Reader) (*Snapshot, error) {
 // Save atomically writes the snapshot to path: the bytes land in a
 // temporary file in the same directory, are fsynced, and replace path in
 // one rename. A concurrent crash leaves either the old snapshot or the
-// new one, never a torn file.
+// new one, never a torn file. A snapshot that cannot be encoded creates
+// no file at all.
 func Save(path string, s *Snapshot) error {
+	buf, err := encode(s)
+	if err != nil {
+		return err
+	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if err := Write(tmp, s); err != nil {
+	if _, err := tmp.Write(buf); err != nil {
 		tmp.Close()
 		return fmt.Errorf("snapshot: write %s: %w", tmp.Name(), err)
 	}
@@ -429,18 +482,31 @@ func Save(path string, s *Snapshot) error {
 	return nil
 }
 
-// Load reads and validates the snapshot at path.
-func Load(path string) (*Snapshot, error) {
+// Load reads and validates the snapshot at path. The file is read into
+// one buffer sized from its length, which is bounded before allocating.
+func Load(path string) (s *Snapshot, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("snapshot: load %s: %w", path, err)
+		}
+	}()
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
+		return nil, err
 	}
 	defer f.Close()
-	s, err := Read(f)
+	fi, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: load %s: %w", path, err)
+		return nil, err
 	}
-	return s, nil
+	if err := checkFileSize(fi.Size()); err != nil {
+		return nil, err
+	}
+	raw := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, raw); err != nil {
+		return nil, err
+	}
+	return decode(raw)
 }
 
 // decoder walks a byte slice with sticky-error semantics: after the
@@ -527,38 +593,23 @@ func (d *decoder) vertexList() []graph.VertexID {
 	return list
 }
 
-func putU32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
-}
+var le = binary.LittleEndian
 
-func putU64(buf *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	buf.Write(b[:])
-}
-
-func putI64(buf *bytes.Buffer, v int64) { putU64(buf, uint64(v)) }
-
-func putF64(buf *bytes.Buffer, v float64) { putU64(buf, math.Float64bits(v)) }
-
-func putBool(buf *bytes.Buffer, v bool) {
+func appendBool(b []byte, v bool) []byte {
 	if v {
-		buf.WriteByte(1)
-	} else {
-		buf.WriteByte(0)
+		return append(b, 1)
 	}
+	return append(b, 0)
 }
 
-func putBytes(buf *bytes.Buffer, b []byte) {
-	putU32(buf, uint32(len(b)))
-	buf.Write(b)
+func appendBytes(b, v []byte) []byte {
+	return append(le.AppendUint32(b, uint32(len(v))), v...)
 }
 
-func putVertexList(buf *bytes.Buffer, list []graph.VertexID) {
-	putU32(buf, uint32(len(list)))
+func appendVertexList(b []byte, list []graph.VertexID) []byte {
+	b = le.AppendUint32(b, uint32(len(list)))
 	for _, v := range list {
-		putU32(buf, uint32(int32(v)))
+		b = le.AppendUint32(b, uint32(int32(v)))
 	}
+	return b
 }
