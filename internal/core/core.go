@@ -218,12 +218,18 @@ type Partitioner struct {
 	trackChanges bool
 	changed      []graph.VertexID
 	// Workload heat (FoldHeat): heat is the dense decayed per-slot read
-	// accumulator, heatScale the precomputed WorkloadWeight/max(heat)
-	// vote multiplier (0 disables the weighted scorer entirely), and
-	// countsF the float vote scratch of the sequential path (each
-	// parallel shard owns its own).
+	// accumulator; heatIdx lists its non-zero slots in no particular
+	// order and heatBits holds the same set as a bitmap, so folds and
+	// the scorer touch only hot slots. heatScale is the precomputed
+	// WorkloadWeight/max(heat) vote multiplier (0 disables the weighted
+	// scorer entirely), heatWake the fold's wake-dedupe bitmap (all zero
+	// between folds), and countsF the float vote scratch of the
+	// sequential path (each parallel shard owns its own).
 	heat      []float32
+	heatIdx   []int32
+	heatBits  []uint64
 	heatScale float64
+	heatWake  []uint64
 	countsF   []float64
 }
 
@@ -610,7 +616,7 @@ func (p *Partitioner) bestPartitions(v graph.VertexID, cur partition.ID) []parti
 // so the default configuration pays one predictable branch per decision.
 func (p *Partitioner) scoreBest(v graph.VertexID, cur partition.ID, counts []int, countsF []float64, tied []partition.ID) []partition.ID {
 	if p.heatScale != 0 {
-		return bestPartitionsHeatInto(p.g, p.asn, v, cur, p.heat, p.heatScale, countsF, tied)
+		return bestPartitionsHeatInto(p.g, p.asn, v, cur, p.heat, p.heatBits, p.heatScale, countsF, tied)
 	}
 	return bestPartitionsInto(p.g, p.asn, v, cur, counts, tied)
 }

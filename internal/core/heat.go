@@ -12,13 +12,15 @@ import (
 // The serving plane samples read traffic off the lock-free lookup path
 // (internal/heat) and, at tick boundaries, folds the sampled vertex IDs
 // into the partitioner via FoldHeat. The fold maintains a dense decayed
-// per-slot accumulator: every fold first multiplies all entries by the
-// caller's decay factor (derived from the configured half-life), then
-// adds the sample weight for every sampled vertex. Between folds the
-// accumulator is immutable, so every iteration of the heuristic scores
-// against one frozen heat view — decisions stay a pure function of
-// (seed, graph, assignment, heat trace) and runs replay byte-identically
-// for a fixed fold schedule.
+// per-slot accumulator plus a sparse index of its non-zero slots: every
+// fold multiplies only the non-zero entries by the caller's decay factor
+// (derived from the configured half-life), then adds the sample weight
+// for every sampled vertex. Zero entries stay zero under decay, so
+// skipping them changes no value, and the fold costs O(hot + samples)
+// rather than O(V). Between folds the accumulator is immutable, so every
+// iteration of the heuristic scores against one frozen heat view —
+// decisions stay a pure function of (seed, graph, assignment, heat
+// trace) and runs replay byte-identically for a fixed fold schedule.
 //
 // Scoring: with the term active, a member w of Γ(v) votes for its
 // partition with weight 1 + WorkloadWeight·heat(w)/max(heat) instead of
@@ -49,6 +51,13 @@ const heatFloor = 1e-3
 // sample stands for. It returns the accumulator's new maximum and the
 // number of vertices with non-zero heat.
 //
+// The decay, the maximum and the hot count walk only the slots listed
+// in heatIdx, so a fold costs O(hot + samples) whatever the slot count.
+// Each entry gets the same float64 arithmetic and heatFloor snap as a
+// pass over every slot would give it, and the maximum is independent of
+// visiting order, so the accumulator and heatScale are bit-for-bit those
+// of the dense pass.
+//
 // When the workload term is active (WorkloadWeight > 0) and the
 // incremental scheduler is on, the neighbourhoods of newly sampled
 // vertices are re-woken — their members' votes changed, so their
@@ -56,15 +65,9 @@ const heatFloor = 1e-3
 // completely passive. Callers synchronize with Step/ApplyBatch
 // externally (the daemon holds its state lock).
 func (p *Partitioner) FoldHeat(decay float64, samples []graph.VertexID, sampleWeight float64) (max float64, hot int) {
-	slots := p.g.NumSlots()
-	if len(p.heat) < slots {
-		p.heat = append(p.heat, make([]float32, slots-len(p.heat))...)
-	}
-	for i, h := range p.heat {
-		if h == 0 {
-			continue
-		}
-		d := float64(h) * decay
+	p.growHeat(p.g.NumSlots())
+	for _, i := range p.heatIdx {
+		d := float64(p.heat[i]) * decay
 		if d < heatFloor {
 			d = 0
 		}
@@ -73,11 +76,21 @@ func (p *Partitioner) FoldHeat(decay float64, samples []graph.VertexID, sampleWe
 	added := 0
 	for _, v := range samples {
 		if i := int(v); i >= 0 && i < len(p.heat) {
+			p.indexHeat(i)
 			p.heat[i] += float32(sampleWeight)
 			added++
 		}
 	}
-	for _, h := range p.heat {
+	// Drop the entries that decay snapped to zero (or a sample cancelled)
+	// from the index, and take the maximum and hot count over the rest.
+	kept := p.heatIdx[:0]
+	for _, i := range p.heatIdx {
+		h := p.heat[i]
+		if h == 0 {
+			p.heatBits[i>>6] &^= 1 << (i & 63)
+			continue
+		}
+		kept = append(kept, i)
 		if h > 0 {
 			hot++
 			if m := float64(h); m > max {
@@ -85,6 +98,7 @@ func (p *Partitioner) FoldHeat(decay float64, samples []graph.VertexID, sampleWe
 			}
 		}
 	}
+	p.heatIdx = kept
 	p.setHeatScale(max)
 	if p.heatScale != 0 && added > 0 {
 		// Fresh heat changes decision inputs, so convergence must be
@@ -96,18 +110,45 @@ func (p *Partitioner) FoldHeat(decay float64, samples []graph.VertexID, sampleWe
 			// Wake the sampled neighbourhoods: heat(w) feeds every
 			// neighbour of w's decision (and w's own). Dedupe first —
 			// hot vertices repeat in the sample stream and
-			// MarkNeighborhood walks Γ(v).
-			seen := make(map[graph.VertexID]struct{}, len(samples))
+			// MarkNeighborhood walks Γ(v). Live vertices lie inside the
+			// slot range growHeat covered, and zeroing the words of the
+			// woken vertices clears the set for the next fold.
 			for _, v := range samples {
-				if _, dup := seen[v]; dup || !p.g.Has(v) {
+				if !p.g.Has(v) {
 					continue
 				}
-				seen[v] = struct{}{}
-				p.active.MarkNeighborhood(p.g, v)
+				if w, b := v>>6, uint64(1)<<(v&63); p.heatWake[w]&b == 0 {
+					p.heatWake[w] |= b
+					p.active.MarkNeighborhood(p.g, v)
+				}
+			}
+			for _, v := range samples {
+				if p.g.Has(v) {
+					p.heatWake[v>>6] = 0
+				}
 			}
 		}
 	}
 	return max, hot
+}
+
+// growHeat extends the accumulator and its two bitmaps to cover slots.
+func (p *Partitioner) growHeat(slots int) {
+	if len(p.heat) < slots {
+		p.heat = append(p.heat, make([]float32, slots-len(p.heat))...)
+	}
+	if words := (len(p.heat) + 63) >> 6; len(p.heatBits) < words {
+		p.heatBits = append(p.heatBits, make([]uint64, words-len(p.heatBits))...)
+		p.heatWake = append(p.heatWake, make([]uint64, words-len(p.heatWake))...)
+	}
+}
+
+// indexHeat adds slot i to the sparse heat index unless it is listed.
+func (p *Partitioner) indexHeat(i int) {
+	if w, b := i>>6, uint64(1)<<(i&63); p.heatBits[w]&b == 0 {
+		p.heatBits[w] |= b
+		p.heatIdx = append(p.heatIdx, int32(i))
+	}
 }
 
 // setHeatScale derives the vote multiplier from the accumulator maximum:
@@ -135,14 +176,19 @@ func (p *Partitioner) HeatSnapshot() []float32 {
 // member w of Γ(v) votes 1 + scale·heat(w) for its partition (scale is
 // WorkloadWeight/max(heat), precomputed by FoldHeat). Exactly like the
 // integer form it returns tied with the winners appended, or tied[:0]
-// when the current partition is among them. Vertices past the heat
-// slice's length (arrived since the last fold) are cold.
-func bestPartitionsHeatInto(g *graph.Graph, asn *partition.Assignment, v graph.VertexID, cur partition.ID, heat []float32, scale float64, countsF []float64, tied []partition.ID) []partition.ID {
+// when the current partition is among them. hot is the bitmap of the
+// slots with non-zero heat: heat(w) is loaded only when w's bit is set,
+// and every other neighbour — including vertices past the heat slice
+// (arrived since the last fold) — is cold and votes 1 + scale·0.
+func bestPartitionsHeatInto(g *graph.Graph, asn *partition.Assignment, v graph.VertexID, cur partition.ID, heat []float32, hot []uint64, scale float64, countsF []float64, tied []partition.ID) []partition.ID {
+	// 1 for any finite scale; computed rather than written as a constant
+	// so a cold vote is the one a heat load would give for every scale.
+	cold := 1 + scale*0
 	vote := func(w graph.VertexID) float64 {
-		if i := int(w); i < len(heat) {
+		if i := uint(w); i>>6 < uint(len(hot)) && hot[i>>6]&(1<<(i&63)) != 0 {
 			return 1 + scale*float64(heat[i])
 		}
-		return 1
+		return cold
 	}
 	for i := range countsF {
 		countsF[i] = 0

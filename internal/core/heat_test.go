@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"xdgp/internal/gen"
@@ -153,5 +155,53 @@ func TestHeatWeightedScoringPullsCoReadNeighbours(t *testing.T) {
 	tied = p2.scoreBest(0, 0, p2.counts, p2.countsF, nil)
 	if len(tied) != 2 {
 		t.Fatalf("tied = %v at weight 0, want the untouched two-way tie", tied)
+	}
+}
+
+// TestRestoreRejectsImpossibleHeat checks that a state whose heat
+// accumulator holds a value FoldHeat can never produce — NaN, an
+// infinity or a negative entry — is refused with an error naming the
+// slot, instead of restoring a partitioner whose votes it would poison.
+func TestRestoreRejectsImpossibleHeat(t *testing.T) {
+	g := gen.BarabasiAlbert(50, 2, 5)
+	cfg := DefaultConfig(3, 1)
+	cfg.RecordEvery = 0
+	cfg.WorkloadWeight = 4
+	p, err := New(g, partition.Hash(g, cfg.K), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.FoldHeat(0.9, []graph.VertexID{1, 2, 3, 3}, 16)
+	st := p.ExportState()
+	if _, err := Restore(g, p.Assignment().Clone(), cfg, st); err != nil {
+		t.Fatalf("restoring the valid state: %v", err)
+	}
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), -1} {
+		st := p.ExportState()
+		st.Heat[7] = bad
+		_, err := Restore(g, p.Assignment().Clone(), cfg, st)
+		if err == nil || !strings.Contains(err.Error(), "slot 7") {
+			t.Errorf("heat %v: restore returned %v, want an error naming slot 7", bad, err)
+		}
+	}
+}
+
+// TestFoldHeatAllocationFree checks that a steady-state fold, wake
+// dedupe included, allocates nothing once its scratch has grown.
+func TestFoldHeatAllocationFree(t *testing.T) {
+	g := gen.BarabasiAlbert(400, 2, 5)
+	cfg := DefaultConfig(4, 3)
+	cfg.RecordEvery = 0
+	cfg.Incremental = true
+	cfg.WorkloadWeight = 4
+	p, err := New(g, partition.Hash(g, cfg.K), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := foldTrace(3, 400)
+	samples = append(samples, samples...)
+	p.FoldHeat(0.9, samples, 16)
+	if allocs := testing.AllocsPerRun(50, func() { p.FoldHeat(0.9, samples, 16) }); allocs != 0 {
+		t.Fatalf("FoldHeat allocated %v times per fold, want 0", allocs)
 	}
 }

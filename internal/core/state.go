@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"xdgp/internal/activeset"
@@ -149,11 +150,24 @@ func Restore(g *graph.Graph, asn *partition.Assignment, cfg Config, st State) (*
 		if len(st.Heat) > g.NumSlots() {
 			return nil, fmt.Errorf("core: state has heat for %d slots, graph has %d", len(st.Heat), g.NumSlots())
 		}
-		p.heat = append([]float32(nil), st.Heat...)
+		// Folding read counts only ever produces finite, non-negative
+		// heat. Anything else would poison the votes (a NaN count never
+		// equals the maximum), so such a state is corrupt.
 		max := 0.0
-		for _, h := range p.heat {
-			if m := float64(h); m > max {
+		for i, h := range st.Heat {
+			m := float64(h)
+			if !(m >= 0) || math.IsInf(m, 1) {
+				return nil, fmt.Errorf("core: state heat slot %d holds %v, want a finite value ≥ 0", i, h)
+			}
+			if m > max {
 				max = m
+			}
+		}
+		p.heat = append([]float32(nil), st.Heat...)
+		p.growHeat(len(p.heat))
+		for i, h := range p.heat {
+			if h != 0 {
+				p.indexHeat(i)
 			}
 		}
 		p.setHeatScale(max)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"testing"
 
 	"xdgp/internal/core"
@@ -78,7 +79,20 @@ func FuzzReadSnapshot(f *testing.F) {
 	}
 	plain := seed(false)
 	f.Add(plain)
-	f.Add(seed(true))
+	hot := seed(true)
+	f.Add(hot)
+	// The same snapshot with a NaN heat entry: it decodes, but restore
+	// must refuse it.
+	snap, err := Read(bytes.NewReader(hot))
+	if err != nil {
+		f.Fatal(err)
+	}
+	snap.Core.Heat[2] = float32(math.NaN())
+	var nan bytes.Buffer
+	if err := Write(&nan, snap); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(nan.Bytes())
 	f.Add(downgradeToV2(f, plain))
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
@@ -98,8 +112,14 @@ func FuzzReadSnapshot(f *testing.F) {
 		if size := encodedSize(s); size != int64(buf.Len()) {
 			t.Fatalf("encodedSize %d, Write produced %d bytes", size, buf.Len())
 		}
-		if _, err := s.NewPartitioner(); err != nil {
+		_, err = s.NewPartitioner()
+		if err != nil {
 			t.Logf("restore rejected: %v", err)
+		}
+		for i, h := range s.Core.Heat {
+			if m := float64(h); (!(m >= 0) || math.IsInf(m, 1)) && err == nil {
+				t.Fatalf("restore accepted heat %v at slot %d", h, i)
+			}
 		}
 	})
 }
