@@ -34,6 +34,7 @@ package adaptive
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"xdgp/internal/activeset"
@@ -132,14 +133,15 @@ type Service struct {
 
 // New creates the service. It returns an error for invalid configuration.
 func New(cfg Config) (*Service, error) {
-	if cfg.S < 0 || cfg.S > 1 {
+	// Written to fail on NaN; the open-ended checks also reject +Inf.
+	if !(cfg.S >= 0 && cfg.S <= 1) {
 		return nil, fmt.Errorf("adaptive: S must be in [0,1], got %g", cfg.S)
 	}
-	if cfg.CapacityFactor < 1.0 {
-		return nil, fmt.Errorf("adaptive: CapacityFactor must be ≥ 1.0, got %g", cfg.CapacityFactor)
+	if !(cfg.CapacityFactor >= 1.0) || math.IsInf(cfg.CapacityFactor, 1) {
+		return nil, fmt.Errorf("adaptive: CapacityFactor must be finite and ≥ 1.0, got %g", cfg.CapacityFactor)
 	}
-	if cfg.WorkloadWeight < 0 {
-		return nil, fmt.Errorf("adaptive: WorkloadWeight must be ≥ 0, got %g", cfg.WorkloadWeight)
+	if !(cfg.WorkloadWeight >= 0) || math.IsInf(cfg.WorkloadWeight, 1) {
+		return nil, fmt.Errorf("adaptive: WorkloadWeight must be finite and ≥ 0, got %g", cfg.WorkloadWeight)
 	}
 	if cfg.Interval < 1 {
 		cfg.Interval = 1

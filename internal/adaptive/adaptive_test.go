@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"math"
 	"testing"
 
 	"xdgp/internal/bsp"
@@ -29,6 +30,25 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if svc.cfg.Interval != 1 {
 		t.Fatal("Interval must default to 1")
+	}
+}
+
+// TestConfigRejectsNonFinite checks that NaN and both infinities are
+// refused in every float field.
+func TestConfigRejectsNonFinite(t *testing.T) {
+	fields := map[string]func(*Config, float64){
+		"S":              func(c *Config, v float64) { c.S = v },
+		"CapacityFactor": func(c *Config, v float64) { c.CapacityFactor = v },
+		"WorkloadWeight": func(c *Config, v float64) { c.WorkloadWeight = v },
+	}
+	for name, set := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := DefaultConfig(1)
+			set(&cfg, v)
+			if _, err := New(cfg); err == nil {
+				t.Errorf("%s = %v: New accepted the config", name, v)
+			}
+		}
 	}
 }
 

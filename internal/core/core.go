@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"runtime"
 
@@ -121,10 +122,13 @@ func (c *Config) validate() error {
 	if c.K < 1 {
 		return fmt.Errorf("core: K must be ≥ 1, got %d", c.K)
 	}
-	if c.CapacityFactor < 1.0 {
-		return fmt.Errorf("core: CapacityFactor must be ≥ 1.0, got %g", c.CapacityFactor)
+	// The float checks are written to fail on NaN, and the open-ended
+	// ones also reject +Inf: a non-finite weight or factor would turn
+	// every vote into NaN or the capacities into an undefined int.
+	if !(c.CapacityFactor >= 1.0) || math.IsInf(c.CapacityFactor, 1) {
+		return fmt.Errorf("core: CapacityFactor must be finite and ≥ 1.0, got %g", c.CapacityFactor)
 	}
-	if c.S < 0 || c.S > 1 {
+	if !(c.S >= 0 && c.S <= 1) {
 		return fmt.Errorf("core: S must be in [0,1], got %g", c.S)
 	}
 	if c.ConvergenceWindow < 1 {
@@ -136,8 +140,8 @@ func (c *Config) validate() error {
 	if c.Parallelism < 0 {
 		return fmt.Errorf("core: Parallelism must be ≥ 0, got %d", c.Parallelism)
 	}
-	if c.WorkloadWeight < 0 {
-		return fmt.Errorf("core: WorkloadWeight must be ≥ 0, got %g", c.WorkloadWeight)
+	if !(c.WorkloadWeight >= 0) || math.IsInf(c.WorkloadWeight, 1) {
+		return fmt.Errorf("core: WorkloadWeight must be finite and ≥ 0, got %g", c.WorkloadWeight)
 	}
 	return nil
 }

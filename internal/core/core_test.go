@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -41,6 +42,28 @@ func TestConfigValidation(t *testing.T) {
 	// Unassigned vertices must be rejected.
 	if _, err := New(g, partition.NewAssignment(g.NumSlots(), 4), DefaultConfig(4, 1)); err == nil {
 		t.Error("incomplete assignment must error")
+	}
+}
+
+// TestConfigRejectsNonFinite checks that NaN and both infinities are
+// refused in every float field: NaN passes a plain range comparison, and
+// +Inf passes the lower-bound ones.
+func TestConfigRejectsNonFinite(t *testing.T) {
+	g := gen.Cube3D(3)
+	asn := partition.Hash(g, 4)
+	fields := map[string]func(*Config, float64){
+		"S":              func(c *Config, v float64) { c.S = v },
+		"CapacityFactor": func(c *Config, v float64) { c.CapacityFactor = v },
+		"WorkloadWeight": func(c *Config, v float64) { c.WorkloadWeight = v },
+	}
+	for name, set := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := DefaultConfig(4, 1)
+			set(&cfg, v)
+			if _, err := New(g, asn, cfg); err == nil {
+				t.Errorf("%s = %v: New accepted the config", name, v)
+			}
+		}
 	}
 }
 

@@ -194,8 +194,18 @@ func (c Config) validate() error {
 	if c.IngestShards < 0 {
 		return fmt.Errorf("server: IngestShards must be ≥ 0, got %d", c.IngestShards)
 	}
-	if c.WorkloadWeight < 0 {
-		return fmt.Errorf("server: WorkloadWeight must be ≥ 0, got %g", c.WorkloadWeight)
+	if !(c.WorkloadWeight >= 0) || math.IsInf(c.WorkloadWeight, 1) {
+		return fmt.Errorf("server: WorkloadWeight must be finite and ≥ 0, got %g", c.WorkloadWeight)
+	}
+	// The heuristic's own ranges are checked by core.New; a non-finite
+	// value is refused here already, with the daemon's field name.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"S", c.S}, {"CapacityFactor", c.CapacityFactor}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("server: %s must be finite, got %g", f.name, f.v)
+		}
 	}
 	if c.HeatHalfLife < 0 {
 		return fmt.Errorf("server: HeatHalfLife must be ≥ 0, got %v", c.HeatHalfLife)

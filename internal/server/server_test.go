@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -79,6 +80,26 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, out any) *http.Resp
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
 	}
 	return resp
+}
+
+// TestConfigRejectsNonFinite checks that the daemon's validator refuses
+// NaN and both infinities in every float field before the heuristic is
+// built (apartd -workload-weight inf reaches it).
+func TestConfigRejectsNonFinite(t *testing.T) {
+	fields := map[string]func(*Config, float64){
+		"S":              func(c *Config, v float64) { c.S = v },
+		"CapacityFactor": func(c *Config, v float64) { c.CapacityFactor = v },
+		"WorkloadWeight": func(c *Config, v float64) { c.WorkloadWeight = v },
+	}
+	for name, set := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := DefaultConfig(4, 1)
+			set(&cfg, v)
+			if err := cfg.validate(); err == nil {
+				t.Errorf("%s = %v: validate accepted the config", name, v)
+			}
+		}
+	}
 }
 
 func TestIngestTickAndPlacement(t *testing.T) {
