@@ -18,7 +18,12 @@
 // Decisions themselves use only vertex-local information: the partitions
 // of a vertex's own neighbours (available locally because every worker
 // hears migration notices for vertices adjacent to its own) and the
-// delayed capacity vector.
+// delayed capacity vector. The vote over those partitions is
+// core.Scorer, the one scorer every internal/core execution path uses
+// too; what is the service's own is the delayed capacity view, the
+// unit-weight quota claim against it and the hot-spot drain, which asks
+// the scorer for its drain form (the best partition other than the
+// current one).
 //
 // Program independence: with HotSpotAware off, a Plan pass reads only the
 // topology, the assignment and the delayed capacity view — never the
@@ -39,6 +44,7 @@ import (
 
 	"xdgp/internal/activeset"
 	"xdgp/internal/bsp"
+	"xdgp/internal/core"
 	"xdgp/internal/graph"
 	"xdgp/internal/partition"
 )
@@ -80,8 +86,8 @@ type Config struct {
 	// 1 + WorkloadWeight·heat(w)/max(heat) instead of 1, where heat is
 	// the frozen per-vertex read-heat view installed via SetHeat. Zero
 	// (the default) keeps the paper-exact topology-only objective,
-	// byte-identical plans included. See internal/core/heat.go for the
-	// scoring model this mirrors.
+	// byte-identical plans included. The vote is core.Scorer's; see
+	// internal/core/heat.go for the scoring model.
 	WorkloadWeight float64
 	// Seed drives the move coins and tie-breaks.
 	Seed int64
@@ -102,17 +108,14 @@ type Service struct {
 	knownFree []int
 	booted    bool
 
-	// scratch
-	counts  []int
-	countsF []float64
-	tied    []partition.ID
-	quota   [][]int
+	// scorer is core's decision rule; quota is per-pass scratch.
+	scorer *core.Scorer
+	quota  [][]int
 
 	// Workload term (Config.WorkloadWeight, heat.go): the frozen heat
-	// view, its precomputed vote multiplier, and whether the next Plan
+	// view (also installed in the scorer) and whether the next Plan
 	// still owes the frontier a hot-neighbourhood wake.
 	heat      []float32
-	heatScale float64
 	heatDirty bool
 
 	// Active-set scheduler state (Config.Incremental): active holds the
@@ -147,8 +150,9 @@ func New(cfg Config) (*Service, error) {
 		cfg.Interval = 1
 	}
 	return &Service{
-		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
+		cfg:    cfg,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		scorer: core.NewScorer(),
 	}, nil
 }
 
@@ -208,9 +212,7 @@ func (s *Service) Plan(view *bsp.View) []bsp.MigrationRequest {
 	addr := view.Addr()
 	caps := partition.UniformCapacities(g.NumVertices(), k, s.cfg.CapacityFactor)
 
-	if len(s.counts) != k {
-		s.counts = make([]int, k)
-		s.countsF = make([]float64, k)
+	if len(s.quota) != k {
 		s.quota = make([][]int, k)
 		for i := range s.quota {
 			s.quota[i] = make([]int, k)
@@ -300,7 +302,7 @@ func (s *Service) Plan(view *bsp.View) []bsp.MigrationRequest {
 		if s.cfg.S < 1 && s.rng.Float64() >= s.cfg.S {
 			return true // unwilling this pass: stays scheduled
 		}
-		best := s.bestPartitions(g, addr, v, cur)
+		best := s.scorer.Best(g, addr, v, cur)
 		if best == nil {
 			if hotness[cur] == 0 || s.rng.Float64() >= hotness[cur] {
 				// Settled. While cur stays hot the hot-spot wake below
@@ -311,7 +313,7 @@ func (s *Service) Plan(view *bsp.View) []bsp.MigrationRequest {
 			// Hot-spot drain: staying is locally optimal for the cut,
 			// but the partition is overloaded — fall back to the best
 			// destinations among the other partitions.
-			best = s.bestOtherPartitions(g, addr, v, cur)
+			best = s.scorer.BestOther(g, addr, v, cur)
 			if best == nil {
 				return false
 			}
@@ -419,106 +421,6 @@ func (s *Service) planIncremental(g *graph.Graph, addr *partition.Assignment, ho
 		}
 	}
 	s.active.Commit()
-}
-
-// bestPartitions mirrors core's greedy rule: argmax over |Γ(v) ∩ P(i)|
-// using only the locations of v's own neighbours; nil when the current
-// partition is itself among the best (prefer to stay). On directed graphs
-// both directions count — a cut edge costs communication whichever way
-// messages flow (mentions reach celebrities along in-edges).
-func (s *Service) bestPartitions(g *graph.Graph, addr *partition.Assignment, v graph.VertexID, cur partition.ID) []partition.ID {
-	if s.heatScale != 0 {
-		return s.bestPartitionsHeat(g, addr, v, cur)
-	}
-	counts := s.counts
-	for i := range counts {
-		counts[i] = 0
-	}
-	counts[cur]++
-	countNeighborPartitions(g, addr, v, counts)
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	if counts[cur] == max {
-		return nil
-	}
-	s.tied = s.tied[:0]
-	for i, c := range counts {
-		if c == max {
-			s.tied = append(s.tied, partition.ID(i))
-		}
-	}
-	return s.tied
-}
-
-// countNeighborPartitions folds the partition of every neighbour of v
-// into counts — both directions on digraphs, since a cut edge costs
-// communication whichever way messages flow. Vertices untouched since
-// the last arena compaction take the inlined zero-copy fast path; dirty
-// ones go through the chunked cursor. Never allocates.
-func countNeighborPartitions(g *graph.Graph, addr *partition.Assignment, v graph.VertexID, counts []int) {
-	if nbrs, ok := g.CleanNeighbors(v); ok {
-		tally(addr, counts, nbrs)
-	} else {
-		var c graph.Cursor
-		c.Reset(g, v)
-		for chunk := c.NextChunk(); chunk != nil; chunk = c.NextChunk() {
-			tally(addr, counts, chunk)
-		}
-	}
-	if !g.Directed() {
-		return
-	}
-	if nbrs, ok := g.CleanInNeighbors(v); ok {
-		tally(addr, counts, nbrs)
-	} else {
-		var c graph.Cursor
-		c.ResetIn(g, v)
-		for chunk := c.NextChunk(); chunk != nil; chunk = c.NextChunk() {
-			tally(addr, counts, chunk)
-		}
-	}
-}
-
-func tally(addr *partition.Assignment, counts []int, nbrs []graph.VertexID) {
-	for _, w := range nbrs {
-		if pw := addr.Of(w); pw != partition.None {
-			counts[pw]++
-		}
-	}
-}
-
-// bestOtherPartitions returns the tied argmax destinations over
-// |Γ(v) ∩ P(i)| excluding the current partition — the fallback used by
-// the hot-spot drain, which must leave even when staying is optimal.
-func (s *Service) bestOtherPartitions(g *graph.Graph, addr *partition.Assignment, v graph.VertexID, cur partition.ID) []partition.ID {
-	if s.heatScale != 0 {
-		return s.bestOtherPartitionsHeat(g, addr, v, cur)
-	}
-	counts := s.counts
-	for i := range counts {
-		counts[i] = 0
-	}
-	countNeighborPartitions(g, addr, v, counts)
-	max := -1
-	for i, c := range counts {
-		if partition.ID(i) != cur && c > max {
-			max = c
-		}
-	}
-	if max < 0 {
-		return nil
-	}
-	s.tied = s.tied[:0]
-	for i, c := range counts {
-		if partition.ID(i) != cur && c == max {
-			s.tied = append(s.tied, partition.ID(i))
-		}
-	}
-	return s.tied
 }
 
 var _ bsp.Repartitioner = (*Service)(nil)

@@ -1,16 +1,15 @@
 package adaptive
 
-import (
-	"xdgp/internal/graph"
-	"xdgp/internal/partition"
-)
+import "xdgp/internal/graph"
 
-// This file is the BSP-side mirror of internal/core's workload term
-// (see internal/core/heat.go for the scoring model). The service does
-// not sample or decay heat itself — it runs inside a compute engine
-// with no serving plane — it consumes a frozen per-slot heat view
-// installed by the embedder via SetHeat, e.g. a core.HeatSnapshot
-// shipped from the serving daemon or a trace replayed by a test.
+// This file feeds the workload term of the migration objective to the
+// service's scorer, core.Scorer — the same vote every core execution
+// path casts (see internal/core/heat.go for the scoring model). The
+// service does not sample or decay heat itself — it runs inside a
+// compute engine with no serving plane — it consumes a frozen per-slot
+// heat view installed by the embedder via SetHeat, e.g. a
+// core.HeatSnapshot shipped from the serving daemon or a trace replayed
+// by a test.
 
 // SetHeat installs the decayed read-heat view the workload term scores
 // against: heat[slot] is the vertex's accumulated decayed read count,
@@ -25,18 +24,19 @@ import (
 // votes changed, so settled decisions around them must be re-examined.
 func (s *Service) SetHeat(heat []float32) {
 	s.heat = heat
+	// One pass takes the maximum and the bitmap of non-zero slots the
+	// scorer loads heat through; vertices past the view vote cold.
+	hot := make([]uint64, (len(heat)+63)>>6)
 	max := 0.0
-	for _, h := range heat {
+	for i, h := range heat {
+		if h != 0 {
+			hot[i>>6] |= 1 << (i & 63)
+		}
 		if m := float64(h); m > max {
 			max = m
 		}
 	}
-	if s.cfg.WorkloadWeight > 0 && max > 0 {
-		s.heatScale = s.cfg.WorkloadWeight / max
-		s.heatDirty = true
-	} else {
-		s.heatScale = 0
-	}
+	s.heatDirty = s.scorer.SetHeat(heat, hot, s.cfg.WorkloadWeight, max)
 }
 
 // wakeHotNeighborhoods marks the frontier around every hot vertex after
@@ -44,7 +44,7 @@ func (s *Service) SetHeat(heat []float32) {
 // decisions the new heat view perturbs. Runs at most once per SetHeat,
 // from Plan (the frontier does not exist before the first View).
 func (s *Service) wakeHotNeighborhoods(g *graph.Graph) {
-	if !s.heatDirty || s.heatScale == 0 || s.active == nil {
+	if !s.heatDirty || s.active == nil {
 		s.heatDirty = false
 		return
 	}
@@ -52,108 +52,6 @@ func (s *Service) wakeHotNeighborhoods(g *graph.Graph) {
 	for i, h := range s.heat {
 		if v := graph.VertexID(i); h > 0 && g.Has(v) {
 			s.active.MarkNeighborhood(g, v)
-		}
-	}
-}
-
-// vote is a Γ-member's contribution to its partition's score:
-// 1 + WorkloadWeight·heat(w)/max(heat), exactly 1 for cold vertices
-// (and for vertices past the heat view, which arrived after it was
-// taken) — so cold regions reproduce the integer votes, ties included.
-func (s *Service) vote(w graph.VertexID) float64 {
-	if i := int(w); i < len(s.heat) {
-		return 1 + s.heatScale*float64(s.heat[i])
-	}
-	return 1
-}
-
-// bestPartitionsHeat is the heat-weighted form of bestPartitions: nil
-// when the current partition is among the argmax, the tied winners
-// otherwise.
-func (s *Service) bestPartitionsHeat(g *graph.Graph, addr *partition.Assignment, v graph.VertexID, cur partition.ID) []partition.ID {
-	countsF := s.countsF
-	for i := range countsF {
-		countsF[i] = 0
-	}
-	// Self-vote stays 1 even for a hot decider — co-location with
-	// yourself is free, and inflating it would anchor hot vertices in
-	// place (see core's heat scorer).
-	countsF[cur]++
-	s.weighNeighborPartitions(g, addr, v, countsF)
-	max := 0.0
-	for _, c := range countsF {
-		if c > max {
-			max = c
-		}
-	}
-	if countsF[cur] == max {
-		return nil
-	}
-	s.tied = s.tied[:0]
-	for i, c := range countsF {
-		if c == max {
-			s.tied = append(s.tied, partition.ID(i))
-		}
-	}
-	return s.tied
-}
-
-// bestOtherPartitionsHeat is the heat-weighted hot-spot drain fallback:
-// the tied argmax excluding the current partition.
-func (s *Service) bestOtherPartitionsHeat(g *graph.Graph, addr *partition.Assignment, v graph.VertexID, cur partition.ID) []partition.ID {
-	countsF := s.countsF
-	for i := range countsF {
-		countsF[i] = 0
-	}
-	s.weighNeighborPartitions(g, addr, v, countsF)
-	max, seen := 0.0, false
-	for i, c := range countsF {
-		if partition.ID(i) != cur && (!seen || c > max) {
-			max, seen = c, true
-		}
-	}
-	if !seen {
-		return nil
-	}
-	s.tied = s.tied[:0]
-	for i, c := range countsF {
-		if partition.ID(i) != cur && c == max {
-			s.tied = append(s.tied, partition.ID(i))
-		}
-	}
-	return s.tied
-}
-
-// weighNeighborPartitions is countNeighborPartitions with per-member
-// vote weights — both directions on digraphs, zero-copy fast path when
-// the adjacency is clean.
-func (s *Service) weighNeighborPartitions(g *graph.Graph, addr *partition.Assignment, v graph.VertexID, countsF []float64) {
-	weigh := func(nbrs []graph.VertexID) {
-		for _, w := range nbrs {
-			if pw := addr.Of(w); pw != partition.None {
-				countsF[pw] += s.vote(w)
-			}
-		}
-	}
-	if nbrs, ok := g.CleanNeighbors(v); ok {
-		weigh(nbrs)
-	} else {
-		var c graph.Cursor
-		c.Reset(g, v)
-		for chunk := c.NextChunk(); chunk != nil; chunk = c.NextChunk() {
-			weigh(chunk)
-		}
-	}
-	if !g.Directed() {
-		return
-	}
-	if nbrs, ok := g.CleanInNeighbors(v); ok {
-		weigh(nbrs)
-	} else {
-		var c graph.Cursor
-		c.ResetIn(g, v)
-		for chunk := c.NextChunk(); chunk != nil; chunk = c.NextChunk() {
-			weigh(chunk)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package adaptive
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"xdgp/internal/bsp"
@@ -119,9 +121,8 @@ func newScoringFixture() (*graph.Graph, *partition.Assignment) {
 	return g, asn
 }
 
-// newScoringService builds a service with scratch sized for direct
-// scorer calls (Plan normally allocates it from the view).
-func newScoringService(t *testing.T, k int, ww float64) *Service {
+// newScoringService builds a service for direct scorer calls.
+func newScoringService(t *testing.T, ww float64) *Service {
 	t.Helper()
 	cfg := DefaultConfig(1)
 	cfg.WorkloadWeight = ww
@@ -129,47 +130,107 @@ func newScoringService(t *testing.T, k int, ww float64) *Service {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.counts = make([]int, k)
-	svc.countsF = make([]float64, k)
 	return svc
 }
 
-// TestHeatWeightedScoringOnService checks the service-side scorers
-// change behaviour when they should: heat on vertex 2 must break the
-// two-way destination tie toward partition 2, and the hot-spot drain
-// variant must agree.
+// TestHeatWeightedScoringOnService checks the service's scorer changes
+// behaviour when it should: heat on vertex 2 must break the two-way
+// destination tie toward partition 2, and the hot-spot drain form must
+// agree.
 func TestHeatWeightedScoringOnService(t *testing.T) {
 	g, asn := newScoringFixture()
-	svc := newScoringService(t, 3, 4)
+	svc := newScoringService(t, 4)
 	// A short view (covering slots 0..2 only) also exercises the
 	// vertices-past-the-view default vote of 1.
 	svc.SetHeat([]float32{0, 0, 3})
-	if svc.heatScale == 0 {
-		t.Fatal("SetHeat with positive weight and heat must activate the term")
+	if tied := svc.scorer.Best(g, asn, 0, 0); len(tied) != 1 || tied[0] != 2 {
+		t.Fatalf("Best = %v, want the hot partition [2]", tied)
 	}
-
-	if tied := svc.bestPartitionsHeat(g, asn, 0, 0); len(tied) != 1 || tied[0] != 2 {
-		t.Fatalf("bestPartitionsHeat = %v, want the hot partition [2]", tied)
-	}
-	if tied := svc.bestOtherPartitionsHeat(g, asn, 0, 0); len(tied) != 1 || tied[0] != 2 {
-		t.Fatalf("bestOtherPartitionsHeat = %v, want the hot partition [2]", tied)
+	if tied := svc.scorer.BestOther(g, asn, 0, 0); len(tied) != 1 || tied[0] != 2 {
+		t.Fatalf("BestOther = %v, want the hot partition [2]", tied)
 	}
 
 	// Weight off: SetHeat stays passive and the scorer reproduces the
 	// unweighted two-way tie.
-	cold := newScoringService(t, 3, 0)
+	cold := newScoringService(t, 0)
 	cold.SetHeat([]float32{0, 0, 3})
-	if cold.heatScale != 0 {
-		t.Fatal("SetHeat must stay passive at WorkloadWeight == 0")
-	}
-	if tied := cold.bestPartitionsHeat(g, asn, 0, 0); len(tied) != 2 {
+	if tied := cold.scorer.Best(g, asn, 0, 0); len(tied) != 2 {
 		t.Fatalf("tied = %v at weight 0, want the untouched two-way tie", tied)
 	}
 
 	// A nil view deactivates the term again.
 	svc.SetHeat(nil)
-	if svc.heatScale != 0 {
-		t.Fatal("SetHeat(nil) must deactivate the workload term")
+	if tied := svc.scorer.Best(g, asn, 0, 0); len(tied) != 2 {
+		t.Fatalf("tied = %v after SetHeat(nil), want the untouched two-way tie", tied)
+	}
+}
+
+// TestSetHeatMatchesDenseVotes checks the heat view SetHeat installs —
+// its bitmap of non-zero slots and its multiplier — against dense votes:
+// on directed and undirected graphs, under a view shorter than the slot
+// range, every vertex's Best and drain winners must be those of a tally
+// that loads every neighbour's heat and votes 1 past the view.
+func TestSetHeatMatchesDenseVotes(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		g := gen.BarabasiAlbert(300, 3, 9)
+		if directed {
+			d := graph.NewDirected(g.NumSlots())
+			g.ForEachEdge(func(u, v graph.VertexID) { d.AddEdge(v, u) })
+			g = d
+		}
+		asn := partition.Hash(g, 4)
+		heat := make([]float32, 200)
+		max := 0.0
+		for i := 0; i < len(heat); i += 7 {
+			heat[i] = float32(i%23) / 2
+			max = math.Max(max, float64(heat[i]))
+		}
+		svc := newScoringService(t, 3)
+		svc.SetHeat(heat)
+		counts := make([]float64, 4)
+		g.ForEachVertex(func(v graph.VertexID) {
+			cur := asn.Of(v)
+			for _, drain := range []bool{false, true} {
+				clear(counts)
+				if !drain {
+					counts[cur]++
+				}
+				nbrs := g.Neighbors(v)
+				if directed {
+					nbrs = slices.Concat(nbrs, g.InNeighbors(v))
+				}
+				for _, w := range nbrs {
+					vote := 1.0
+					if int(w) < len(heat) {
+						vote = 1 + 3/max*float64(heat[w])
+					}
+					counts[asn.Of(w)] += vote
+				}
+				best, stay := -1.0, false
+				var want []partition.ID
+				for i, c := range counts {
+					if drain && partition.ID(i) == cur {
+						continue
+					}
+					switch {
+					case c > best:
+						best, want = c, []partition.ID{partition.ID(i)}
+					case c == best:
+						want = append(want, partition.ID(i))
+					}
+				}
+				if !drain && counts[cur] == best {
+					want, stay = nil, true
+				}
+				got := svc.scorer.Best(g, asn, v, cur)
+				if drain {
+					got = svc.scorer.BestOther(g, asn, v, cur)
+				}
+				if !slices.Equal(got, want) || (got == nil) != stay {
+					t.Fatalf("directed=%v vertex %d drain=%v: tied %v, dense votes give %v", directed, v, drain, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -187,11 +248,11 @@ func TestHeatWeighingCoversBothDirections(t *testing.T) {
 	asn.Assign(1, 1)
 	asn.Assign(2, 2)
 
-	svc := newScoringService(t, 3, 4)
+	svc := newScoringService(t, 4)
 	svc.SetHeat([]float32{0, 0, 2})
 	// Partition 1 holds the cold out-neighbour (vote 1), partition 2
 	// the hot in-neighbour (vote 1 + 4·2/2 = 5): unique argmax.
-	if tied := svc.bestPartitionsHeat(g, asn, 0, 0); len(tied) != 1 || tied[0] != 2 {
+	if tied := svc.scorer.Best(g, asn, 0, 0); len(tied) != 1 || tied[0] != 2 {
 		t.Fatalf("tied = %v, want the hot in-neighbour's partition [2]", tied)
 	}
 }

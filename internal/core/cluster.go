@@ -184,23 +184,16 @@ func (p *Partitioner) StepClusterApply(decisions []*ShardDecision) (IterationSta
 					continue
 				}
 				for _, r := range d.Reqs[i] {
-					if int(r.Off) < 0 || int(r.Off)+int(r.N) > len(d.Cands) {
+					if r.Off < 0 || r.N < 0 || int(r.Off)+int(r.N) > len(d.Cands) {
 						return IterationStats{}, fmt.Errorf("core: cluster request candidates out of range")
 					}
-					for _, dst := range d.Cands[r.Off : r.Off+r.N] {
-						if int(dst) >= k {
+					cands := d.Cands[r.Off : r.Off+r.N]
+					for _, dst := range cands {
+						if dst < 0 || int(dst) >= k {
 							return IterationStats{}, fmt.Errorf("core: cluster request destination %d out of range", dst)
 						}
-						if p.cfg.DisableQuotas {
-							p.moves = append(p.moves, move{v: r.V, from: from, to: dst})
-							break
-						}
-						if p.quota[i][dst] >= int(r.W) {
-							p.quota[i][dst] -= int(r.W)
-							p.moves = append(p.moves, move{v: r.V, from: from, to: dst})
-							break
-						}
 					}
+					p.claim(r.V, from, cands, int(r.W))
 				}
 			}
 		}

@@ -194,9 +194,9 @@ type Partitioner struct {
 	quiet  int
 	// lastMigration is the iteration index of the most recent migration.
 	lastMigration int
-	// scratch buffers reused across iterations.
-	counts []int
-	tied   []partition.ID
+	// scorer decides the sequential paths; each parallel shard owns one
+	// sharing its heat view. moves and quota are reused per iteration.
+	scorer *Scorer
 	moves  []move
 	quota  [][]int
 	// par is the resolved shard count; shards, ledger and grantBufs are
@@ -224,17 +224,13 @@ type Partitioner struct {
 	// Workload heat (FoldHeat): heat is the dense decayed per-slot read
 	// accumulator; heatIdx lists its non-zero slots in no particular
 	// order and heatBits holds the same set as a bitmap, so folds and
-	// the scorer touch only hot slots. heatScale is the precomputed
-	// WorkloadWeight/max(heat) vote multiplier (0 disables the weighted
-	// scorer entirely), heatWake the fold's wake-dedupe bitmap (all zero
-	// between folds), and countsF the float vote scratch of the
-	// sequential path (each parallel shard owns its own).
-	heat      []float32
-	heatIdx   []int32
-	heatBits  []uint64
-	heatScale float64
-	heatWake  []uint64
-	countsF   []float64
+	// the scorer touch only hot slots. Every fold hands both to the
+	// scorers' shared heat view. heatWake is the fold's wake-dedupe
+	// bitmap (all zero between folds).
+	heat     []float32
+	heatIdx  []int32
+	heatBits []uint64
+	heatWake []uint64
 }
 
 type move struct {
@@ -256,15 +252,13 @@ func New(g *graph.Graph, asn *partition.Assignment, cfg Config) (*Partitioner, e
 	}
 	src := newPCG(cfg.Seed, 0)
 	p := &Partitioner{
-		cfg:     cfg,
-		g:       g,
-		asn:     asn,
-		rng:     rand.New(src),
-		rngSrc:  src,
-		counts:  make([]int, cfg.K),
-		countsF: make([]float64, cfg.K),
-		tied:    make([]partition.ID, 0, cfg.K),
-		quota:   make([][]int, cfg.K),
+		cfg:    cfg,
+		g:      g,
+		asn:    asn,
+		rng:    rand.New(src),
+		rngSrc: src,
+		scorer: NewScorer(),
+		quota:  make([][]int, cfg.K),
 	}
 	for i := range p.quota {
 		p.quota[i] = make([]int, cfg.K)
@@ -276,7 +270,7 @@ func New(g *graph.Graph, asn *partition.Assignment, cfg Config) (*Partitioner, e
 	if p.par > 1 {
 		p.shards = make([]*coreShard, p.par)
 		for s := range p.shards {
-			p.shards[s] = newCoreShard(cfg.Seed, s, cfg.K)
+			p.shards[s] = newCoreShard(cfg.Seed, s, cfg.K, p.scorer.share())
 		}
 		p.ledger = make([]int64, cfg.K*cfg.K)
 	}
@@ -474,7 +468,7 @@ func (p *Partitioner) Step() IterationStats {
 				return // unwilling this iteration
 			}
 			cur := p.asn.Of(v)
-			best := p.bestPartitions(v, cur)
+			best := p.scorer.Best(p.g, p.asn, v, cur)
 			if best == nil {
 				return // current partition is among the candidates: stay
 			}
@@ -482,18 +476,7 @@ func (p *Partitioner) Step() IterationStats {
 			// Try tied best destinations in random order until one has
 			// quota left; otherwise stay (worst-case capacity rule).
 			p.rng.Shuffle(len(best), func(i, j int) { best[i], best[j] = best[j], best[i] })
-			w := weight(v)
-			for _, dst := range best {
-				if p.cfg.DisableQuotas {
-					p.moves = append(p.moves, move{v: v, from: cur, to: dst})
-					break
-				}
-				if p.quota[cur][dst] >= w {
-					p.quota[cur][dst] -= w
-					p.moves = append(p.moves, move{v: v, from: cur, to: dst})
-					break
-				}
-			}
+			p.claim(v, cur, best, weight(v))
 		})
 	}
 
@@ -602,106 +585,24 @@ func (p *Partitioner) finishIteration(requested, examined int) IterationStats {
 	return st
 }
 
-// bestPartitions returns the tied argmax destinations for v over
-// |Γ(v) ∩ P(i)| (heat-weighted when the workload term is active), or nil
-// when the current partition is itself a candidate (the heuristic
-// preferentially stays, Section 2.1).
-func (p *Partitioner) bestPartitions(v graph.VertexID, cur partition.ID) []partition.ID {
-	p.tied = p.scoreBest(v, cur, p.counts, p.countsF, p.tied)
-	if len(p.tied) == 0 {
-		return nil
-	}
-	return p.tied
-}
-
-// scoreBest dispatches between the paper-exact integer scorer and the
-// heat-weighted scorer (heat.go). The integer path is taken whenever the
-// workload term is inert — WorkloadWeight zero or no heat folded yet —
-// so the default configuration pays one predictable branch per decision.
-func (p *Partitioner) scoreBest(v graph.VertexID, cur partition.ID, counts []int, countsF []float64, tied []partition.ID) []partition.ID {
-	if p.heatScale != 0 {
-		return bestPartitionsHeatInto(p.g, p.asn, v, cur, p.heat, p.heatBits, p.heatScale, countsF, tied)
-	}
-	return bestPartitionsInto(p.g, p.asn, v, cur, counts, tied)
-}
-
-// bestPartitionsInto is the buffer-parameterised form of bestPartitions,
-// shared by the sequential path and the parallel shards (each shard passes
-// its own scratch so the sweep is data-race free). It returns tied with the
-// winners appended, or tied[:0] when the current partition is among them.
-func bestPartitionsInto(g *graph.Graph, asn *partition.Assignment, v graph.VertexID, cur partition.ID, counts []int, tied []partition.ID) []partition.ID {
-	for i := range counts {
-		counts[i] = 0
-	}
-	counts[cur]++ // Γ(v) includes v itself
-	// This is the hottest read in the system. Vertices untouched since
-	// the last arena compaction — the overwhelming majority on a
-	// converged graph — iterate their zero-copy arena span directly
-	// (CleanNeighbors inlines to an array load); dirty vertices fall back
-	// to the chunked cursor, which merges the pending overlay without
-	// allocating.
-	if nbrs, ok := g.CleanNeighbors(v); ok {
-		for _, w := range nbrs {
-			if pw := asn.Of(w); pw != partition.None {
-				counts[pw]++
+// claim grants v's request of weight w towards the first destination in
+// dsts whose per-pair quota Q(cur, dst) still covers w, consuming it and
+// queueing the move (with quotas disabled the first destination wins).
+// It reports whether a move was queued; no quota left anywhere means stay
+// (worst-case capacity rule). The sequential sweeps and the cluster apply
+// claim through it; the sharded ledger claims atomically in grantRows.
+func (p *Partitioner) claim(v graph.VertexID, cur partition.ID, dsts []partition.ID, w int) bool {
+	for _, dst := range dsts {
+		if !p.cfg.DisableQuotas {
+			if p.quota[cur][dst] < w {
+				continue
 			}
+			p.quota[cur][dst] -= w
 		}
-	} else {
-		var c graph.Cursor
-		c.Reset(g, v)
-		for {
-			chunk := c.NextChunk()
-			if chunk == nil {
-				break
-			}
-			for _, w := range chunk {
-				if pw := asn.Of(w); pw != partition.None {
-					counts[pw]++
-				}
-			}
-		}
+		p.moves = append(p.moves, move{v: v, from: cur, to: dst})
+		return true
 	}
-	if g.Directed() {
-		// Both directions matter on digraphs: a cut edge costs
-		// communication whichever way messages flow.
-		if nbrs, ok := g.CleanInNeighbors(v); ok {
-			for _, w := range nbrs {
-				if pw := asn.Of(w); pw != partition.None {
-					counts[pw]++
-				}
-			}
-		} else {
-			var c graph.Cursor
-			c.ResetIn(g, v)
-			for {
-				chunk := c.NextChunk()
-				if chunk == nil {
-					break
-				}
-				for _, w := range chunk {
-					if pw := asn.Of(w); pw != partition.None {
-						counts[pw]++
-					}
-				}
-			}
-		}
-	}
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	tied = tied[:0]
-	if counts[cur] == max {
-		return tied
-	}
-	for i, c := range counts {
-		if c == max {
-			tied = append(tied, partition.ID(i))
-		}
-	}
-	return tied
+	return false
 }
 
 // Run iterates until convergence (ConvergenceWindow quiet iterations) or

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"xdgp/internal/graph"
-	"xdgp/internal/partition"
-)
+import "xdgp/internal/graph"
 
 // This file implements the workload term of the migration utility
 // (Config.WorkloadWeight): an AWAPart-style extension that co-locates
@@ -30,14 +27,19 @@ import (
 // neighbourhoods are perturbed, pulling a hot vertex's co-read
 // neighbours toward its partition. Capacities and quotas are untouched:
 // the workload term changes which destination wins, never how much may
-// move.
+// move. The vote is cast by Scorer (score.go), the one scorer of every
+// execution path and of internal/adaptive: each fold hands it the
+// accumulator, the bitmap of its non-zero slots and the maximum, and
+// Scorer.SetHeat derives the multiplier WorkloadWeight/max. The exact
+// cold vote rests on 1 + scale·0 == 1, which holds for every finite
+// scale; Config.validate refuses a non-finite WorkloadWeight.
 //
 // With Config.WorkloadWeight == 0 the fold still maintains the
 // accumulator (so operators can watch heat before enabling the term) but
-// heatScale stays 0, the integer scorer runs unconditionally, no frontier
-// wake happens, and no randomness is consumed: runs are byte-identical
-// to a build without the feature, mirroring the change-tracking
-// passivity contract.
+// the scorers' heat view stays inactive, the integer tally runs
+// unconditionally, no frontier wake happens, and no randomness is
+// consumed: runs are byte-identical to a build without the feature,
+// mirroring the change-tracking passivity contract.
 
 // heatFloor is the accumulator value below which a decayed entry snaps
 // to zero. It keeps long-cold vertices exactly cold (restoring the
@@ -55,8 +57,8 @@ const heatFloor = 1e-3
 // in heatIdx, so a fold costs O(hot + samples) whatever the slot count.
 // Each entry gets the same float64 arithmetic and heatFloor snap as a
 // pass over every slot would give it, and the maximum is independent of
-// visiting order, so the accumulator and heatScale are bit-for-bit those
-// of the dense pass.
+// visiting order, so the accumulator and the vote multiplier are
+// bit-for-bit those of the dense pass.
 //
 // When the workload term is active (WorkloadWeight > 0) and the
 // incremental scheduler is on, the neighbourhoods of newly sampled
@@ -99,8 +101,7 @@ func (p *Partitioner) FoldHeat(decay float64, samples []graph.VertexID, sampleWe
 		}
 	}
 	p.heatIdx = kept
-	p.setHeatScale(max)
-	if p.heatScale != 0 && added > 0 {
+	if p.scorer.SetHeat(p.heat, p.heatBits, p.cfg.WorkloadWeight, max) && added > 0 {
 		// Fresh heat changes decision inputs, so convergence must be
 		// re-proven — without this a converged daemon would never react
 		// to a flash crowd. Decay-only folds skip it: uniform decay
@@ -151,17 +152,6 @@ func (p *Partitioner) indexHeat(i int) {
 	}
 }
 
-// setHeatScale derives the vote multiplier from the accumulator maximum:
-// votes are 1 + WorkloadWeight·heat/max, so scale = WorkloadWeight/max
-// (0 whenever the term is configured off or no heat exists).
-func (p *Partitioner) setHeatScale(max float64) {
-	if p.cfg.WorkloadWeight > 0 && max > 0 {
-		p.heatScale = p.cfg.WorkloadWeight / max
-	} else {
-		p.heatScale = 0
-	}
-}
-
 // HeatSnapshot returns a copy of the decayed heat accumulator (nil when
 // no heat has ever been folded). Indexed by vertex slot, like the
 // assignment table.
@@ -170,92 +160,4 @@ func (p *Partitioner) HeatSnapshot() []float32 {
 		return nil
 	}
 	return append([]float32(nil), p.heat...)
-}
-
-// bestPartitionsHeatInto is the heat-weighted form of bestPartitionsInto:
-// member w of Γ(v) votes 1 + scale·heat(w) for its partition (scale is
-// WorkloadWeight/max(heat), precomputed by FoldHeat). Exactly like the
-// integer form it returns tied with the winners appended, or tied[:0]
-// when the current partition is among them. hot is the bitmap of the
-// slots with non-zero heat: heat(w) is loaded only when w's bit is set,
-// and every other neighbour — including vertices past the heat slice
-// (arrived since the last fold) — is cold and votes 1 + scale·0.
-func bestPartitionsHeatInto(g *graph.Graph, asn *partition.Assignment, v graph.VertexID, cur partition.ID, heat []float32, hot []uint64, scale float64, countsF []float64, tied []partition.ID) []partition.ID {
-	// 1 for any finite scale; computed rather than written as a constant
-	// so a cold vote is the one a heat load would give for every scale.
-	cold := 1 + scale*0
-	vote := func(w graph.VertexID) float64 {
-		if i := uint(w); i>>6 < uint(len(hot)) && hot[i>>6]&(1<<(i&63)) != 0 {
-			return 1 + scale*float64(heat[i])
-		}
-		return cold
-	}
-	for i := range countsF {
-		countsF[i] = 0
-	}
-	// Γ(v) includes v itself, but the self-vote stays 1 even when v is
-	// hot: a vertex is always co-located with itself, so inflating it
-	// would only anchor hot vertices in place — the opposite of pulling
-	// co-read neighbourhoods together.
-	countsF[cur]++
-	if nbrs, ok := g.CleanNeighbors(v); ok {
-		for _, w := range nbrs {
-			if pw := asn.Of(w); pw != partition.None {
-				countsF[pw] += vote(w)
-			}
-		}
-	} else {
-		var c graph.Cursor
-		c.Reset(g, v)
-		for {
-			chunk := c.NextChunk()
-			if chunk == nil {
-				break
-			}
-			for _, w := range chunk {
-				if pw := asn.Of(w); pw != partition.None {
-					countsF[pw] += vote(w)
-				}
-			}
-		}
-	}
-	if g.Directed() {
-		if nbrs, ok := g.CleanInNeighbors(v); ok {
-			for _, w := range nbrs {
-				if pw := asn.Of(w); pw != partition.None {
-					countsF[pw] += vote(w)
-				}
-			}
-		} else {
-			var c graph.Cursor
-			c.ResetIn(g, v)
-			for {
-				chunk := c.NextChunk()
-				if chunk == nil {
-					break
-				}
-				for _, w := range chunk {
-					if pw := asn.Of(w); pw != partition.None {
-						countsF[pw] += vote(w)
-					}
-				}
-			}
-		}
-	}
-	max := 0.0
-	for _, c := range countsF {
-		if c > max {
-			max = c
-		}
-	}
-	tied = tied[:0]
-	if countsF[cur] == max {
-		return tied
-	}
-	for i, c := range countsF {
-		if c == max {
-			tied = append(tied, partition.ID(i))
-		}
-	}
-	return tied
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"xdgp/internal/activeset"
@@ -57,67 +59,11 @@ func (r *denseHeatRef) fold(slots int, workloadWeight, decay float64, samples []
 	return max, hot, added
 }
 
-// refBestPartitionsHeatInto is the dense heat-weighted scorer: every
-// neighbour's heat is loaded, hot or not.
+// refBestPartitionsHeatInto is the dense heat-weighted scorer, written
+// as a plain loop over g.Neighbors then g.InNeighbors: every neighbour's
+// heat is loaded, hot or not, and neighbours past the end of heat vote 1.
 func refBestPartitionsHeatInto(g *graph.Graph, asn *partition.Assignment, v graph.VertexID, cur partition.ID, heat []float32, scale float64, countsF []float64, tied []partition.ID) []partition.ID {
-	vote := func(w graph.VertexID) float64 {
-		if i := int(w); i < len(heat) {
-			return 1 + scale*float64(heat[i])
-		}
-		return 1
-	}
-	for i := range countsF {
-		countsF[i] = 0
-	}
-	// Γ(v) includes v itself, but the self-vote stays 1 even when v is
-	// hot: a vertex is always co-located with itself, so inflating it
-	// would only anchor hot vertices in place — the opposite of pulling
-	// co-read neighbourhoods together.
-	countsF[cur]++
-	if nbrs, ok := g.CleanNeighbors(v); ok {
-		for _, w := range nbrs {
-			if pw := asn.Of(w); pw != partition.None {
-				countsF[pw] += vote(w)
-			}
-		}
-	} else {
-		var c graph.Cursor
-		c.Reset(g, v)
-		for {
-			chunk := c.NextChunk()
-			if chunk == nil {
-				break
-			}
-			for _, w := range chunk {
-				if pw := asn.Of(w); pw != partition.None {
-					countsF[pw] += vote(w)
-				}
-			}
-		}
-	}
-	if g.Directed() {
-		if nbrs, ok := g.CleanInNeighbors(v); ok {
-			for _, w := range nbrs {
-				if pw := asn.Of(w); pw != partition.None {
-					countsF[pw] += vote(w)
-				}
-			}
-		} else {
-			var c graph.Cursor
-			c.ResetIn(g, v)
-			for {
-				chunk := c.NextChunk()
-				if chunk == nil {
-					break
-				}
-				for _, w := range chunk {
-					if pw := asn.Of(w); pw != partition.None {
-						countsF[pw] += vote(w)
-					}
-				}
-			}
-		}
-	}
+	refTallyHeat(g, asn, v, cur, heat, scale, countsF, false)
 	max := 0.0
 	for _, c := range countsF {
 		if c > max {
@@ -134,6 +80,218 @@ func refBestPartitionsHeatInto(g *graph.Graph, asn *partition.Assignment, v grap
 		}
 	}
 	return tied
+}
+
+// refGamma lists the members of Γ(v) other than v, in the order the
+// scorer must tally them: out-neighbours, then in-neighbours on digraphs.
+func refGamma(g *graph.Graph, v graph.VertexID) []graph.VertexID {
+	nbrs := g.Neighbors(v)
+	if g.Directed() {
+		nbrs = append(nbrs[:len(nbrs):len(nbrs)], g.InNeighbors(v)...)
+	}
+	return nbrs
+}
+
+// refTallyHeat is the dense heat-weighted tally; drain drops the
+// self-vote, which is 1 even for a hot v.
+func refTallyHeat(g *graph.Graph, asn *partition.Assignment, v graph.VertexID, cur partition.ID, heat []float32, scale float64, countsF []float64, drain bool) {
+	clear(countsF)
+	if !drain {
+		countsF[cur]++
+	}
+	for _, w := range refGamma(g, v) {
+		if pw := asn.Of(w); pw != partition.None {
+			vote := 1.0
+			if i := int(w); i < len(heat) {
+				vote = 1 + scale*float64(heat[i])
+			}
+			countsF[pw] += vote
+		}
+	}
+}
+
+// refTallyInt is the paper's integer tally.
+func refTallyInt(g *graph.Graph, asn *partition.Assignment, v graph.VertexID, cur partition.ID, counts []int, drain bool) {
+	clear(counts)
+	if !drain {
+		counts[cur]++
+	}
+	for _, w := range refGamma(g, v) {
+		if pw := asn.Of(w); pw != partition.None {
+			counts[pw]++
+		}
+	}
+}
+
+// refBestInt is the integer argmax: nil when cur is among the best.
+func refBestInt(counts []int, cur partition.ID) []partition.ID {
+	max := 0
+	for _, c := range counts {
+		if c > max {
+			max = c
+		}
+	}
+	if counts[cur] == max {
+		return nil
+	}
+	var tied []partition.ID
+	for i, c := range counts {
+		if c == max {
+			tied = append(tied, partition.ID(i))
+		}
+	}
+	return tied
+}
+
+// refBestOther is the hot-spot drain's argmax over every partition but
+// cur, for either tally.
+func refBestOther[C int | float64](counts []C, cur partition.ID) []partition.ID {
+	var max C
+	seen := false
+	for i, c := range counts {
+		if partition.ID(i) != cur && (!seen || c > max) {
+			max, seen = c, true
+		}
+	}
+	var tied []partition.ID
+	for i, c := range counts {
+		if partition.ID(i) != cur && c == max {
+			tied = append(tied, partition.ID(i))
+		}
+	}
+	return tied
+}
+
+// checkScorer compares s — Best and the drain form, for every live
+// vertex — with the plain-loop reference under the heat view (heat,
+// scale): the tally s kept (counts when the view is inactive, countsF bit
+// for bit when active) and the tied winners.
+func checkScorer(t *testing.T, what string, s *Scorer, g *graph.Graph, asn *partition.Assignment, heat []float32, scale float64) {
+	t.Helper()
+	if s.view.scale != scale {
+		t.Fatalf("%s: scorer scale %v, reference %v", what, s.view.scale, scale)
+	}
+	k := asn.K()
+	counts, countsF := make([]int, k), make([]float64, k)
+	g.ForEachVertex(func(v graph.VertexID) {
+		cur := asn.Of(v)
+		if cur == partition.None {
+			return // unplaced: only ever a neighbour, never scored
+		}
+		for _, drain := range []bool{false, true} {
+			var got, want []partition.ID
+			if drain {
+				got = s.BestOther(g, asn, v, cur)
+			} else {
+				got = s.Best(g, asn, v, cur)
+			}
+			if scale != 0 {
+				refTallyHeat(g, asn, v, cur, heat, scale, countsF, drain)
+				for i := range countsF {
+					if math.Float64bits(s.countsF[i]) != math.Float64bits(countsF[i]) {
+						t.Fatalf("%s: vertex %d drain=%v partition %d votes %v, reference %v", what, v, drain, i, s.countsF[i], countsF[i])
+					}
+				}
+				if drain {
+					want = refBestOther(countsF, cur)
+				} else {
+					want = refBestPartitionsHeatInto(g, asn, v, cur, heat, scale, countsF, nil)
+				}
+			} else {
+				refTallyInt(g, asn, v, cur, counts, drain)
+				if !slices.Equal(s.counts, counts) {
+					t.Fatalf("%s: vertex %d drain=%v counts %v, reference %v", what, v, drain, s.counts, counts)
+				}
+				if drain {
+					want = refBestOther(counts, cur)
+				} else {
+					want = refBestInt(counts, cur)
+				}
+			}
+			if !slices.Equal(got, want) || (got == nil) != (len(want) == 0) {
+				t.Fatalf("%s: vertex %d drain=%v tied %v, reference %v", what, v, drain, got, want)
+			}
+		}
+	})
+}
+
+// hotBits is the bitmap of heat's non-zero slots, built in one pass the
+// way the adaptive service's SetHeat builds it.
+func hotBits(heat []float32) []uint64 {
+	hot := make([]uint64, (len(heat)+63)>>6)
+	for i, h := range heat {
+		if h != 0 {
+			hot[i>>6] |= 1 << (i & 63)
+		}
+	}
+	return hot
+}
+
+// TestScorerMatchesPlainLoop is the differential test of the one scorer:
+// on directed and undirected graphs whose vertices are part clean, part
+// dirty (pending overlay adds and spliced removals), with unassigned
+// neighbours, every live vertex's Best and drain tallies must equal the
+// plain loop's — the integer vote with no heat view, and the heat vote
+// under views shorter than the slot range, over zero and non-zero heat.
+func TestScorerMatchesPlainLoop(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			rng := rand.New(rand.NewPCG(seed, 41))
+			n := 40 + rng.IntN(60)
+			g := graph.NewUndirected(n)
+			if directed {
+				g = graph.NewDirected(n)
+			}
+			var b graph.Batch
+			for i := 0; i < 4*n; i++ {
+				b = append(b, graph.Mutation{Kind: graph.MutAddEdge, U: graph.VertexID(rng.IntN(n)), V: graph.VertexID(rng.IntN(n))})
+			}
+			g.Apply(b)
+			g.Compact()
+			// A small batch after the compaction leaves its vertices
+			// dirty and grows the slot range past the heat views below.
+			b = b[:0]
+			for i := 0; i < n/4; i++ {
+				u := graph.VertexID(rng.IntN(n))
+				if nbrs := g.Neighbors(u); i%2 == 0 && len(nbrs) > 0 {
+					b = append(b, graph.Mutation{Kind: graph.MutRemoveEdge, U: u, V: nbrs[0]})
+				} else {
+					b = append(b, graph.Mutation{Kind: graph.MutAddEdge, U: u, V: graph.VertexID(rng.IntN(n + 10))})
+				}
+			}
+			g.Apply(b)
+			k := 2 + rng.IntN(4)
+			asn := partition.NewAssignment(g.NumSlots(), k)
+			g.ForEachVertex(func(v graph.VertexID) {
+				if rng.IntN(9) != 0 {
+					asn.Assign(v, partition.ID(rng.IntN(k)))
+				}
+			})
+			what := fmt.Sprintf("directed=%v seed=%d", directed, seed)
+			s := NewScorer()
+			checkScorer(t, what+" integer", s, g, asn, nil, 0)
+			// The adaptive service's shape: a heat slice covering only
+			// part of the slot range, zero entries included.
+			heat := make([]float32, n/2)
+			max := 0.0
+			for i := range heat {
+				if rng.IntN(3) == 0 {
+					heat[i] = float32(rng.IntN(50)) / 4
+					max = math.Max(max, float64(heat[i]))
+				}
+			}
+			if !s.SetHeat(heat, hotBits(heat), 3, max) {
+				t.Fatalf("%s: SetHeat with heat and a positive weight left the view inactive", what)
+			}
+			shared := s.share()
+			checkScorer(t, what+" heat", &shared, g, asn, heat, 3/max)
+			checkScorer(t, what+" heat", s, g, asn, heat, 3/max)
+			if s.SetHeat(heat, hotBits(heat), 0, max) {
+				t.Fatalf("%s: SetHeat at weight 0 activated the view", what)
+			}
+			checkScorer(t, what+" weight 0", s, g, asn, nil, 0)
+		}
+	}
 }
 
 // Fold parameters the differential driver picks from: 1.0 is the
@@ -188,29 +346,10 @@ func foldHeatDifferential(t *testing.T, ops []byte) {
 
 	checkVotes := func(what string) {
 		t.Helper()
-		if p.heatScale != ref.scale {
-			t.Fatalf("%s: heatScale %v, reference %v", what, p.heatScale, ref.scale)
+		checkScorer(t, what, p.scorer, p.g, p.asn, ref.heat, ref.scale)
+		if len(p.shards) > 0 {
+			checkScorer(t, what+" (shard scorer)", &p.shards[0].scorer, p.g, p.asn, ref.heat, ref.scale)
 		}
-		got, want := make([]float64, cfg.K), make([]float64, cfg.K)
-		var gotTied, wantTied []partition.ID
-		p.g.ForEachVertex(func(v graph.VertexID) {
-			cur := p.asn.Of(v)
-			gotTied = bestPartitionsHeatInto(p.g, p.asn, v, cur, p.heat, p.heatBits, p.heatScale, got, gotTied)
-			wantTied = refBestPartitionsHeatInto(p.g, p.asn, v, cur, ref.heat, ref.scale, want, wantTied)
-			for i := range got {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s: vertex %d partition %d votes %v, reference %v", what, v, i, got[i], want[i])
-				}
-			}
-			if len(gotTied) != len(wantTied) {
-				t.Fatalf("%s: vertex %d tied %v, reference %v", what, v, gotTied, wantTied)
-			}
-			for i := range gotTied {
-				if gotTied[i] != wantTied[i] {
-					t.Fatalf("%s: vertex %d tied %v, reference %v", what, v, gotTied, wantTied)
-				}
-			}
-		})
 	}
 	checkHeat := func(what string) {
 		t.Helper()

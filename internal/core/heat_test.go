@@ -140,7 +140,7 @@ func TestHeatWeightedScoringPullsCoReadNeighbours(t *testing.T) {
 	}
 	p.FoldHeat(1.0, []graph.VertexID{2, 2, 2}, 1)
 
-	tied := p.scoreBest(0, 0, p.counts, p.countsF, nil)
+	tied := p.scorer.Best(g, asn, 0, 0)
 	if len(tied) != 1 || tied[0] != 2 {
 		t.Fatalf("tied = %v, want the hot partition [2]", tied)
 	}
@@ -152,7 +152,7 @@ func TestHeatWeightedScoringPullsCoReadNeighbours(t *testing.T) {
 		t.Fatal(err)
 	}
 	p2.FoldHeat(1.0, []graph.VertexID{2, 2, 2}, 1)
-	tied = p2.scoreBest(0, 0, p2.counts, p2.countsF, nil)
+	tied = p2.scorer.Best(g, asn, 0, 0)
 	if len(tied) != 2 {
 		t.Fatalf("tied = %v at weight 0, want the untouched two-way tie", tied)
 	}

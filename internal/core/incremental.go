@@ -86,7 +86,7 @@ func (p *Partitioner) stepIncremental(weight func(graph.VertexID) int) (requeste
 			continue
 		}
 		cur := p.asn.Of(v)
-		best := p.bestPartitions(v, cur)
+		best := p.scorer.Best(p.g, p.asn, v, cur)
 		if best == nil {
 			// Settled: only a mutation or a neighbour's move re-wakes it.
 			p.active.Unschedule(v)
@@ -95,22 +95,8 @@ func (p *Partitioner) stepIncremental(weight func(graph.VertexID) int) (requeste
 		requested++
 		p.rng.Shuffle(len(best), func(i, j int) { best[i], best[j] = best[j], best[i] })
 		w := weight(v)
-		granted := false
-		for _, dst := range best {
-			if p.cfg.DisableQuotas {
-				p.moves = append(p.moves, move{v: v, from: cur, to: dst})
-				granted = true
-				break
-			}
-			if p.quota[cur][dst] >= w {
-				p.quota[cur][dst] -= w
-				p.moves = append(p.moves, move{v: v, from: cur, to: dst})
-				granted = true
-				break
-			}
-		}
 		switch {
-		case granted:
+		case p.claim(v, cur, best, w):
 			// A mover re-settles after its move applies at the barrier.
 			p.active.Keep(v)
 		case p.hardDenied(best, w):
@@ -203,8 +189,8 @@ func (sh *coreShard) decideFrontier(p *Partitioner, chunk []graph.VertexID, weig
 			continue
 		}
 		cur := p.asn.Of(v)
-		sh.tied = p.scoreBest(v, cur, sh.counts, sh.countsF, sh.tied)
-		if len(sh.tied) == 0 {
+		best := sh.scorer.Best(p.g, p.asn, v, cur)
+		if best == nil {
 			// Unscheduling only clears a dirty bit (idempotent), so the
 			// cluster path can safely re-apply broadcast settles on top
 			// of this inline one.
@@ -216,20 +202,20 @@ func (sh *coreShard) decideFrontier(p *Partitioner, chunk []graph.VertexID, weig
 		}
 		sh.requested++
 		w := weight(v)
-		if !p.cfg.DisableQuotas && p.hardDenied(sh.tied, w) {
+		if !p.cfg.DisableQuotas && p.hardDenied(best, w) {
 			// No destination can admit v regardless of competition; park
 			// at the barrier instead of queueing a doomed request. The
 			// scheduled bit stays set until the barrier-side Park so
 			// concurrent wakes keep deduping correctly.
 			off := int32(len(sh.parkDests))
-			sh.parkDests = append(sh.parkDests, sh.tied...)
-			sh.parkBuf = append(sh.parkBuf, shardPark{v: v, off: off, n: int32(len(sh.tied))})
+			sh.parkDests = append(sh.parkDests, best...)
+			sh.parkBuf = append(sh.parkBuf, shardPark{v: v, off: off, n: int32(len(best))})
 			continue
 		}
-		sh.rng.Shuffle(len(sh.tied), func(i, j int) { sh.tied[i], sh.tied[j] = sh.tied[j], sh.tied[i] })
+		sh.rng.Shuffle(len(best), func(i, j int) { best[i], best[j] = best[j], best[i] })
 		off := int32(len(sh.candBuf))
-		sh.candBuf = append(sh.candBuf, sh.tied...)
-		sh.reqs[cur] = append(sh.reqs[cur], shardReq{v: v, off: off, n: int32(len(sh.tied)), w: int32(w)})
+		sh.candBuf = append(sh.candBuf, best...)
+		sh.reqs[cur] = append(sh.reqs[cur], shardReq{v: v, off: off, n: int32(len(best)), w: int32(w)})
 		sh.keep = append(sh.keep, v)
 	}
 }

@@ -35,9 +35,7 @@ import (
 type coreShard struct {
 	rng       *rand.Rand
 	src       *rand.PCG // rng's source; serializable for checkpoint/restore
-	counts    []int
-	countsF   []float64 // float vote scratch for the heat-weighted scorer
-	tied      []partition.ID
+	scorer    Scorer
 	candBuf   []partition.ID   // arena backing every request's candidate list
 	reqs      [][]shardReq     // migration requests grouped by source partition
 	keep      []graph.VertexID // frontier vertices staying dirty (incremental mode)
@@ -65,16 +63,15 @@ type shardReq struct {
 	w   int32 // quota units the move consumes (1, or degree when edge-balanced)
 }
 
-func newCoreShard(seed int64, idx, k int) *coreShard {
+func newCoreShard(seed int64, idx, k int, scorer Scorer) *coreShard {
 	// The shard index selects a distinct PCG stream; see newPCG. The
 	// per-shard generators stay a pure function of (seed, idx).
 	src := newPCG(seed, idx+1)
 	return &coreShard{
-		rng:     rand.New(src),
-		src:     src,
-		counts:  make([]int, k),
-		countsF: make([]float64, k),
-		reqs:    make([][]shardReq, k),
+		rng:    rand.New(src),
+		src:    src,
+		scorer: scorer,
+		reqs:   make([][]shardReq, k),
 	}
 }
 
@@ -96,15 +93,15 @@ func (sh *coreShard) decide(p *Partitioner, lo, hi int, weight func(graph.Vertex
 			continue // unwilling this iteration
 		}
 		cur := p.asn.Of(v)
-		sh.tied = p.scoreBest(v, cur, sh.counts, sh.countsF, sh.tied)
-		if len(sh.tied) == 0 {
+		best := sh.scorer.Best(p.g, p.asn, v, cur)
+		if best == nil {
 			continue // current partition is among the candidates: stay
 		}
 		sh.requested++
-		sh.rng.Shuffle(len(sh.tied), func(i, j int) { sh.tied[i], sh.tied[j] = sh.tied[j], sh.tied[i] })
+		sh.rng.Shuffle(len(best), func(i, j int) { best[i], best[j] = best[j], best[i] })
 		off := int32(len(sh.candBuf))
-		sh.candBuf = append(sh.candBuf, sh.tied...)
-		sh.reqs[cur] = append(sh.reqs[cur], shardReq{v: v, off: off, n: int32(len(sh.tied)), w: int32(weight(v))})
+		sh.candBuf = append(sh.candBuf, best...)
+		sh.reqs[cur] = append(sh.reqs[cur], shardReq{v: v, off: off, n: int32(len(best)), w: int32(weight(v))})
 	}
 }
 

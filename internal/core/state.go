@@ -170,7 +170,7 @@ func Restore(g *graph.Graph, asn *partition.Assignment, cfg Config, st State) (*
 				p.indexHeat(i)
 			}
 		}
-		p.setHeatScale(max)
+		p.scorer.SetHeat(p.heat, p.heatBits, cfg.WorkloadWeight, max)
 	}
 	return p, nil
 }

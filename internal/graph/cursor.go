@@ -154,9 +154,7 @@ func (c *Cursor) Contains(x VertexID) bool {
 // CleanNeighbors returns v's adjacency as a single zero-copy arena span
 // when the vertex has no pending overlay — the common case on a compacted
 // graph — with ok=true. ok=false means v is dirty and the caller must
-// fall back to a cursor. Unlike Neighbors it never allocates, and it is
-// small enough to inline, so sweep loops test it first and pay one array
-// load per clean vertex.
+// fall back to a cursor. Unlike Neighbors it never allocates.
 func (g *Graph) CleanNeighbors(v VertexID) (nbrs []VertexID, ok bool) {
 	s := &g.out
 	if v < 0 || int(v) >= len(s.spans) {
@@ -169,21 +167,31 @@ func (g *Graph) CleanNeighbors(v VertexID) (nbrs []VertexID, ok bool) {
 	return s.arena[sp.off : sp.off+uint32(sp.n)], true
 }
 
-// CleanInNeighbors is CleanNeighbors for the in-adjacency (identical to
-// CleanNeighbors on undirected graphs).
-func (g *Graph) CleanInNeighbors(v VertexID) (nbrs []VertexID, ok bool) {
-	s := &g.out
+// EachAdjacencyChunk calls fn with v's adjacency in contiguous runs: the
+// out-adjacency (every neighbour when undirected), then on digraphs the
+// in-adjacency, each in cursor order — the arena span, which is the whole
+// adjacency of a clean vertex, then the overlay adds of a dirty one. fn
+// may be called with an empty run. The order is part of the contract:
+// the heat-weighted migration vote sums float64s along it. Runs are views
+// into graph-owned memory: never mutate them. Allocation-free.
+func (g *Graph) EachAdjacencyChunk(v VertexID, fn func([]VertexID)) {
+	g.out.eachChunk(v, fn)
 	if g.directed {
-		s = &g.in
+		g.in.eachChunk(v, fn)
 	}
+}
+
+func (s *store) eachChunk(v VertexID, fn func([]VertexID)) {
 	if v < 0 || int(v) >= len(s.spans) {
-		return nil, true
-	}
-	if s.ovIdx != nil && s.ovIdx[v] >= 0 {
-		return nil, false
+		return
 	}
 	sp := s.spans[v]
-	return s.arena[sp.off : sp.off+uint32(sp.n)], true
+	fn(s.arena[sp.off : sp.off+uint32(sp.n)])
+	if s.ovIdx != nil {
+		if i := s.ovIdx[v]; i >= 0 {
+			fn(s.ovTab[i].adds)
+		}
+	}
 }
 
 // ForEachNeighbor calls fn for every out-neighbour of v (every neighbour
