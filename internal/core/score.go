@@ -16,7 +16,7 @@ import (
 // with the scorers made from it by share. With the view inactive every
 // member of Γ(v) votes 1 and the tally is integer; with it active (see
 // heat.go) a member w votes 1 + WorkloadWeight·heat(w)/max(heat), summed
-// in float64 in graph.EachAdjacencyChunk order. Both tallies share the
+// in float64 in graph.AdjacencyChunks order. Both tallies share the
 // walk and the argmax; the integer one stays because the paper's
 // objective is the common case, and tallying it in float64 instead is
 // measurably slower on BenchmarkStepPowerLaw.
@@ -84,6 +84,11 @@ func (s *Scorer) score(g *graph.Graph, asn *partition.Assignment, v graph.Vertex
 	if k := asn.K(); len(s.counts) != k {
 		s.counts, s.countsF = make([]int, k), make([]float64, k)
 	}
+	// v's neighbours are its out-runs then, on digraphs, its in-runs.
+	dirs := 1
+	if g.Directed() {
+		dirs = 2
+	}
 	if h := s.view; h.scale != 0 {
 		countsF := s.countsF
 		clear(countsF)
@@ -93,17 +98,21 @@ func (s *Scorer) score(g *graph.Graph, asn *partition.Assignment, v graph.Vertex
 		// 1 for any finite scale; computed rather than written as a
 		// constant so a cold vote is the one a heat load would give.
 		cold := 1 + h.scale*0
-		g.EachAdjacencyChunk(v, func(nbrs []graph.VertexID) {
-			for _, w := range nbrs {
-				if pw := asn.Of(w); pw != partition.None {
-					vote := cold
-					if i := uint(w); i>>6 < uint(len(h.hot)) && h.hot[i>>6]&(1<<(i&63)) != 0 {
-						vote = 1 + h.scale*float64(h.heat[i])
+		for d := 0; d < dirs; d++ {
+			base, adds := g.AdjacencyChunks(v, d == 1)
+			runs := [2][]graph.VertexID{base, adds}
+			for i := range runs {
+				for _, w := range runs[i] {
+					if pw := asn.Of(w); pw != partition.None {
+						vote := cold
+						if i := uint(w); i>>6 < uint(len(h.hot)) && h.hot[i>>6]&(1<<(i&63)) != 0 {
+							vote = 1 + h.scale*float64(h.heat[i])
+						}
+						countsF[pw] += vote
 					}
-					countsF[pw] += vote
 				}
 			}
-		})
+		}
 		s.tied = argmax(countsF, cur, drain, s.tied)
 	} else {
 		counts := s.counts
@@ -111,13 +120,17 @@ func (s *Scorer) score(g *graph.Graph, asn *partition.Assignment, v graph.Vertex
 		if !drain {
 			counts[cur]++
 		}
-		g.EachAdjacencyChunk(v, func(nbrs []graph.VertexID) {
-			for _, w := range nbrs {
-				if pw := asn.Of(w); pw != partition.None {
-					counts[pw]++
+		for d := 0; d < dirs; d++ {
+			base, adds := g.AdjacencyChunks(v, d == 1)
+			runs := [2][]graph.VertexID{base, adds}
+			for i := range runs {
+				for _, w := range runs[i] {
+					if pw := asn.Of(w); pw != partition.None {
+						counts[pw]++
+					}
 				}
 			}
-		})
+		}
 		s.tied = argmax(counts, cur, drain, s.tied)
 	}
 	if len(s.tied) == 0 {

@@ -59,18 +59,20 @@ func (c *Cursor) ResetIn(g *Graph, v VertexID) {
 
 func (c *Cursor) reset(s *store, v VertexID) {
 	c.bi, c.ai = 0, 0
-	if v < 0 || int(v) >= len(s.spans) {
-		c.base, c.adds = nil, nil
-		return
-	}
-	sp := s.spans[v]
-	c.base = s.arena[sp.off : sp.off+uint32(sp.n)]
-	c.adds = nil
-	if s.ovIdx != nil {
-		if i := s.ovIdx[v]; i >= 0 {
-			c.adds = s.ovTab[i].adds
+	c.base, c.adds = s.runs(v)
+}
+
+// runs returns v's base arena span and its overlay adds (nil when clean).
+func (s *store) runs(v VertexID) (base, adds []VertexID) {
+	if uint(v) < uint(len(s.spans)) {
+		sp := s.spans[v]
+		base = s.arena[sp.off : sp.off+uint32(sp.n)]
+		// ovIdx is nil (no overlay anywhere) or covers every slot.
+		if uint(v) < uint(len(s.ovIdx)) && s.ovIdx[v] >= 0 {
+			adds = s.ovTab[s.ovIdx[v]].adds
 		}
 	}
+	return base, adds
 }
 
 func (s *store) cursor(v VertexID) Cursor {
@@ -167,31 +169,23 @@ func (g *Graph) CleanNeighbors(v VertexID) (nbrs []VertexID, ok bool) {
 	return s.arena[sp.off : sp.off+uint32(sp.n)], true
 }
 
-// EachAdjacencyChunk calls fn with v's adjacency in contiguous runs: the
-// out-adjacency (every neighbour when undirected), then on digraphs the
-// in-adjacency, each in cursor order — the arena span, which is the whole
-// adjacency of a clean vertex, then the overlay adds of a dirty one. fn
-// may be called with an empty run. The order is part of the contract:
-// the heat-weighted migration vote sums float64s along it. Runs are views
-// into graph-owned memory: never mutate them. Allocation-free.
-func (g *Graph) EachAdjacencyChunk(v VertexID, fn func([]VertexID)) {
-	g.out.eachChunk(v, fn)
-	if g.directed {
-		g.in.eachChunk(v, fn)
+// AdjacencyChunks returns v's out-adjacency (every neighbour when
+// undirected), or with in set its in-adjacency on a digraph (nothing on
+// an undirected graph, whose out-adjacency already holds every
+// neighbour), as two contiguous runs: the arena span, which is all of a
+// vertex untouched since the last compaction, then the overlay adds (nil
+// when clean). The migration scorer tallies out-runs then in-runs, base
+// before adds; the heat-weighted vote sums float64s in that order, so the
+// order is part of the contract. Runs are views into graph-owned memory:
+// never mutate them. It returns the runs rather than visiting them with a
+// callback: the scorer calls it once per vertex per direction, and a
+// callback cost that loop a measurable share of its time.
+func (g *Graph) AdjacencyChunks(v VertexID, in bool) (base, adds []VertexID) {
+	s := &g.out
+	if in {
+		s = &g.in
 	}
-}
-
-func (s *store) eachChunk(v VertexID, fn func([]VertexID)) {
-	if v < 0 || int(v) >= len(s.spans) {
-		return
-	}
-	sp := s.spans[v]
-	fn(s.arena[sp.off : sp.off+uint32(sp.n)])
-	if s.ovIdx != nil {
-		if i := s.ovIdx[v]; i >= 0 {
-			fn(s.ovTab[i].adds)
-		}
-	}
+	return s.runs(v)
 }
 
 // ForEachNeighbor calls fn for every out-neighbour of v (every neighbour
