@@ -113,7 +113,11 @@ func (s *Scorer) score(g *graph.Graph, asn *partition.Assignment, v graph.Vertex
 				}
 			}
 		}
-		s.tied = argmax(countsF, cur, drain, s.tied)
+		if drain {
+			s.tied = drainArgmax(countsF, cur, s.tied)
+		} else {
+			s.tied = argmax(countsF, cur, s.tied)
+		}
 	} else {
 		counts := s.counts
 		clear(counts)
@@ -131,7 +135,11 @@ func (s *Scorer) score(g *graph.Graph, asn *partition.Assignment, v graph.Vertex
 				}
 			}
 		}
-		s.tied = argmax(counts, cur, drain, s.tied)
+		if drain {
+			s.tied = drainArgmax(counts, cur, s.tied)
+		} else {
+			s.tied = argmax(counts, cur, s.tied)
+		}
 	}
 	if len(s.tied) == 0 {
 		return nil
@@ -139,41 +147,48 @@ func (s *Scorer) score(g *graph.Graph, asn *partition.Assignment, v graph.Vertex
 	return s.tied
 }
 
-// argmax returns tied holding the partitions with the highest count. For
-// Best it is empty when cur itself scores the maximum, which starts at 0
-// because every Best tally holds the self-vote. For the drain it ranges
-// over every partition but cur and starts from the first of them. The
-// maximum loops are kept branch-free on the counts: they run once per
-// decision over all k partitions.
-func argmax[C int | float64](counts []C, cur partition.ID, drain bool, tied []partition.ID) []partition.ID {
-	tied = tied[:0]
+// argmax returns tied holding the partitions with the highest count, or
+// empty when cur is among them. The maximum starts at 0 because every
+// Best tally holds the self-vote; its loop stays branch-free on the
+// counts, since it runs once per decision over all k partitions.
+func argmax[C int | float64](counts []C, cur partition.ID, tied []partition.ID) []partition.ID {
 	var max C
-	if !drain {
-		for _, c := range counts {
-			if c > max {
-				max = c
-			}
+	for _, c := range counts {
+		if c > max {
+			max = c
 		}
-		if counts[cur] == max {
-			return tied
+	}
+	tied = tied[:0]
+	if counts[cur] == max {
+		return tied
+	}
+	for i, c := range counts {
+		if c == max {
+			tied = append(tied, partition.ID(i))
 		}
-	} else {
-		first := 0
-		if cur == 0 {
-			first = 1
-		}
-		if first == len(counts) {
-			return tied
-		}
-		max = counts[first]
-		for i, c := range counts {
-			if c > max && partition.ID(i) != cur {
-				max = c
-			}
+	}
+	return tied
+}
+
+// drainArgmax is argmax over every partition but cur, starting from the
+// first of them; it is empty only when cur is the only partition.
+func drainArgmax[C int | float64](counts []C, cur partition.ID, tied []partition.ID) []partition.ID {
+	tied = tied[:0]
+	first := 0
+	if cur == 0 {
+		first = 1
+	}
+	if first == len(counts) {
+		return tied
+	}
+	max := counts[first]
+	for i, c := range counts {
+		if c > max && partition.ID(i) != cur {
+			max = c
 		}
 	}
 	for i, c := range counts {
-		if c == max && (!drain || partition.ID(i) != cur) {
+		if c == max && partition.ID(i) != cur {
 			tied = append(tied, partition.ID(i))
 		}
 	}

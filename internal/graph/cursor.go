@@ -59,18 +59,20 @@ func (c *Cursor) ResetIn(g *Graph, v VertexID) {
 
 func (c *Cursor) reset(s *store, v VertexID) {
 	c.bi, c.ai = 0, 0
-	c.base, c.adds = s.runs(v)
+	c.base, c.adds = nil, nil
+	if uint(v) < uint(len(s.spans)) {
+		c.base, c.adds = s.runs(v)
+	}
 }
 
-// runs returns v's base arena span and its overlay adds (nil when clean).
+// runs returns v's base arena span and its overlay adds (nil when
+// clean); v must be below the slot count.
 func (s *store) runs(v VertexID) (base, adds []VertexID) {
-	if uint(v) < uint(len(s.spans)) {
-		sp := s.spans[v]
-		base = s.arena[sp.off : sp.off+uint32(sp.n)]
-		// ovIdx is nil (no overlay anywhere) or covers every slot.
-		if uint(v) < uint(len(s.ovIdx)) && s.ovIdx[v] >= 0 {
-			adds = s.ovTab[s.ovIdx[v]].adds
-		}
+	sp := s.spans[v]
+	base = s.arena[sp.off : sp.off+uint32(sp.n)]
+	// ovIdx is nil (no overlay anywhere) or covers every slot.
+	if s.ovIdx != nil && s.ovIdx[v] >= 0 {
+		adds = s.ovTab[s.ovIdx[v]].adds
 	}
 	return base, adds
 }
@@ -170,16 +172,16 @@ func (g *Graph) CleanNeighbors(v VertexID) (nbrs []VertexID, ok bool) {
 }
 
 // AdjacencyChunks returns v's out-adjacency (every neighbour when
-// undirected), or with in set its in-adjacency on a digraph (nothing on
-// an undirected graph, whose out-adjacency already holds every
-// neighbour), as two contiguous runs: the arena span, which is all of a
-// vertex untouched since the last compaction, then the overlay adds (nil
-// when clean). The migration scorer tallies out-runs then in-runs, base
-// before adds; the heat-weighted vote sums float64s in that order, so the
-// order is part of the contract. Runs are views into graph-owned memory:
-// never mutate them. It returns the runs rather than visiting them with a
-// callback: the scorer calls it once per vertex per direction, and a
-// callback cost that loop a measurable share of its time.
+// undirected), or with in set its in-adjacency (digraphs only), as two
+// contiguous runs: the arena span, which is all of a vertex untouched
+// since the last compaction, then the overlay adds (nil when clean). v
+// must be below NumSlots. The migration scorer tallies out-runs then
+// in-runs, base before adds; the heat-weighted vote sums float64s in that
+// order, so the order is part of the contract. Runs are views into
+// graph-owned memory: never mutate them. It returns the runs, and is
+// small enough to inline, because the scorer calls it once per vertex
+// and direction in the hottest loop of the system: a callback visitor
+// cost that loop a measurable share of its time.
 func (g *Graph) AdjacencyChunks(v VertexID, in bool) (base, adds []VertexID) {
 	s := &g.out
 	if in {
