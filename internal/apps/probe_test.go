@@ -97,9 +97,9 @@ func TestHubProbeSpillsStackBuffer(t *testing.T) {
 			}
 			e.SetStream(graph.NewSliceStream([]graph.Batch{churn}))
 			quiesceAndVerify(t, e, prog)
-			if _, clean := g.CleanNeighbors(hub); clean || g.Compactions() != 1 || g.Degree(hub) != 28 {
+			if _, adds := g.AdjacencyChunks(hub, false); adds == nil || g.Compactions() != 1 || g.Degree(hub) != 28 {
 				t.Fatalf("fixture drifted: clean=%v, %d compactions, degree %d",
-					clean, g.Compactions(), g.Degree(hub))
+					adds == nil, g.Compactions(), g.Degree(hub))
 			}
 		})
 	}
@@ -137,7 +137,7 @@ func TestFloodParentLostWhileOverlayCandidateArrives(t *testing.T) {
 	if !ok || st.key != 0 || st.hops != 4 || st.parent != 7 {
 		t.Fatalf("vertex 4 after the cut = %+v, want distance 4 via 7", e.Value(4))
 	}
-	if _, clean := g.CleanNeighbors(4); clean {
+	if _, adds := g.AdjacencyChunks(4, false); adds == nil {
 		t.Fatal("fixture drifted: vertex 4 has no overlay")
 	}
 	quiesceAndVerify(t, e, prog)

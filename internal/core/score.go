@@ -16,10 +16,13 @@ import (
 // with the scorers made from it by share. With the view inactive every
 // member of Γ(v) votes 1 and the tally is integer; with it active (see
 // heat.go) a member w votes 1 + WorkloadWeight·heat(w)/max(heat), summed
-// in float64 in graph.AdjacencyChunks order. Both tallies share the
-// walk and the argmax; the integer one stays because the paper's
-// objective is the common case, and tallying it in float64 instead is
-// measurably slower on BenchmarkStepPowerLaw.
+// in float64 in graph.AdjacencyChunks order. The integer tally stays
+// because the paper's objective is the common case, and tallying it in
+// float64 instead is measurably slower on BenchmarkStepPowerLaw. The two
+// tallies walk the same runs in the same order and share the argmax; they
+// are two functions, chosen once per vertex, because one walk that picks
+// the vote type after fetching the runs measured slower on
+// BenchmarkCoreIterationPowerLaw.
 //
 // The zero value is not ready; use NewScorer.
 type Scorer struct {
@@ -44,7 +47,7 @@ type heatView struct {
 func NewScorer() *Scorer { return &Scorer{view: &heatView{}} }
 
 // share returns a scorer with its own scratch and s's heat view, for a
-// goroutine scoring alongside s. Its owner embeds it by value: score
+// goroutine scoring alongside s. Its owner embeds it by value: a tally
 // writes the scratch headers on every call, and two scorers allocated
 // side by side would share a cache line between goroutines.
 func (s *Scorer) share() Scorer { return Scorer{view: s.view} }
@@ -69,7 +72,15 @@ func (s *Scorer) SetHeat(heat []float32, hot []uint64, weight, max float64) bool
 // free, so inflating it would only anchor hot vertices in place. The
 // result is the scorer's scratch, valid until its next call.
 func (s *Scorer) Best(g *graph.Graph, asn *partition.Assignment, v graph.VertexID, cur partition.ID) []partition.ID {
-	return s.score(g, asn, v, cur, false)
+	if s.view.scale != 0 {
+		s.tied = argmax(s.tallyHeat(g, asn, v, cur, 1), cur, s.tied)
+	} else {
+		s.tied = argmax(s.tally(g, asn, v, cur, 1), cur, s.tied)
+	}
+	if len(s.tied) == 0 {
+		return nil
+	}
+	return s.tied
 }
 
 // BestOther is the hot-spot drain's form of Best: the same tally without
@@ -77,74 +88,82 @@ func (s *Scorer) Best(g *graph.Graph, asn *partition.Assignment, v graph.VertexI
 // that must leave an overloaded partition even when staying is optimal.
 // It returns nil only when cur is the only partition.
 func (s *Scorer) BestOther(g *graph.Graph, asn *partition.Assignment, v graph.VertexID, cur partition.ID) []partition.ID {
-	return s.score(g, asn, v, cur, true)
-}
-
-func (s *Scorer) score(g *graph.Graph, asn *partition.Assignment, v graph.VertexID, cur partition.ID, drain bool) []partition.ID {
-	if k := asn.K(); len(s.counts) != k {
-		s.counts, s.countsF = make([]int, k), make([]float64, k)
-	}
-	// v's neighbours are its out-runs then, on digraphs, its in-runs.
-	dirs := 1
-	if g.Directed() {
-		dirs = 2
-	}
-	if h := s.view; h.scale != 0 {
-		countsF := s.countsF
-		clear(countsF)
-		if !drain {
-			countsF[cur]++
-		}
-		// 1 for any finite scale; computed rather than written as a
-		// constant so a cold vote is the one a heat load would give.
-		cold := 1 + h.scale*0
-		for d := 0; d < dirs; d++ {
-			base, adds := g.AdjacencyChunks(v, d == 1)
-			runs := [2][]graph.VertexID{base, adds}
-			for i := range runs {
-				for _, w := range runs[i] {
-					if pw := asn.Of(w); pw != partition.None {
-						vote := cold
-						if i := uint(w); i>>6 < uint(len(h.hot)) && h.hot[i>>6]&(1<<(i&63)) != 0 {
-							vote = 1 + h.scale*float64(h.heat[i])
-						}
-						countsF[pw] += vote
-					}
-				}
-			}
-		}
-		if drain {
-			s.tied = drainArgmax(countsF, cur, s.tied)
-		} else {
-			s.tied = argmax(countsF, cur, s.tied)
-		}
+	if s.view.scale != 0 {
+		s.tied = drainArgmax(s.tallyHeat(g, asn, v, cur, 0), cur, s.tied)
 	} else {
-		counts := s.counts
-		clear(counts)
-		if !drain {
-			counts[cur]++
-		}
-		for d := 0; d < dirs; d++ {
-			base, adds := g.AdjacencyChunks(v, d == 1)
-			runs := [2][]graph.VertexID{base, adds}
-			for i := range runs {
-				for _, w := range runs[i] {
-					if pw := asn.Of(w); pw != partition.None {
-						counts[pw]++
-					}
-				}
-			}
-		}
-		if drain {
-			s.tied = drainArgmax(counts, cur, s.tied)
-		} else {
-			s.tied = argmax(counts, cur, s.tied)
-		}
+		s.tied = drainArgmax(s.tally(g, asn, v, cur, 0), cur, s.tied)
 	}
 	if len(s.tied) == 0 {
 		return nil
 	}
 	return s.tied
+}
+
+// tally returns the integer tally of Γ(v): self votes for cur, then one
+// vote per placed neighbour, out-runs first and then, on digraphs,
+// in-runs, each base span before its overlay adds.
+func (s *Scorer) tally(g *graph.Graph, asn *partition.Assignment, v graph.VertexID, cur partition.ID, self int) []int {
+	if k := asn.K(); len(s.counts) != k {
+		s.counts, s.countsF = make([]int, k), make([]float64, k)
+	}
+	counts := s.counts
+	clear(counts)
+	counts[cur] = self
+	base, adds := g.AdjacencyChunks(v, false)
+	tallyRun(counts, asn, base)
+	tallyRun(counts, asn, adds)
+	if g.Directed() {
+		base, adds = g.AdjacencyChunks(v, true)
+		tallyRun(counts, asn, base)
+		tallyRun(counts, asn, adds)
+	}
+	return counts
+}
+
+// tallyHeat is tally with heat-weighted votes, summed in float64 in the
+// same order: the order is part of the result.
+func (s *Scorer) tallyHeat(g *graph.Graph, asn *partition.Assignment, v graph.VertexID, cur partition.ID, self float64) []float64 {
+	if k := asn.K(); len(s.counts) != k {
+		s.counts, s.countsF = make([]int, k), make([]float64, k)
+	}
+	countsF := s.countsF
+	clear(countsF)
+	countsF[cur] = self
+	h := s.view
+	base, adds := g.AdjacencyChunks(v, false)
+	h.tallyRun(countsF, asn, base)
+	h.tallyRun(countsF, asn, adds)
+	if g.Directed() {
+		base, adds = g.AdjacencyChunks(v, true)
+		h.tallyRun(countsF, asn, base)
+		h.tallyRun(countsF, asn, adds)
+	}
+	return countsF
+}
+
+// tallyRun adds one vote for each placed member of run.
+func tallyRun(counts []int, asn *partition.Assignment, run []graph.VertexID) {
+	for _, w := range run {
+		if pw := asn.Of(w); pw != partition.None {
+			counts[pw]++
+		}
+	}
+}
+
+// tallyRun adds each placed member's heat-weighted vote to countsF.
+func (h *heatView) tallyRun(countsF []float64, asn *partition.Assignment, run []graph.VertexID) {
+	// 1 for any finite scale; computed rather than written as a
+	// constant so a cold vote is the one a heat load would give.
+	cold := 1 + h.scale*0
+	for _, w := range run {
+		if pw := asn.Of(w); pw != partition.None {
+			vote := cold
+			if i := uint(w); i>>6 < uint(len(h.hot)) && h.hot[i>>6]&(1<<(i&63)) != 0 {
+				vote = 1 + h.scale*float64(h.heat[i])
+			}
+			countsF[pw] += vote
+		}
+	}
 }
 
 // argmax returns tied holding the partitions with the highest count, or

@@ -155,36 +155,20 @@ func (c *Cursor) Contains(x VertexID) bool {
 	return false
 }
 
-// CleanNeighbors returns v's adjacency as a single zero-copy arena span
-// when the vertex has no pending overlay — the common case on a compacted
-// graph — with ok=true. ok=false means v is dirty and the caller must
-// fall back to a cursor. Unlike Neighbors it never allocates.
-func (g *Graph) CleanNeighbors(v VertexID) (nbrs []VertexID, ok bool) {
-	s := &g.out
-	if v < 0 || int(v) >= len(s.spans) {
-		return nil, true
-	}
-	if s.ovIdx != nil && s.ovIdx[v] >= 0 {
-		return nil, false
-	}
-	sp := s.spans[v]
-	return s.arena[sp.off : sp.off+uint32(sp.n)], true
-}
-
-// AdjacencyChunks returns v's out-adjacency (every neighbour when
-// undirected), or with in set its in-adjacency (digraphs only), as two
-// contiguous runs: the arena span, which is all of a vertex untouched
-// since the last compaction, then the overlay adds (nil when clean). v
-// must be below NumSlots. The migration scorer tallies out-runs then
-// in-runs, base before adds; the heat-weighted vote sums float64s in that
-// order, so the order is part of the contract. Runs are views into
-// graph-owned memory: never mutate them. It returns the runs, and is
-// small enough to inline, because the scorer calls it once per vertex
-// and direction in the hottest loop of the system: a callback visitor
-// cost that loop a measurable share of its time.
+// AdjacencyChunks returns v's out-adjacency, or with in set its
+// in-adjacency (the same out-adjacency on undirected graphs, as with
+// ResetIn), as two contiguous runs: the arena span, which is all of a
+// vertex untouched since the last compaction, then the overlay adds (nil
+// when clean). v must be below NumSlots. The migration scorer tallies
+// out-runs then in-runs, base before adds; the heat-weighted vote sums
+// float64s in that order, so the order is part of the contract. Runs are
+// views into graph-owned memory: never mutate them. It returns the runs,
+// and is small enough to inline, because the scorer calls it once per
+// vertex and direction in the hottest loop of the system: a callback
+// visitor cost that loop a measurable share of its time.
 func (g *Graph) AdjacencyChunks(v VertexID, in bool) (base, adds []VertexID) {
 	s := &g.out
-	if in {
+	if in && g.directed {
 		s = &g.in
 	}
 	return s.runs(v)

@@ -229,3 +229,39 @@ func FuzzNeighborProbe(f *testing.F) {
 		}
 	})
 }
+
+// TestAdjacencyChunks checks that the two runs concatenate to Neighbors
+// (out) and InNeighbors (in) on both graph kinds — an undirected graph
+// answers in with its out-adjacency — that a dirty vertex's adds are
+// non-nil, and that compaction leaves every vertex clean (adds nil).
+func TestAdjacencyChunks(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		g := buildChurnedGraph(directed)
+		check := func(stage string) (dirty int) {
+			t.Helper()
+			g.ForEachVertex(func(v VertexID) {
+				for _, in := range []bool{false, true} {
+					want := g.Neighbors(v)
+					if in {
+						want = g.InNeighbors(v)
+					}
+					base, adds := g.AdjacencyChunks(v, in)
+					if got := append(append([]VertexID(nil), base...), adds...); !sameIDs(got, want) {
+						t.Fatalf("directed=%v %s: vertex %d in=%v: runs %v + %v, want %v", directed, stage, v, in, base, adds, want)
+					}
+					if adds != nil {
+						dirty++
+					}
+				}
+			})
+			return dirty
+		}
+		if check("overlaid") == 0 {
+			t.Fatalf("directed=%v: fixture drifted: no vertex has overlay adds", directed)
+		}
+		g.Compact()
+		if dirty := check("compacted"); dirty != 0 {
+			t.Fatalf("directed=%v: %d runs still carry adds after Compact", directed, dirty)
+		}
+	}
+}
