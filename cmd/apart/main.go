@@ -47,7 +47,7 @@ func run(args []string) error {
 		capFactor = fs.Float64("capacity", 1.10, "capacity factor over balanced load")
 		maxIter   = fs.Int("max-iterations", 5000, "iteration bound")
 		seed      = fs.Int64("seed", 1, "random seed")
-		parallel  = fs.Int("parallel", 0, "shards for the iterative sweep (0 = one per CPU, 1 = sequential)")
+		parallel  = fs.Int("parallel", 0, "shards that decide each iteration (0 = one per CPU); placements are the same for every value")
 		increment = fs.Bool("incremental", false, "active-set scheduler: re-examine only vertices whose inputs changed (full sweep when off)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -95,9 +95,6 @@ func run(args []string) error {
 		}
 		res := p.Run()
 		mode := fmt.Sprintf("%d shards", p.Parallelism())
-		if p.Parallelism() == 1 {
-			mode = "sequential"
-		}
 		if *increment {
 			mode += ", incremental"
 		}

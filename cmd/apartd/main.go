@@ -7,9 +7,9 @@
 // (POST /v1/placements, mutually consistent within one epoch), and a
 // streaming change feed (GET /v1/watch, per-epoch diffs with a bounded
 // retention ring sized by -watch-ring). Checkpoints capture the complete
-// partitioner state — graph, assignment, scheduler frontier, RNG
-// positions — so a restarted daemon resumes deterministically
-// mid-stream.
+// partitioner state — graph, assignment, scheduler frontier, heat — so
+// a restarted daemon resumes deterministically mid-stream, at any
+// -parallel.
 //
 // Start fresh, stream mutations, query placements:
 //
@@ -29,7 +29,7 @@
 // Cluster mode runs N daemons as one logical partitioner: each shard
 // listens for its peers on -cluster-addr, exchanges migration decisions
 // in barrier rounds every tick, and computes byte-identical placements
-// to a single process running -parallel N. Every shard ingests
+// to a single process at any -parallel. Every shard ingests
 // mutations and serves reads; all algorithm flags (and -shards) must
 // agree across the cluster, which the RPC handshake enforces. A crashed
 // shard rejoins by restoring its checkpoint and replaying the missed
@@ -97,7 +97,7 @@ func parseFlags(args []string) (*options, error) {
 		seed        = fs.Int64("seed", 1, "random seed (with the stream, determines every placement)")
 		s           = fs.Float64("s", 0.5, "willingness to move (0,1]")
 		capFactor   = fs.Float64("capacity", 1.10, "capacity factor over balanced load")
-		parallel    = fs.Int("parallel", 1, "shards for the re-adaptation sweep (0 = one per CPU, 1 = sequential)")
+		parallel    = fs.Int("parallel", 1, "shards that decide each re-adaptation iteration (0 = one per CPU); placements are the same for every value")
 		incremental = fs.Bool("incremental", true, "active-set scheduler (recommended for streaming; full sweep when off)")
 		tick        = fs.Duration("tick", 250*time.Millisecond, "mutation-coalescing tick period (0 = manual mode: POST /v1/tick drives every tick)")
 		maxSteps    = fs.Int("max-steps", 40, "heuristic iteration budget per tick")

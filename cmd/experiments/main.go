@@ -34,7 +34,7 @@ func run(args []string) error {
 		reps     = fs.Int("reps", 0, "repetitions (0 = experiment default, the paper uses 10)")
 		seed     = fs.Int64("seed", 1, "base random seed")
 		list     = fs.Bool("list", false, "list experiment ids and exit")
-		parallel = fs.Int("parallel", 0, "shards for the quality experiments' vertex sweep (0 = paper-exact sequential)")
+		parallel = fs.Int("parallel", 0, "shards that decide the quality experiments' iterations (0 = one); figures are the same for every value")
 		workers  = fs.Int("workers", 0, "compute goroutines per BSP engine (0 = one per partition)")
 		increm   = fs.Bool("incremental", false, "active-set scheduler for the heuristic and the BSP service (full sweep when off)")
 		app      = fs.String("app", "", "filter the analytics-suite experiment to one streaming program: cc, sssp or pagerank (empty = full matrix)")

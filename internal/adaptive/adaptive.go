@@ -25,10 +25,14 @@
 // the scorer for its drain form (the best partition other than the
 // current one).
 //
+// Randomness: vertex v's draws in superstep t (the willingness coin, the
+// hot-spot drain coin and the tie shuffle) are core's keyed per-vertex
+// stream of (Seed, t, v), so they depend on no other vertex and on no
+// visiting order.
+//
 // Program independence: with HotSpotAware off, a Plan pass reads only the
 // topology, the assignment and the delayed capacity view — never the
-// vertex values or message traffic of the program running above it — and
-// consumes its RNG in an order determined by those inputs alone. Two
+// vertex values or message traffic of the program running above it. Two
 // engines running different vertex programs over the same seed, initial
 // assignment and mutation stream therefore receive byte-identical
 // migration plans (pinned by TestAnalyticsDoNotPerturbPartitionerRNG in
@@ -40,7 +44,6 @@ package adaptive
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"xdgp/internal/activeset"
 	"xdgp/internal/bsp"
@@ -101,7 +104,6 @@ func DefaultConfig(seed int64) Config {
 // Service is the adaptive repartitioning background application.
 type Service struct {
 	cfg Config
-	rng *rand.Rand
 
 	// knownFree is the delayed capacity knowledge: free slots per
 	// partition as of the previous barrier's capacity broadcast.
@@ -151,7 +153,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	return &Service{
 		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		scorer: core.NewScorer(),
 	}, nil
 }
@@ -278,6 +279,7 @@ func (s *Service) Plan(view *bsp.View) []bsp.MigrationRequest {
 	}
 
 	var reqs []bsp.MigrationRequest
+	key := core.IterationDraws(s.cfg.Seed, view.Superstep())
 	granted := make([]int, k)  // inbound grants per partition
 	departed := make([]int, k) // outbound grants per partition
 
@@ -299,12 +301,13 @@ func (s *Service) Plan(view *bsp.View) []bsp.MigrationRequest {
 		if view.Migrating(v) {
 			return true // mid-window: revisit once the move completes
 		}
-		if s.cfg.S < 1 && s.rng.Float64() >= s.cfg.S {
+		r := key.Vertex(v)
+		if s.cfg.S < 1 && r.Float64() >= s.cfg.S {
 			return true // unwilling this pass: stays scheduled
 		}
 		best := s.scorer.Best(g, addr, v, cur)
 		if best == nil {
-			if hotness[cur] == 0 || s.rng.Float64() >= hotness[cur] {
+			if hotness[cur] == 0 || r.Float64() >= hotness[cur] {
 				// Settled. While cur stays hot the hot-spot wake below
 				// re-schedules the whole partition, so dropping here is
 				// safe even when only the drain coin declined.
@@ -319,7 +322,7 @@ func (s *Service) Plan(view *bsp.View) []bsp.MigrationRequest {
 			}
 		}
 		s.totalRequested++
-		s.rng.Shuffle(len(best), func(i, j int) { best[i], best[j] = best[j], best[i] })
+		r.Shuffle(best)
 		for _, dst := range best {
 			if s.quota[cur][dst] > 0 {
 				s.quota[cur][dst]--
@@ -385,8 +388,8 @@ func (s *Service) Plan(view *bsp.View) []bsp.MigrationRequest {
 // is re-derived every pass; and — when the hot-spot extension measures
 // an overloaded partition — every vertex of that partition (load
 // pressure is global, so the drain cannot be frontier-local). The
-// frontier is drained in ascending vertex-ID order for deterministic RNG
-// replay. decide's verdict keeps a vertex scheduled, settles it, or (for
+// frontier is drained in ascending vertex-ID order, the order the
+// quota claims are made in. decide's verdict keeps a vertex scheduled, settles it, or (for
 // hard denials) parks it inside decide itself.
 func (s *Service) planIncremental(g *graph.Graph, addr *partition.Assignment, hotness []float64, decide func(graph.VertexID) bool) {
 	if !s.seeded {

@@ -166,17 +166,17 @@ func TestAnalyticsGolden(t *testing.T) {
 		values, stats uint64
 	}{
 		{"cc", func() bsp.Program { return NewStreamingCC() }, true, false, 0xa8991988b60f046f, 0xd6d0f419ff6156e7},
-		{"cc", func() bsp.Program { return NewStreamingCC() }, true, true, 0xa8991988b60f046f, 0xe7d165c089323550},
+		{"cc", func() bsp.Program { return NewStreamingCC() }, true, true, 0xa8991988b60f046f, 0x090a74612c8795ce},
 		{"cc", func() bsp.Program { return NewStreamingCC() }, false, false, 0xa8991988b60f046f, 0x08af81f884179795},
-		{"cc", func() bsp.Program { return NewStreamingCC() }, false, true, 0xa8991988b60f046f, 0xf593546ef7e1942d},
+		{"cc", func() bsp.Program { return NewStreamingCC() }, false, true, 0xa8991988b60f046f, 0xa131f2c7c533b012},
 		{"sssp", func() bsp.Program { return NewStreamingSSSP(goldenSource) }, true, false, 0xdacfcc57fd473573, 0x7d28cc77b3de5a21},
-		{"sssp", func() bsp.Program { return NewStreamingSSSP(goldenSource) }, true, true, 0xdacfcc57fd473573, 0x39378995cc5562fe},
+		{"sssp", func() bsp.Program { return NewStreamingSSSP(goldenSource) }, true, true, 0xdacfcc57fd473573, 0x29538ba21896202f},
 		{"sssp", func() bsp.Program { return NewStreamingSSSP(goldenSource) }, false, false, 0xdacfcc57fd473573, 0x6c659c92c4bc916b},
-		{"sssp", func() bsp.Program { return NewStreamingSSSP(goldenSource) }, false, true, 0xdacfcc57fd473573, 0x966b681c53d6346e},
+		{"sssp", func() bsp.Program { return NewStreamingSSSP(goldenSource) }, false, true, 0xdacfcc57fd473573, 0x1ee0950a625e56d9},
 		{"pagerank", func() bsp.Program { return NewStreamingPageRank() }, true, false, 0x6038f6ec54cdfb83, 0x73267227f13ef852},
-		{"pagerank", func() bsp.Program { return NewStreamingPageRank() }, true, true, 0x6038f6ec54cdfb83, 0x0ea9addfb3b747bb},
+		{"pagerank", func() bsp.Program { return NewStreamingPageRank() }, true, true, 0x6038f6ec54cdfb83, 0x2059832247f17e62},
 		{"pagerank", func() bsp.Program { return NewStreamingPageRank() }, false, false, 0x6038f6ec54cdfb83, 0x73267227f13ef852},
-		{"pagerank", func() bsp.Program { return NewStreamingPageRank() }, false, true, 0x6038f6ec54cdfb83, 0x0ea9addfb3b747bb},
+		{"pagerank", func() bsp.Program { return NewStreamingPageRank() }, false, true, 0x6038f6ec54cdfb83, 0x2059832247f17e62},
 	} {
 		for _, workers := range []int{1, 3} {
 			name := fmt.Sprintf("%s/combine=%v/adapt=%v/workers=%d", c.name, c.combine, c.adapt, workers)

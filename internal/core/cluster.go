@@ -9,33 +9,18 @@ import (
 
 // This file splits one heuristic iteration into the two halves a
 // multi-process cluster needs: a local decide phase that produces one
-// shard's migration requests, and a global apply phase that merges every
-// shard's requests and runs the grant + barrier exactly as the
-// single-process parallel path would.
+// shard's ShardDecision, and a global apply phase that merges every
+// shard's decision and runs the grant + barrier — the same apply that
+// Step runs on its in-process shards' decisions.
 //
 // The cluster is a deterministic replicated state machine. Every replica
-// holds the full graph, the full assignment, and all N per-shard RNG
-// streams (Parallelism is pinned to the shard count), but replica i only
-// ever *advances* stream i: it runs decide for its own contiguous
-// graph.ShardRange slice, exchanges the resulting ShardDecision with its
-// peers, and then every replica applies the identical merged outcome.
-// Because the decide phase is a pure function of (seed, iteration,
-// graph, assignment) and the apply phase below reproduces the exact
-// grant order of the in-process atomic ledger, N cooperating processes
-// compute byte-identical assignments to one process running with
-// Parallelism = N — the property the cluster tests and ci/cluster-smoke
-// pin.
-//
-// Grant-order equivalence: grantAll distributes ledger rows (source
-// partitions) over goroutines so each row is claimed by exactly one
-// claimant, which walks the requests shard-major then slot-major. Rows
-// are independent (a request with source i only ever decrements row i),
-// so a plain sequential loop over rows 0..k-1 × shards 0..N-1 — the loop
-// in StepClusterApply — grants the identical request set. The resulting
-// move *order* differs from the concatenated grant buffers, which is
-// harmless: move application is order-independent (assignments touch
-// distinct vertices, dirty-bit marks and unparks are set-like and the
-// next Prepare sorts the frontier).
+// holds the full graph and the full assignment; replica i decides only
+// its contiguous graph.ShardRange slice of n, exchanges the resulting
+// ShardDecision with its peers, and then every replica applies the
+// identical merged outcome. A vertex's draws are keyed by (Seed,
+// iteration, v) and the grant walks rows, then slots, so n cooperating
+// processes compute byte-identical assignments to one process at any
+// Parallelism — the property the cluster tests and ci/cluster-smoke pin.
 
 // ClusterReq is one vertex's migration request inside a ShardDecision:
 // the shuffled tied-best destinations live in the decision's Cands
@@ -57,11 +42,11 @@ type ClusterPark struct {
 	N   int32
 }
 
-// ShardDecision is one shard's complete contribution to one cluster
-// iteration: everything the other replicas need to reproduce the grant
-// and barrier phases without re-running this shard's RNG stream. The
-// slices alias the shard's scratch buffers — valid until the next decide
-// on the same partitioner, so encode (or copy) before stepping again.
+// ShardDecision is one shard's complete contribution to one iteration:
+// everything the apply needs to reproduce the grant and barrier phases.
+// A decision returned by StepClusterDecide aliases the partitioner's
+// scratch — valid until the next decide on it, so encode (or copy)
+// before stepping again.
 type ShardDecision struct {
 	// Examined is the number of frontier slots this shard's chunk
 	// covered (incremental mode; the full sweep reports vertices
@@ -85,143 +70,73 @@ type ShardDecision struct {
 	ParkDests []partition.ID
 }
 
-// StepClusterDecide runs the decide half of one iteration for a single
-// shard: the preamble (capacity + quota refresh) runs exactly as in
-// Step, then only shard's slice of the sweep (or of the sorted frontier,
-// in incremental mode) is decided, advancing only that shard's RNG
-// stream. The returned decision aliases shard scratch — encode it before
-// the next decide. Pair every call with StepClusterApply on the merged
-// decisions of all shards, with no graph or assignment mutations in
-// between.
-func (p *Partitioner) StepClusterDecide(shard int) (*ShardDecision, error) {
-	if shard < 0 || shard >= p.par {
-		return nil, fmt.Errorf("core: cluster shard %d out of range [0,%d)", shard, p.par)
+// reset empties d for a decide over k partitions, keeping its buffers.
+func (d *ShardDecision) reset(k int) {
+	if len(d.Reqs) != k {
+		d.Reqs = make([][]ClusterReq, k)
+	}
+	for i := range d.Reqs {
+		d.Reqs[i] = d.Reqs[i][:0]
+	}
+	*d = ShardDecision{
+		Reqs: d.Reqs, Cands: d.Cands[:0], Settled: d.Settled[:0], Keeps: d.Keeps[:0],
+		Parks: d.Parks[:0], ParkDests: d.ParkDests[:0],
+	}
+}
+
+// StepClusterDecide runs the decide half of one iteration for shard of
+// an n-shard cluster: the preamble (capacity + quota refresh) runs
+// exactly as in Step, then only the shard's slice of the sweep (or of the
+// sorted frontier, in incremental mode) is decided. The returned decision
+// aliases the partitioner's scratch — encode it before the next decide.
+// Pair every call with StepClusterApply on the merged decisions of all n
+// shards, with no graph or assignment mutations in between.
+func (p *Partitioner) StepClusterDecide(shard, n int) (*ShardDecision, error) {
+	if shard < 0 || shard >= n {
+		return nil, fmt.Errorf("core: cluster shard %d out of range [0,%d)", shard, n)
 	}
 	weight := p.beginIteration()
-	d := &ShardDecision{}
-	if p.cfg.K <= 1 {
-		return d, nil // single partition: nothing can move
-	}
-	sh := p.shards[shard]
-	sh.capture = true
-	defer func() { sh.capture = false }()
-	if p.cfg.Incremental {
-		p.active.Grow(p.g.NumSlots())
-		frontier := p.active.Prepare(p.g.Has)
-		if len(frontier) == 0 {
-			return d, nil
-		}
-		lo, hi := graph.ShardRange(shard, p.par, len(frontier))
-		sh.decideFrontier(p, frontier[lo:hi], weight)
-		d.Examined = hi - lo
-	} else {
-		lo, hi := graph.ShardRange(shard, p.par, p.g.NumSlots())
-		sh.decide(p, lo, hi, weight)
-	}
-	d.Requested = sh.requested
-	d.Cands = sh.candBuf
-	d.Reqs = make([][]ClusterReq, p.cfg.K)
-	for i, reqs := range sh.reqs {
-		if len(reqs) == 0 {
-			continue
-		}
-		out := make([]ClusterReq, len(reqs))
-		for j, r := range reqs {
-			out[j] = ClusterReq{V: r.v, Off: r.off, N: r.n, W: r.w}
-		}
-		d.Reqs[i] = out
-	}
-	d.Settled = sh.settled
-	d.Keeps = sh.keep
-	d.ParkDests = sh.parkDests
-	if len(sh.parkBuf) > 0 {
-		d.Parks = make([]ClusterPark, len(sh.parkBuf))
-		for j, pk := range sh.parkBuf {
-			d.Parks[j] = ClusterPark{V: pk.v, Off: pk.off, N: pk.n}
-		}
-	}
-	return d, nil
+	sh := p.shards[0]
+	p.decideShard(sh, shard, n, p.prepareFrontier(), weight)
+	return &sh.dec, nil
 }
 
 // StepClusterApply completes the iteration begun by StepClusterDecide:
 // decisions must hold one entry per shard, in shard order, merged
-// identically on every replica. The grant loop reproduces the atomic
-// ledger's deterministic order (see the file comment), then the
-// incremental barrier and the simultaneous move application run exactly
-// as in Step. Every replica executing this on identical decisions ends
-// the iteration in an identical state.
+// identically on every replica. They are checked, then granted and
+// applied exactly as Step applies its own. Every replica executing this
+// on identical decisions ends the iteration in an identical state.
 func (p *Partitioner) StepClusterApply(decisions []*ShardDecision) (IterationStats, error) {
-	if len(decisions) != p.par {
-		return IterationStats{}, fmt.Errorf("core: cluster apply got %d decisions, want %d", len(decisions), p.par)
+	if len(decisions) == 0 {
+		return IterationStats{}, fmt.Errorf("core: cluster apply got no decisions")
 	}
 	k := p.cfg.K
-	p.moves = p.moves[:0]
-	requested, examined := 0, 0
 	for _, d := range decisions {
 		if d == nil {
 			return IterationStats{}, fmt.Errorf("core: cluster apply got a nil decision")
 		}
-		// An empty-frontier (or K ≤ 1) decide legitimately carries no
-		// request groups at all; anything else must group by partition.
+		// An empty-frontier (or K ≤ 1) decision may carry no request
+		// groups at all; anything else must group by partition.
 		if len(d.Reqs) != 0 && len(d.Reqs) != k {
 			return IterationStats{}, fmt.Errorf("core: cluster decision groups requests into %d partitions, want %d", len(d.Reqs), k)
 		}
-		requested += d.Requested
-		examined += d.Examined
-	}
-	if !p.cfg.Incremental && k > 1 {
-		examined = p.g.NumVertices()
-	}
-
-	if k > 1 {
-		// Grant: rows are independent, so a sequential row-major walk in
-		// shard-major request order grants the exact set the in-process
-		// atomic ledger would.
-		for i := 0; i < k; i++ {
-			from := partition.ID(i)
-			for _, d := range decisions {
-				if i >= len(d.Reqs) {
-					continue
+		for _, reqs := range d.Reqs {
+			for _, r := range reqs {
+				if r.Off < 0 || r.N < 0 || int(r.Off)+int(r.N) > len(d.Cands) {
+					return IterationStats{}, fmt.Errorf("core: cluster request candidates out of range")
 				}
-				for _, r := range d.Reqs[i] {
-					if r.Off < 0 || r.N < 0 || int(r.Off)+int(r.N) > len(d.Cands) {
-						return IterationStats{}, fmt.Errorf("core: cluster request candidates out of range")
+				for _, dst := range d.Cands[r.Off : r.Off+r.N] {
+					if dst < 0 || int(dst) >= k {
+						return IterationStats{}, fmt.Errorf("core: cluster request destination %d out of range", dst)
 					}
-					cands := d.Cands[r.Off : r.Off+r.N]
-					for _, dst := range cands {
-						if dst < 0 || int(dst) >= k {
-							return IterationStats{}, fmt.Errorf("core: cluster request destination %d out of range", dst)
-						}
-					}
-					p.claim(r.V, from, cands, int(r.W))
 				}
 			}
 		}
-	}
-
-	if p.cfg.Incremental && examined > 0 {
-		// Barrier bookkeeping in the same order as stepIncrementalParallel:
-		// settles, then the frontier rebuild from the keep lists, then the
-		// hard-denied parks — all in shard order.
-		for _, d := range decisions {
-			for _, v := range d.Settled {
-				p.active.Unschedule(v)
-			}
-		}
-		keeps := make([][]graph.VertexID, len(decisions))
-		for i, d := range decisions {
-			keeps[i] = d.Keeps
-		}
-		p.active.Rebuild(keeps...)
-		for _, d := range decisions {
-			for _, pk := range d.Parks {
-				if int(pk.Off) < 0 || int(pk.Off)+int(pk.N) > len(d.ParkDests) {
-					return IterationStats{}, fmt.Errorf("core: cluster park destinations out of range")
-				}
-				p.active.Park(pk.V, d.ParkDests[pk.Off:pk.Off+pk.N])
+		for _, pk := range d.Parks {
+			if pk.Off < 0 || pk.N < 0 || int(pk.Off)+int(pk.N) > len(d.ParkDests) {
+				return IterationStats{}, fmt.Errorf("core: cluster park destinations out of range")
 			}
 		}
 	}
-
-	return p.finishIteration(requested, examined), nil
+	return p.apply(decisions), nil
 }

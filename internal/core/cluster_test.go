@@ -11,14 +11,14 @@ import (
 
 // clusterReplicas builds n replicated-state-machine replicas: each holds
 // its own clone of the graph and the same deterministic initial
-// assignment, with Parallelism pinned to the shard count.
+// assignment. Each replica runs one local shard: the cluster size and
+// the local Parallelism are independent.
 func clusterReplicas(t *testing.T, g *graph.Graph, k, n int, mut func(*Config)) []*Partitioner {
 	t.Helper()
 	out := make([]*Partitioner, n)
 	for i := range out {
 		gc := g.Clone()
 		cfg := DefaultConfig(k, 13)
-		cfg.Parallelism = n
 		cfg.RecordEvery = 1
 		if mut != nil {
 			mut(&cfg)
@@ -31,7 +31,7 @@ func clusterReplicas(t *testing.T, g *graph.Graph, k, n int, mut func(*Config)) 
 // TestClusterStepMatchesSingleProcess pins the tentpole determinism
 // contract at the core layer: N replicas, each running decide for only
 // its own shard and applying the merged decisions, stay byte-identical —
-// to each other AND to one process running Step with Parallelism = N —
+// to each other AND to one process running Step at another Parallelism —
 // through a dynamic run with mutation batches landing mid-flight.
 func TestClusterStepMatchesSingleProcess(t *testing.T) {
 	for _, mode := range []struct {
@@ -46,7 +46,7 @@ func TestClusterStepMatchesSingleProcess(t *testing.T) {
 
 				refG := g.Clone()
 				cfg := DefaultConfig(k, 13)
-				cfg.Parallelism = n
+				cfg.Parallelism = n + 1
 				cfg.RecordEvery = 1
 				cfg.Incremental = mode.incremental
 				ref := mustNew(t, refG, partition.Hash(refG, k), cfg)
@@ -68,7 +68,7 @@ func TestClusterStepMatchesSingleProcess(t *testing.T) {
 					}
 					refSt := ref.Step()
 					for i, r := range reps {
-						d, err := r.StepClusterDecide(i)
+						d, err := r.StepClusterDecide(i, n)
 						if err != nil {
 							t.Fatalf("iter %d shard %d decide: %v", iter, i, err)
 						}
@@ -107,24 +107,33 @@ func TestClusterStepMatchesSingleProcess(t *testing.T) {
 }
 
 // TestClusterDecideValidation covers the error paths: out-of-range
-// shard, wrong decision count, nil decisions.
+// shard, no decisions, malformed and nil decisions.
 func TestClusterDecideValidation(t *testing.T) {
 	g := gen.Cube3D(4)
 	cfg := DefaultConfig(4, 7)
 	cfg.Parallelism = 2
 	p := mustNew(t, g, partition.Hash(g, 4), cfg)
-	if _, err := p.StepClusterDecide(2); err == nil {
-		t.Fatal("decide with shard ≥ parallelism must fail")
+	if _, err := p.StepClusterDecide(2, 2); err == nil {
+		t.Fatal("decide with shard ≥ cluster size must fail")
 	}
-	if _, err := p.StepClusterDecide(-1); err == nil {
+	if _, err := p.StepClusterDecide(-1, 2); err == nil {
 		t.Fatal("decide with negative shard must fail")
 	}
-	d, err := p.StepClusterDecide(0)
+	d, err := p.StepClusterDecide(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.StepClusterApply([]*ShardDecision{d}); err == nil {
-		t.Fatal("apply with missing decisions must fail")
+	if _, err := p.StepClusterApply(nil); err == nil {
+		t.Fatal("apply with no decisions must fail")
+	}
+	bad := &ShardDecision{Reqs: make([][]ClusterReq, 4)}
+	bad.Reqs[1] = []ClusterReq{{V: 0, Off: 0, N: 1, W: 1}}
+	if _, err := p.StepClusterApply([]*ShardDecision{d, bad}); err == nil {
+		t.Fatal("apply with candidates outside the arena must fail")
+	}
+	bad.Cands = []partition.ID{9}
+	if _, err := p.StepClusterApply([]*ShardDecision{d, bad}); err == nil {
+		t.Fatal("apply with an out-of-range destination must fail")
 	}
 	if _, err := p.StepClusterApply([]*ShardDecision{d, nil}); err == nil {
 		t.Fatal("apply with nil decision must fail")

@@ -14,8 +14,8 @@
 // simultaneously at the end of the iteration, matching the BSP semantics of
 // the system implementation in internal/bsp.
 //
-// This package is the sequential/simulation form used by the paper's
-// quality experiments (Figures 1, 4, 5, 6); internal/adaptive integrates
+// This package is the simulation form used by the paper's quality
+// experiments (Figures 1, 4, 5, 6) and the daemon; internal/adaptive integrates
 // the same heuristic into the Pregel-like engine for the system experiments
 // (Figures 7, 8, 9).
 package core
@@ -23,7 +23,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"runtime"
 
 	"xdgp/internal/activeset"
@@ -50,15 +49,14 @@ type Config struct {
 	ConvergenceWindow int
 	// MaxIterations bounds Run as a safety net.
 	MaxIterations int
-	// Seed drives every random choice (move coins, tie-breaks).
+	// Seed drives every random choice (move coins, tie-breaks): vertex
+	// v's draws in iteration t are a function of (Seed, t, v) alone (see
+	// draw.go).
 	Seed int64
-	// Parallelism is the number of shards the per-iteration vertex sweep
-	// is split across, each served by its own goroutine and deterministic
-	// RNG (a PCG stream selected by Seed and the shard index). 0 picks
-	// runtime.GOMAXPROCS(0); 1 runs the exact sequential path the paper's
-	// quality experiments use. Results are reproducible for a fixed shard
-	// count but differ between shard counts, because each shard consumes
-	// its own random stream.
+	// Parallelism is the number of shards the per-iteration decide phase
+	// is split across, one goroutine each; 1 decides inline with no
+	// goroutine, and 0 picks runtime.GOMAXPROCS(0). It changes only the
+	// wall-clock time: placements are identical for every shard count.
 	Parallelism int
 	// Incremental enables the active-set (frontier) scheduler: an
 	// iteration re-examines only vertices whose decision inputs could
@@ -67,11 +65,12 @@ type Config struct {
 	// have not finished deciding (failed the S coin or were quota-denied).
 	// Steady-state iteration cost becomes proportional to churn instead
 	// of |V|. Off by default: the full sweep re-examines every vertex
-	// every iteration and remains the paper-exact reference path. The
-	// incremental schedule visits vertices in a different order, so runs
-	// are deterministic per (Seed, Parallelism, Incremental) but differ
-	// numerically from full-sweep runs; quality and every capacity/quota
-	// invariant are preserved (see incremental_test.go).
+	// every iteration, as the paper describes. Runs are deterministic per
+	// (Seed, Incremental). The two schedules draw the same keyed coins,
+	// so they usually place identically, but they may differ where the
+	// frontier misses a wake (the heat fold's rescaling is one known
+	// case); quality and every capacity/quota invariant are preserved
+	// (see incremental_test.go).
 	Incremental bool
 	// RecordEvery controls how often per-iteration cut statistics are
 	// computed: every n iterations (n ≥ 1), or only on demand when 0.
@@ -101,10 +100,9 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's standard setting: capacity 110 %,
-// s = 0.5, 30-iteration convergence window, sequential sweep. The
-// sequential default keeps results reproducible across machines — an
-// explicit Parallelism (or 0 for one shard per CPU) trades that for
-// speed.
+// s = 0.5, 30-iteration convergence window, one shard. Placements do not
+// depend on the shard count, so raising Parallelism (or 0 for one shard
+// per CPU) only trades CPUs for wall-clock time.
 func DefaultConfig(k int, seed int64) Config {
 	return Config{
 		K:                 k,
@@ -183,28 +181,26 @@ type Result struct {
 // It owns neither: the graph may be mutated externally between iterations
 // (apply stream batches via ApplyBatch so bookkeeping stays consistent).
 type Partitioner struct {
-	cfg    Config
-	g      *graph.Graph
-	asn    *partition.Assignment
-	caps   []int
-	capsN  int // vertex count the capacities were derived from
-	rng    *rand.Rand
-	rngSrc *rand.PCG // rng's source; serializable for checkpoint/restore
-	iter   int
-	quiet  int
+	cfg   Config
+	g     *graph.Graph
+	asn   *partition.Assignment
+	caps  []int
+	capsN int // vertex count the capacities were derived from
+	iter  int
+	quiet int
 	// lastMigration is the iteration index of the most recent migration.
 	lastMigration int
-	// scorer decides the sequential paths; each parallel shard owns one
-	// sharing its heat view. moves and quota are reused per iteration.
+	// scorer holds the heat view every shard's scorer shares. moves,
+	// quota and keeps are reused per iteration.
 	scorer *Scorer
 	moves  []move
 	quota  [][]int
-	// par is the resolved shard count; shards, ledger and grantBufs are
-	// the parallel path's state (nil/empty when par == 1).
-	par       int
-	shards    []*coreShard
-	ledger    []int64
-	grantBufs [][]move
+	keeps  [][]graph.VertexID
+	// par is the resolved shard count: shards decide, decs points at
+	// their decisions.
+	par    int
+	shards []*coreShard
+	decs   []*ShardDecision
 	// Active-set scheduler state (Config.Incremental): active holds the
 	// frontier/parking bookkeeping shared with internal/adaptive,
 	// touchScratch buffers the per-batch mutation notices, and quotaCol
@@ -250,13 +246,10 @@ func New(g *graph.Graph, asn *partition.Assignment, cfg Config) (*Partitioner, e
 	if err := asn.Validate(g); err != nil {
 		return nil, fmt.Errorf("core: invalid initial assignment: %w", err)
 	}
-	src := newPCG(cfg.Seed, 0)
 	p := &Partitioner{
 		cfg:    cfg,
 		g:      g,
 		asn:    asn,
-		rng:    rand.New(src),
-		rngSrc: src,
 		scorer: NewScorer(),
 		quota:  make([][]int, cfg.K),
 	}
@@ -267,12 +260,11 @@ func New(g *graph.Graph, asn *partition.Assignment, cfg Config) (*Partitioner, e
 	if p.par == 0 {
 		p.par = runtime.GOMAXPROCS(0)
 	}
-	if p.par > 1 {
-		p.shards = make([]*coreShard, p.par)
-		for s := range p.shards {
-			p.shards[s] = newCoreShard(cfg.Seed, s, cfg.K, p.scorer.share())
-		}
-		p.ledger = make([]int64, cfg.K*cfg.K)
+	p.shards = make([]*coreShard, p.par)
+	p.decs = make([]*ShardDecision, p.par)
+	for s := range p.shards {
+		p.shards[s] = &coreShard{scorer: p.scorer.share()}
+		p.decs[s] = &p.shards[s].dec
 	}
 	p.recomputeCapacities()
 	if cfg.Incremental {
@@ -286,14 +278,14 @@ func New(g *graph.Graph, asn *partition.Assignment, cfg Config) (*Partitioner, e
 	return p, nil
 }
 
-// Parallelism returns the resolved shard count the sweep runs with.
+// Parallelism returns the resolved shard count the decide phase runs with.
 func (p *Partitioner) Parallelism() int { return p.par }
 
 // SetChangeTracking turns assignment-change recording on or off. While
 // on, ApplyBatch and Step append every vertex whose placement they write
 // to an internal buffer that DrainChanges hands over; the daemon's
 // serving plane uses this to derive per-epoch routing diffs. Tracking is
-// passive — it never affects the heuristic's decisions or RNG streams —
+// passive — it never affects the heuristic's decisions or draws —
 // but the buffer grows until drained, so only enable it when something
 // drains it. Toggling clears any undrained entries. Not safe for
 // concurrent use with Step/ApplyBatch; callers synchronize externally
@@ -445,44 +437,6 @@ func (p *Partitioner) leastLoaded() partition.ID {
 	return best
 }
 
-// Step executes one iteration of the heuristic and returns its stats.
-func (p *Partitioner) Step() IterationStats {
-	k := p.cfg.K
-	weight := p.beginIteration()
-
-	p.moves = p.moves[:0]
-	requested := 0
-	examined := 0
-	switch {
-	case k <= 1:
-		// Single partition: nothing can move.
-	case p.cfg.Incremental:
-		requested, examined = p.stepIncremental(weight)
-	case p.par > 1:
-		examined = p.g.NumVertices()
-		requested = p.stepParallel(weight)
-	default:
-		examined = p.g.NumVertices()
-		p.g.ForEachVertex(func(v graph.VertexID) {
-			if p.cfg.S < 1 && p.rng.Float64() >= p.cfg.S {
-				return // unwilling this iteration
-			}
-			cur := p.asn.Of(v)
-			best := p.scorer.Best(p.g, p.asn, v, cur)
-			if best == nil {
-				return // current partition is among the candidates: stay
-			}
-			requested++
-			// Try tied best destinations in random order until one has
-			// quota left; otherwise stay (worst-case capacity rule).
-			p.rng.Shuffle(len(best), func(i, j int) { best[i], best[j] = best[j], best[i] })
-			p.claim(v, cur, best, weight(v))
-		})
-	}
-
-	return p.finishIteration(requested, examined)
-}
-
 // beginIteration runs the iteration preamble shared by every execution
 // path: capacities are refreshed, the per-pair quota matrix (and its
 // column mirror) is filled from free capacity, and the request-weight
@@ -538,14 +492,59 @@ func (p *Partitioner) beginIteration() func(graph.VertexID) int {
 	return weight
 }
 
-// finishIteration is the iteration barrier shared by Step and the
-// cluster apply path: every granted move in p.moves is applied
-// simultaneously, the incremental scheduler's neighbourhood wakes run,
-// and the iteration/convergence counters advance.
-func (p *Partitioner) finishIteration(requested, examined int) IterationStats {
+// apply is the second half of every iteration, in process (Step) and in
+// a cluster (StepClusterApply): it grants the decisions' requests, runs
+// the incremental barrier, applies every granted move simultaneously and
+// advances the counters.
+//
+// Grants walk the quota matrix row by row (source partition i), and
+// within a row the decisions in shard order and each decision's requests
+// in slot order. A claim touches only row i, and shards hold contiguous
+// ascending slot ranges or frontier chunks, so both the granted set and
+// the move list — row order, then slot order — are the same for every
+// shard count. recordChange and the wakes below therefore see the moves
+// in one order whatever the shard count.
+func (p *Partitioner) apply(decisions []*ShardDecision) IterationStats {
+	k := p.cfg.K
+	p.moves = p.moves[:0]
+	requested, examined := 0, 0
+	for _, d := range decisions {
+		requested += d.Requested
+		examined += d.Examined
+	}
+	if p.active == nil && k > 1 {
+		examined = p.g.NumVertices()
+	}
+	for i := 0; i < k; i++ {
+		for _, d := range decisions {
+			if i >= len(d.Reqs) {
+				continue
+			}
+			for _, r := range d.Reqs[i] {
+				p.claim(r.V, partition.ID(i), d.Cands[r.Off:r.Off+r.N], int(r.W))
+			}
+		}
+	}
+	if p.active != nil && examined > 0 {
+		// Barrier bookkeeping, in shard order: settles, then the frontier
+		// rebuild from the keep lists (contiguous ascending chunks, so the
+		// next Prepare need not re-sort them), then the hard-denied parks.
+		p.keeps = p.keeps[:0]
+		for _, d := range decisions {
+			for _, v := range d.Settled {
+				p.active.Unschedule(v)
+			}
+			p.keeps = append(p.keeps, d.Keeps)
+		}
+		p.active.Rebuild(p.keeps...)
+		for _, d := range decisions {
+			for _, pk := range d.Parks {
+				p.active.Park(pk.V, d.ParkDests[pk.Off:pk.Off+pk.N])
+			}
+		}
+	}
+
 	// Apply all granted migrations simultaneously (end of iteration).
-	// Every execution path (sequential, sharded, incremental) funnels its
-	// grants into p.moves, so recording here covers them all.
 	for _, mv := range p.moves {
 		p.asn.Assign(mv.v, mv.to)
 		p.recordChange(mv.v)
@@ -588,10 +587,8 @@ func (p *Partitioner) finishIteration(requested, examined int) IterationStats {
 // claim grants v's request of weight w towards the first destination in
 // dsts whose per-pair quota Q(cur, dst) still covers w, consuming it and
 // queueing the move (with quotas disabled the first destination wins).
-// It reports whether a move was queued; no quota left anywhere means stay
-// (worst-case capacity rule). The sequential sweeps and the cluster apply
-// claim through it; the sharded ledger claims atomically in grantRows.
-func (p *Partitioner) claim(v graph.VertexID, cur partition.ID, dsts []partition.ID, w int) bool {
+// No quota left anywhere means stay (worst-case capacity rule).
+func (p *Partitioner) claim(v graph.VertexID, cur partition.ID, dsts []partition.ID, w int) {
 	for _, dst := range dsts {
 		if !p.cfg.DisableQuotas {
 			if p.quota[cur][dst] < w {
@@ -600,9 +597,8 @@ func (p *Partitioner) claim(v graph.VertexID, cur partition.ID, dsts []partition
 			p.quota[cur][dst] -= w
 		}
 		p.moves = append(p.moves, move{v: v, from: cur, to: dst})
-		return true
+		return
 	}
-	return false
 }
 
 // Run iterates until convergence (ConvergenceWindow quiet iterations) or

@@ -20,12 +20,14 @@ import (
 	"xdgp/internal/partition"
 )
 
-// The step-path ledger: every execution path of the heuristic — core's
-// sequential, sharded, incremental and cluster paths and the BSP-side
-// adaptive service — runs a fixed graph through a fixed mutation stream,
-// and the FNV-64 hash of the final assignment table is compared against
-// testdata/golden.json. A change that moves any vertex on any path fails
-// here even when the paths still agree with each other. Regenerate with
+// The step-path ledger: each core configuration in both schedules (full
+// sweep and incremental) and the BSP-side adaptive service run a fixed
+// graph through a fixed mutation stream, and the FNV-64 hash of the final
+// assignment table is compared against testdata/golden.json. A change
+// that moves any vertex fails here. Placements do not depend on the
+// shard count, so the ledger keeps one hash per (row, schedule), and
+// TestLedgerShardCountIndependent asserts that every shard count and
+// cluster size reproduces it. Regenerate with
 //
 //	go test ./internal/core -run TestGoldenLedger -update
 //
@@ -106,47 +108,63 @@ func hashTable(table []partition.ID) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// coreRows are the configurations each core path runs with.
-var coreRows = []struct {
-	name     string
-	directed bool
-	heat     bool
-	mut      func(*core.Config)
-}{
-	{name: "plain"},
+// coreRow is a configuration the core ledger runs in both schedules.
+// fullIsInc marks the rows whose full sweep and incremental schedule must
+// place identically: the frontier wakes every vertex whose decision
+// inputs changed. The heat rows are left out because a fold that adds
+// heat rescales every hot vote through the maximum, and FoldHeat wakes
+// only the sampled neighbourhoods.
+type coreRow struct {
+	name      string
+	directed  bool
+	heat      bool
+	fullIsInc bool
+	mut       func(*core.Config)
+}
+
+var coreRows = []coreRow{
+	{name: "plain", fullIsInc: true},
 	{name: "heat", heat: true, mut: func(c *core.Config) { c.WorkloadWeight = goldenWeight }},
-	{name: "balance-edges", mut: func(c *core.Config) { c.BalanceEdges = true }},
-	{name: "directed", directed: true},
+	{name: "balance-edges", fullIsInc: true, mut: func(c *core.Config) { c.BalanceEdges = true }},
+	{name: "directed", directed: true, fullIsInc: true},
 	{name: "directed-heat", directed: true, heat: true, mut: func(c *core.Config) { c.WorkloadWeight = goldenWeight }},
 }
 
-// coreCols are the execution paths: shards is the Parallelism, and
-// cluster runs that many replicas through StepClusterDecide/Apply.
-var coreCols = []struct {
+// schedules names the two core schedules of every row.
+var schedules = []struct {
 	name        string
-	shards      int
 	incremental bool
-	cluster     bool
+}{{"full", false}, {"inc", true}}
+
+// shardCols are the ways to run one cell: shards is the Parallelism of
+// one process, or with cluster the number of replicas stepping through
+// StepClusterDecide/Apply (each replica runs one local shard).
+var shardCols = []struct {
+	name    string
+	shards  int
+	cluster bool
 }{
-	{"seq", 1, false, false},
-	{"par2", 2, false, false},
-	{"inc", 1, true, false},
-	{"inc-par2", 2, true, false},
-	{"cluster2", 2, false, true},
-	{"cluster2-inc", 2, true, true},
+	{"par1", 1, false},
+	{"par2", 2, false},
+	{"par4", 4, false},
+	{"par8", 8, false},
+	{"cluster2", 2, true},
+	{"cluster3", 3, true},
 }
 
-// runCoreCell runs one (row, column) cell and returns its hash.
-func runCoreCell(t *testing.T, directed, heat bool, mut func(*core.Config), shards int, incremental, cluster bool) string {
+// runCoreCell runs one cell and returns its hash.
+func runCoreCell(t *testing.T, r coreRow, incremental bool, shards int, cluster bool) string {
 	t.Helper()
-	g := goldenGraph(directed)
+	g := goldenGraph(r.directed)
 	stream := goldenStream(g)
 	cfg := core.DefaultConfig(goldenK, 5)
 	cfg.RecordEvery = 0
-	cfg.Parallelism = shards
 	cfg.Incremental = incremental
-	if mut != nil {
-		mut(&cfg)
+	if !cluster {
+		cfg.Parallelism = shards
+	}
+	if r.mut != nil {
+		r.mut(&cfg)
 	}
 	replicas := 1
 	if cluster {
@@ -165,7 +183,7 @@ func runCoreCell(t *testing.T, directed, heat bool, mut func(*core.Config), shar
 	for tick, b := range stream {
 		for _, p := range ps {
 			p.ApplyBatch(b)
-			if heat {
+			if r.heat {
 				p.FoldHeat(0.8, goldenSamples(tick, p.Graph().NumSlots()), 4)
 			}
 		}
@@ -175,7 +193,7 @@ func runCoreCell(t *testing.T, directed, heat bool, mut func(*core.Config), shar
 				continue
 			}
 			for i, p := range ps {
-				d, err := p.StepClusterDecide(i)
+				d, err := p.StepClusterDecide(i, replicas)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -278,8 +296,8 @@ func runAdaptiveCell(t *testing.T, directed, hotspot, heat, incremental bool) st
 func TestGoldenLedger(t *testing.T) {
 	got := map[string]string{}
 	for _, r := range coreRows {
-		for _, c := range coreCols {
-			got["core/"+r.name+"/"+c.name] = runCoreCell(t, r.directed, r.heat, r.mut, c.shards, c.incremental, c.cluster)
+		for _, sc := range schedules {
+			got["core/"+r.name+"/"+sc.name] = runCoreCell(t, r, sc.incremental, 1, false)
 		}
 	}
 	for _, r := range adaptiveRows {
@@ -327,6 +345,36 @@ func TestGoldenLedger(t *testing.T) {
 	for c := range want {
 		if _, ok := got[c]; !ok {
 			t.Errorf("ledger cell %s is no longer produced", c)
+		}
+	}
+}
+
+// TestLedgerShardCountIndependent asserts that every core row places
+// identically, in both schedules, at every Parallelism and cluster size:
+// the draws are keyed per vertex and the grant order is row then slot.
+func TestLedgerShardCountIndependent(t *testing.T) {
+	for _, r := range coreRows {
+		for _, sc := range schedules {
+			want := runCoreCell(t, r, sc.incremental, 1, false)
+			for _, c := range shardCols[1:] {
+				if got := runCoreCell(t, r, sc.incremental, c.shards, c.cluster); got != want {
+					t.Errorf("core/%s/%s: %s hashes %s, par1 %s", r.name, sc.name, c.name, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestLedgerFullMatchesIncremental is the scheduler-completeness oracle:
+// with the same keyed draws, the incremental schedule must place exactly
+// as the full sweep on every row whose wakes are complete.
+func TestLedgerFullMatchesIncremental(t *testing.T) {
+	for _, r := range coreRows {
+		if !r.fullIsInc {
+			continue
+		}
+		if full, inc := runCoreCell(t, r, false, 1, false), runCoreCell(t, r, true, 1, false); full != inc {
+			t.Errorf("core/%s: full sweep hashes %s, incremental %s", r.name, full, inc)
 		}
 	}
 }

@@ -23,7 +23,7 @@ import "xdgp/internal/graph"
 // partition with weight 1 + WorkloadWeight·heat(w)/max(heat) instead of
 // 1. Cold regions (heat 0 everywhere in Γ(v)) therefore produce exactly
 // the integer votes of the paper's objective — including identical ties,
-// so tie-break shuffles consume identical randomness — and only hot
+// so tie-break shuffles permute identical candidates — and only hot
 // neighbourhoods are perturbed, pulling a hot vertex's co-read
 // neighbours toward its partition. Capacities and quotas are untouched:
 // the workload term changes which destination wins, never how much may
@@ -37,8 +37,8 @@ import "xdgp/internal/graph"
 // With Config.WorkloadWeight == 0 the fold still maintains the
 // accumulator (so operators can watch heat before enabling the term) but
 // the scorers' heat view stays inactive, the integer tally runs
-// unconditionally, no frontier wake happens, and no randomness is
-// consumed: runs are byte-identical to a build without the feature,
+// unconditionally, and no frontier wake happens: runs are
+// byte-identical to a build without the feature,
 // mirroring the change-tracking passivity contract.
 
 // heatFloor is the accumulator value below which a decayed entry snaps

@@ -1,207 +1,133 @@
 package core
 
 import (
-	"math/rand/v2"
 	"sync"
-	"sync/atomic"
 
 	"xdgp/internal/graph"
-	"xdgp/internal/partition"
 )
 
-// This file implements the parallel form of the heuristic's iteration. The
-// per-vertex decision is embarrassingly parallel — each vertex inspects
-// only its own neighbourhood — so the sweep is sharded across
-// Config.Parallelism goroutines. Determinism is preserved for a fixed
-// shard count:
+// This file implements the decide half of an iteration. The per-vertex
+// decision reads only the vertex's neighbourhood, the assignment and the
+// iteration-start quotas, and draws its randomness from its own keyed
+// stream (draw.go), so the sweep splits into Config.Parallelism shards
+// that decide concurrently and race on nothing:
 //
-//   - Decide phase: each shard owns a contiguous range of vertex slots and
-//     its own RNG (a PCG stream selected by Config.Seed and the shard
-//     index), so coin flips and tie-break shuffles replay identically run
-//     to run.
+//   - a full sweep gives shard s the contiguous slot range
+//     graph.ShardRange(s, P, slots);
+//   - an incremental iteration gives it the same range of the sorted
+//     frontier.
 //
-//   - Grant phase: candidate requests claim per-pair quotas Q(i,j) from an
-//     atomic quota ledger. A claim only ever decrements row i = the
-//     vertex's current partition, so rows are distributed over the grant
-//     goroutines and each counter sees a single claimant processing its
-//     requests in a fixed order (shard-major, then slot order) — the
-//     outcome cannot depend on goroutine interleaving.
-//
-// Granted moves are applied simultaneously at the iteration barrier by
-// Step, exactly as in the sequential path, preserving the paper's BSP
-// semantics.
+// Each shard fills its own ShardDecision; a single shard decides inline,
+// with no goroutine. The decisions are then granted and applied once by
+// apply (core.go), the same code the cluster apply runs. Because neither
+// the draws nor the grant order depend on where the range boundaries
+// fall, every shard count — and every cluster size — computes the same
+// assignment.
 
-// coreShard is the per-goroutine state of the parallel sweep.
+// coreShard is one shard's scratch: a scorer sharing the partitioner's
+// heat view, and the decision it fills.
 type coreShard struct {
-	rng       *rand.Rand
-	src       *rand.PCG // rng's source; serializable for checkpoint/restore
-	scorer    Scorer
-	candBuf   []partition.ID   // arena backing every request's candidate list
-	reqs      [][]shardReq     // migration requests grouped by source partition
-	keep      []graph.VertexID // frontier vertices staying dirty (incremental mode)
-	parkBuf   []shardPark      // hard-denied vertices to park at the barrier
-	parkDests []partition.ID   // arena backing the park entries' destination lists
-	settled   []graph.VertexID // cluster mode: vertices that chose to stay, for broadcast
-	capture   bool             // record settled vertices (cluster decide only)
-	requested int
+	scorer Scorer
+	dec    ShardDecision
 }
 
-// shardPark is one hard-denied vertex awaiting barrier-side parking: its
-// tied-best destinations live in the shard's parkDests at [off, off+n).
-type shardPark struct {
-	v   graph.VertexID
-	off int32
-	n   int32
-}
-
-// shardReq is one vertex's migration request: the shuffled tied-best
-// destinations live in the shard's candBuf at [off, off+n).
-type shardReq struct {
-	v   graph.VertexID
-	off int32
-	n   int32
-	w   int32 // quota units the move consumes (1, or degree when edge-balanced)
-}
-
-func newCoreShard(seed int64, idx, k int, scorer Scorer) *coreShard {
-	// The shard index selects a distinct PCG stream; see newPCG. The
-	// per-shard generators stay a pure function of (seed, idx).
-	src := newPCG(seed, idx+1)
-	return &coreShard{
-		rng:    rand.New(src),
-		src:    src,
-		scorer: scorer,
-		reqs:   make([][]shardReq, k),
+// Step executes one iteration of the heuristic and returns its stats:
+// every shard decides its share into its ShardDecision, then apply grants
+// and applies the decisions once.
+func (p *Partitioner) Step() IterationStats {
+	weight := p.beginIteration()
+	frontier := p.prepareFrontier()
+	if n := len(p.shards); n == 1 {
+		p.decideShard(p.shards[0], 0, 1, frontier, weight)
+	} else {
+		var wg sync.WaitGroup
+		for s, sh := range p.shards {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p.decideShard(sh, s, n, frontier, weight)
+			}()
+		}
+		wg.Wait()
 	}
+	return p.apply(p.decs)
 }
 
-// decide runs the shard's share of the sweep: slots [lo, hi). It only
-// reads the graph and the assignment, so shards race on nothing.
-func (sh *coreShard) decide(p *Partitioner, lo, hi int, weight func(graph.VertexID) int) {
-	sh.requested = 0
-	sh.candBuf = sh.candBuf[:0]
-	for i := range sh.reqs {
-		sh.reqs[i] = sh.reqs[i][:0]
+// prepareFrontier returns the sorted active set an incremental iteration
+// decides, or nil on a full sweep (and when nothing can move).
+func (p *Partitioner) prepareFrontier() []graph.VertexID {
+	if p.active == nil || p.cfg.K <= 1 {
+		return nil
 	}
-	s := p.cfg.S
+	p.active.Grow(p.g.NumSlots())
+	return p.active.Prepare(p.g.Has)
+}
+
+// decideShard fills sh's decision with shard s of n's share of the
+// iteration: its slot range on a full sweep, its chunk of frontier when
+// incremental. It reads the graph, the assignment and the quotas only.
+func (p *Partitioner) decideShard(sh *coreShard, s, n int, frontier []graph.VertexID, weight func(graph.VertexID) int) {
+	sh.dec.reset(p.cfg.K)
+	if p.cfg.K <= 1 {
+		return // single partition: nothing can move
+	}
+	key := IterationDraws(p.cfg.Seed, p.iter)
+	if p.active != nil {
+		lo, hi := graph.ShardRange(s, n, len(frontier))
+		sh.dec.Examined = hi - lo
+		for _, v := range frontier[lo:hi] {
+			sh.decide(p, v, key, weight)
+		}
+		return
+	}
+	lo, hi := graph.ShardRange(s, n, p.g.NumSlots())
 	for id := lo; id < hi; id++ {
-		v := graph.VertexID(id)
-		if !p.g.Has(v) {
-			continue
+		if v := graph.VertexID(id); p.g.Has(v) {
+			sh.decide(p, v, key, weight)
 		}
-		if s < 1 && sh.rng.Float64() >= s {
-			continue // unwilling this iteration
-		}
-		cur := p.asn.Of(v)
-		best := sh.scorer.Best(p.g, p.asn, v, cur)
-		if best == nil {
-			continue // current partition is among the candidates: stay
-		}
-		sh.requested++
-		sh.rng.Shuffle(len(best), func(i, j int) { best[i], best[j] = best[j], best[i] })
-		off := int32(len(sh.candBuf))
-		sh.candBuf = append(sh.candBuf, best...)
-		sh.reqs[cur] = append(sh.reqs[cur], shardReq{v: v, off: off, n: int32(len(best)), w: int32(weight(v))})
 	}
 }
 
-// stepParallel runs one iteration's decide and grant phases across the
-// shards. Step has already filled p.quota from the free capacities at the
-// start of the iteration; stepParallel loads them into the atomic ledger,
-// fans out, and leaves the granted moves in p.moves for Step to apply at
-// the barrier. It returns the number of requests (post-coin, pre-quota).
-func (p *Partitioner) stepParallel(weight func(graph.VertexID) int) int {
-	k := p.cfg.K
-	for i := 0; i < k; i++ {
-		for j := 0; j < k; j++ {
-			p.ledger[i*k+j] = int64(p.quota[i][j])
+// decide evaluates vertex v: the willingness coin, then the scorer's
+// tied best destinations, shuffled, queued as a request grouped by v's
+// current partition. When incremental it also sorts v for the barrier:
+// kept on the frontier (unwilling, or requesting), settled (prefers to
+// stay) or parked (hard-denied: no destination's iteration-start quota
+// admits it, whatever the competition).
+func (sh *coreShard) decide(p *Partitioner, v graph.VertexID, key DrawKey, weight func(graph.VertexID) int) {
+	d := &sh.dec
+	inc := p.active != nil
+	r := key.Vertex(v)
+	if p.cfg.S < 1 && r.Float64() >= p.cfg.S {
+		if inc {
+			d.Keeps = append(d.Keeps, v) // unwilling: stays scheduled
 		}
+		return
 	}
-
-	// Decide: contiguous slot ranges, one per shard.
-	slots := p.g.NumSlots()
-	p.forEachShard(func(s int, sh *coreShard) {
-		lo, hi := graph.ShardRange(s, p.par, slots)
-		sh.decide(p, lo, hi, weight)
-	})
-	requested := 0
-	for _, sh := range p.shards {
-		requested += sh.requested
-	}
-	p.grantAll()
-	return requested
-}
-
-// forEachShard fans fn out over the shards, one goroutine each, and waits.
-func (p *Partitioner) forEachShard(fn func(s int, sh *coreShard)) {
-	var wg sync.WaitGroup
-	for s, sh := range p.shards {
-		wg.Add(1)
-		go func(s int, sh *coreShard) {
-			defer wg.Done()
-			fn(s, sh)
-		}(s, sh)
-	}
-	wg.Wait()
-}
-
-// grantAll runs the grant phase over the shards' request queues: row g of
-// the ledger is claimed only by goroutine g%G, in shard-major order —
-// deterministic for a fixed shard count. Granted moves land in p.moves.
-func (p *Partitioner) grantAll() {
-	k := p.cfg.K
-	grantees := k
-	if p.par < grantees {
-		grantees = p.par
-	}
-	if p.grantBufs == nil {
-		p.grantBufs = make([][]move, 0, grantees)
-	}
-	for len(p.grantBufs) < grantees {
-		p.grantBufs = append(p.grantBufs, nil)
-	}
-	var wg sync.WaitGroup
-	for gi := 0; gi < grantees; gi++ {
-		p.grantBufs[gi] = p.grantBufs[gi][:0]
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			p.grantRows(gi, grantees)
-		}(gi)
-	}
-	wg.Wait()
-	for gi := 0; gi < grantees; gi++ {
-		p.moves = append(p.moves, p.grantBufs[gi]...)
-	}
-}
-
-// grantRows claims quotas for every request whose source partition i
-// satisfies i % grantees == gi, appending granted moves to p.grantBufs[gi].
-func (p *Partitioner) grantRows(gi, grantees int) {
-	k := p.cfg.K
-	out := p.grantBufs[gi]
-	for i := gi; i < k; i += grantees {
-		from := partition.ID(i)
-		for _, sh := range p.shards {
-			for _, r := range sh.reqs[i] {
-				cands := sh.candBuf[r.off : r.off+r.n]
-				for _, dst := range cands {
-					if p.cfg.DisableQuotas {
-						out = append(out, move{v: r.v, from: from, to: dst})
-						break
-					}
-					idx := i*k + int(dst)
-					if atomic.AddInt64(&p.ledger[idx], -int64(r.w)) >= 0 {
-						out = append(out, move{v: r.v, from: from, to: dst})
-						break
-					}
-					// Restore the over-claim and try the next tied
-					// destination; no quota left anywhere means stay
-					// (worst-case capacity rule).
-					atomic.AddInt64(&p.ledger[idx], int64(r.w))
-				}
-			}
+	cur := p.asn.Of(v)
+	best := sh.scorer.Best(p.g, p.asn, v, cur)
+	if best == nil {
+		if inc {
+			// Settled: only a mutation or a neighbour's move re-wakes it.
+			d.Settled = append(d.Settled, v)
 		}
+		return
 	}
-	p.grantBufs[gi] = out
+	d.Requested++
+	w := weight(v)
+	if inc && !p.cfg.DisableQuotas && p.hardDenied(best, w) {
+		off := int32(len(d.ParkDests))
+		d.ParkDests = append(d.ParkDests, best...)
+		d.Parks = append(d.Parks, ClusterPark{V: v, Off: off, N: int32(len(best))})
+		return
+	}
+	r.Shuffle(best)
+	off := int32(len(d.Cands))
+	d.Cands = append(d.Cands, best...)
+	d.Reqs[cur] = append(d.Reqs[cur], ClusterReq{V: v, Off: off, N: int32(len(best)), W: int32(w)})
+	if inc {
+		// A mover re-settles after its move applies at the barrier; a
+		// competition-denied requester retries next iteration.
+		d.Keeps = append(d.Keeps, v)
+	}
 }

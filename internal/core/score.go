@@ -6,8 +6,8 @@ import (
 )
 
 // Scorer is the heuristic's decision rule (Section 2.1), written once for
-// every execution path — the sequential, sharded, incremental and cluster
-// sweeps here and the BSP-side service in internal/adaptive: a vertex v
+// every schedule — the full, incremental and cluster sweeps here and the
+// BSP-side service in internal/adaptive: a vertex v
 // requests the partitions holding the most of Γ(v) = {v} ∪ N(v), and
 // stays when its own partition is among them. On digraphs both directions
 // count, since a cut edge costs communication whichever way messages flow.

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 
 	"xdgp/internal/activeset"
 	"xdgp/internal/graph"
@@ -17,22 +16,12 @@ import (
 // stream suffix must produce byte-identical assignments to the
 // uninterrupted run.
 //
-// Everything except the RNGs is either re-derived (capacities, quotas,
-// scratch buffers) or exported directly (iteration counters, the
-// active-set frontier/parking state). The RNGs are math/rand/v2 PCG
-// generators — chosen over math/rand specifically because their state
-// is small (two words) and serializable via MarshalBinary, so a restored
-// generator continues the exact stream with no replay and no per-draw
-// bookkeeping on the hot path.
-
-// newPCG builds the deterministic generator for a (seed, stream) pair:
-// stream 0 is the sequential sweep's generator, stream i ≥ 1 belongs to
-// parallel shard i−1. The second PCG seed word separates the streams
-// (golden-ratio stride) so shards never share a sequence even though
-// they share the user seed.
-func newPCG(seed int64, stream int) *rand.PCG {
-	return rand.NewPCG(uint64(seed), 0x9E3779B97F4A7C15*uint64(stream+1))
-}
+// Everything is either re-derived (capacities, quotas, scratch buffers)
+// or exported directly (iteration counters, the active-set
+// frontier/parking state, the heat accumulator). There is no generator
+// state: every draw is keyed by (Seed, iteration, vertex) (draw.go), so
+// the iteration counter is the whole random position, and a checkpoint
+// taken at one Parallelism restores at any other.
 
 // State is the serializable mutable state of a Partitioner, as produced
 // by ExportState and consumed by Restore. It intentionally excludes the
@@ -46,12 +35,6 @@ type State struct {
 	Iteration     int
 	Quiet         int
 	LastMigration int
-	// RNG is the sequential generator's serialized PCG state
-	// (rand.PCG.MarshalBinary).
-	RNG []byte
-	// ShardRNGs are the per-shard equivalents for the parallel sweep,
-	// indexed by shard; empty when the partitioner runs one shard.
-	ShardRNGs [][]byte
 	// Active is the frontier/parking state of the incremental scheduler;
 	// nil when Config.Incremental is off.
 	Active *activeset.State
@@ -71,13 +54,6 @@ func (p *Partitioner) ExportState() State {
 		Iteration:     p.iter,
 		Quiet:         p.quiet,
 		LastMigration: p.lastMigration,
-		RNG:           marshalPCG(p.rngSrc),
-	}
-	if len(p.shards) > 0 {
-		st.ShardRNGs = make([][]byte, len(p.shards))
-		for i, sh := range p.shards {
-			st.ShardRNGs[i] = marshalPCG(sh.src)
-		}
 	}
 	if p.active != nil {
 		a := p.active.Export()
@@ -87,25 +63,13 @@ func (p *Partitioner) ExportState() State {
 	return st
 }
 
-// marshalPCG serializes a PCG generator. The error path is unreachable
-// (PCG's MarshalBinary cannot fail), but stays checked so a future
-// library change surfaces loudly.
-func marshalPCG(src *rand.PCG) []byte {
-	b, err := src.MarshalBinary()
-	if err != nil {
-		panic(fmt.Sprintf("core: marshal PCG: %v", err))
-	}
-	return b
-}
-
 // Restore reconstructs a Partitioner mid-run: g and asn must be the
 // graph and assignment captured together with st (the snapshot container
 // guarantees this), and cfg must carry the same algorithmic parameters as
-// the checkpointed run — in particular the same Seed, resolved
-// Parallelism and Incremental flag, since all three shape the random
-// streams. The restored partitioner continues exactly where the exported
-// one stopped: same RNG states, same convergence bookkeeping, same
-// active-set frontier.
+// the checkpointed run — in particular the same Seed and Incremental
+// flag. Parallelism is free: the restored partitioner continues exactly
+// where the exported one stopped at any shard count, with the same
+// convergence bookkeeping and the same active-set frontier.
 func Restore(g *graph.Graph, asn *partition.Assignment, cfg Config, st State) (*Partitioner, error) {
 	if st.Iteration < 0 || st.Quiet < 0 || st.LastMigration < 0 {
 		return nil, fmt.Errorf("core: negative counters in state (iter=%d quiet=%d last=%d)",
@@ -115,28 +79,12 @@ func Restore(g *graph.Graph, asn *partition.Assignment, cfg Config, st State) (*
 	if err != nil {
 		return nil, err
 	}
-	if p.par > 1 {
-		if len(st.ShardRNGs) != p.par {
-			return nil, fmt.Errorf("core: state has %d shard RNG states, config resolves to %d shards",
-				len(st.ShardRNGs), p.par)
-		}
-	} else if len(st.ShardRNGs) != 0 {
-		return nil, fmt.Errorf("core: state has %d shard RNG states but config is sequential", len(st.ShardRNGs))
-	}
 	if cfg.Incremental != (st.Active != nil) {
 		return nil, fmt.Errorf("core: state incremental=%v, config incremental=%v", st.Active != nil, cfg.Incremental)
 	}
 	p.iter = st.Iteration
 	p.quiet = st.Quiet
 	p.lastMigration = st.LastMigration
-	if err := p.rngSrc.UnmarshalBinary(st.RNG); err != nil {
-		return nil, fmt.Errorf("core: restore RNG: %w", err)
-	}
-	for i, sh := range p.shards {
-		if err := sh.src.UnmarshalBinary(st.ShardRNGs[i]); err != nil {
-			return nil, fmt.Errorf("core: restore shard %d RNG: %w", i, err)
-		}
-	}
 	if st.Active != nil {
 		// New seeded the frontier with every live vertex; replace it with
 		// the exported scheduler state.

@@ -236,16 +236,51 @@ func TestRestoreValidation(t *testing.T) {
 	if _, err := Restore(g.Clone(), partition.Hash(g, cfg.K), badCfg, st); err == nil {
 		t.Fatal("restore accepted incremental config for full-sweep state")
 	}
-	// Shard-count mismatch.
-	parCfg := cfg
-	parCfg.Parallelism = 4
-	if _, err := Restore(g.Clone(), partition.Hash(g, cfg.K), parCfg, st); err == nil {
-		t.Fatal("restore accepted 4-shard config for sequential state")
-	}
 	// Negative counters.
 	bad := st
 	bad.Iteration = -1
 	if _, err := Restore(g.Clone(), partition.Hash(g, cfg.K), cfg, bad); err == nil {
 		t.Fatal("restore accepted negative iteration counter")
+	}
+}
+
+// TestRestoreAtAnotherParallelism checkpoints a one-shard run and
+// restores it at two and four shards: the continuation must be
+// byte-identical to the uninterrupted run, in both schedules, because the
+// state carries no per-shard generator.
+func TestRestoreAtAnotherParallelism(t *testing.T) {
+	for _, incremental := range []bool{false, true} {
+		for _, par := range []int{2, 4} {
+			t.Run(fmt.Sprintf("incremental=%v/P=%d", incremental, par), func(t *testing.T) {
+				run := func(restoreAt int) []partition.ID {
+					g := gen.HolmeKim(300, 3, 0.1, 7)
+					cfg := DefaultConfig(5, 99)
+					cfg.Incremental = incremental
+					cfg.RecordEvery = 0
+					p := mustNew(t, g, partition.Hash(g, cfg.K), cfg)
+					streamRNG := rand.New(rand.NewSource(41))
+					for tick := 0; tick < 10; tick++ {
+						p.ApplyBatch(stateChurnBatch(p.g, streamRNG, 20))
+						for s := 0; s < 4; s++ {
+							p.Step()
+						}
+						if tick == restoreAt {
+							cfg.Parallelism = par
+							p = serializeRoundTrip(t, p, cfg)
+							if p.Parallelism() != par {
+								t.Fatalf("restored at %d shards, want %d", p.Parallelism(), par)
+							}
+						}
+					}
+					return p.Assignment().Table()
+				}
+				straight, restored := run(-1), run(4)
+				for v := range straight {
+					if straight[v] != restored[v] {
+						t.Fatalf("vertex %d: %d uninterrupted, %d after restoring at %d shards", v, straight[v], restored[v], par)
+					}
+				}
+			})
+		}
 	}
 }

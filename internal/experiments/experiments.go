@@ -31,10 +31,10 @@ type Options struct {
 	Seed int64
 	// Out receives the printed report; nil discards it.
 	Out io.Writer
-	// Parallelism shards the sequential heuristic's vertex sweep (the
-	// quality experiments) across this many goroutines. 0 keeps the
-	// paper-exact sequential path so figures reproduce byte-identically
-	// on any machine; set > 1 to trade that for wall-clock speed.
+	// Parallelism is the number of goroutines that decide the quality
+	// experiments' heuristic iterations; 0 means one. Figures are
+	// byte-identical for every value, so it trades only CPUs for
+	// wall-clock time.
 	Parallelism int
 	// Workers is the number of compute goroutines per BSP engine (the
 	// system experiments). 0 keeps the paper's one-worker-per-partition
@@ -43,9 +43,9 @@ type Options struct {
 	// Incremental switches both the sequential heuristic and the BSP
 	// background service to the active-set (frontier) scheduler: sweeps
 	// proportional to churn instead of |V|. Off keeps the paper-exact
-	// full sweep; results under the incremental schedule are numerically
-	// different (the RNG is consumed in a different order) but
-	// statistically equivalent.
+	// full sweep. Both schedules draw the same per-vertex coins, so their
+	// results usually agree exactly; where the frontier misses a wake
+	// they differ numerically but stay statistically equivalent.
 	Incremental bool
 	// WorkloadWeight sets core.Config.WorkloadWeight (and the adaptive
 	// service's mirror) on every partitioner the experiments build: the
@@ -62,7 +62,7 @@ type Options struct {
 }
 
 // coreParallelism resolves the shard count for core.Config.Parallelism:
-// the experiments default to the sequential path (see Options.Parallelism).
+// the experiments default to one shard (see Options.Parallelism).
 func (o Options) coreParallelism() int {
 	if o.Parallelism > 0 {
 		return o.Parallelism

@@ -32,21 +32,17 @@ import (
 // hash-disagreeing replicas keep answering reads differently.
 
 // restoreClusterIdentity checks a snapshot's cluster section against
-// the restoring configuration. A clustered checkpoint resumes only as
-// the same shard of the same geometry: replica i advances only RNG
-// stream i, so the peer streams inside its checkpoint are stale — valid
-// for replica i to carry (it never reads them) but wrong for anyone
-// else, a single process included. Conversely a single-process
-// checkpoint has no replay watermark, so it cannot seed a cluster
-// shard.
+// the restoring configuration, for what the journal replay needs. A
+// cluster shard resumes only from a clustered checkpoint, since the
+// replay starts at its round watermark, and only as the same shard of
+// the same geometry: the watermark indexes that cluster's journal, and
+// the checkpoint's shard-local parts (ingest counters, read heat) belong
+// to that slot. The replicated state itself is the same on every shard
+// and carries no generator state, so a single process may resume from
+// any shard's checkpoint.
 func restoreClusterIdentity(cfg *Config, snap *snapshot.Snapshot) error {
 	ci := snap.Cluster
 	if cfg.Exchange == nil {
-		if ci != nil {
-			return fmt.Errorf(
-				"server: snapshot was written by shard %d of a %d-shard cluster and cannot resume single-process (its peer RNG streams are stale)",
-				ci.ShardID, ci.NumShards)
-		}
 		return nil
 	}
 	if ci == nil {
@@ -55,10 +51,6 @@ func restoreClusterIdentity(cfg *Config, snap *snapshot.Snapshot) error {
 	if int(ci.ShardID) != cfg.ClusterShard || int(ci.NumShards) != cfg.ClusterShards {
 		return fmt.Errorf("server: snapshot identity is shard %d of %d, configured as shard %d of %d",
 			ci.ShardID, ci.NumShards, cfg.ClusterShard, cfg.ClusterShards)
-	}
-	if snap.Params.Parallelism != cfg.ClusterShards {
-		return fmt.Errorf("server: snapshot Parallelism %d does not match the %d-shard cluster",
-			snap.Params.Parallelism, cfg.ClusterShards)
 	}
 	return nil
 }
@@ -123,9 +115,9 @@ func (s *Server) ownerShard(v graph.VertexID) int {
 // budget. Caller holds tickMu. When the next round number is at or below
 // the Exchange's replay watermark the tick re-executes a journaled
 // round: the local ingest queue is left untouched (its mutations belong
-// to post-replay ticks), the decide phase still runs (advancing the RNG
-// exactly as the pre-crash process did), and the journaled payloads —
-// not the freshly computed ones — are what every replica applies.
+// to post-replay ticks), the decide phase still runs (its payload is
+// what the pre-crash process sent), and the journaled payloads — not the
+// freshly computed ones — are what every replica applies.
 func (s *Server) tickCluster() TickResult {
 	var res TickResult
 	ex := s.cfg.Exchange
@@ -204,7 +196,7 @@ func (s *Server) tickCluster() TickResult {
 			s.clusterReplayed.Add(1)
 		}
 		s.mu.Lock()
-		d, err := s.part.StepClusterDecide(s.cfg.ClusterShard)
+		d, err := s.part.StepClusterDecide(s.cfg.ClusterShard, s.cfg.ClusterShards)
 		s.mu.Unlock()
 		if err != nil {
 			s.failCluster(fmt.Errorf("step round %d decide: %w", round, err))

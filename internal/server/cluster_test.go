@@ -116,14 +116,13 @@ func tablesEqual(a, b []int) bool {
 // TestClusterServerMatchesSingleProcess is the tentpole's contract at
 // the daemon layer: N cooperating apartd processes (in-process exchange,
 // manual ticks) produce byte-identical placements — tick for tick — to
-// one daemon running Parallelism = N on the same seed and stream.
+// one single-shard daemon on the same seed and stream.
 func TestClusterServerMatchesSingleProcess(t *testing.T) {
 	const n = 3
 	srvs, _ := newClusterServers(t, n, nil)
 
 	refCfg := DefaultConfig(5, 21)
 	refCfg.TickEvery = 0
-	refCfg.Parallelism = n
 	ref, err := New(refCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +284,6 @@ func TestClusterConfigValidation(t *testing.T) {
 		func(c *Config) { c.ClusterShards = 1; c.ClusterShard = 0 },          // too few shards
 		func(c *Config) { c.ClusterShard = 5 },                               // shard out of range
 		func(c *Config) { c.WorkloadWeight = 0.5 },                           // workload objective forbidden
-		func(c *Config) { c.Parallelism = 7 },                                // parallelism not pinned to shards
 		func(c *Config) { c.MaxPending = graph.MaxWireBatch + 1 },            // batch cannot fit a round
 		func(c *Config) { c.K = 1; c.ClusterShard = 0; c.ClusterShards = 2 }, // k too small
 	}
@@ -300,11 +298,12 @@ func TestClusterConfigValidation(t *testing.T) {
 		}
 	}
 
-	// A cluster checkpoint refuses to restore single-process or under a
-	// different identity.
+	// A cluster checkpoint restores single-process (it carries no
+	// generator state), but as a cluster shard only under its own
+	// identity.
 	snap := &snapshot.Snapshot{Cluster: &snapshot.ClusterIdentity{ShardID: 1, NumShards: 2}}
-	if err := restoreClusterIdentity(&Config{}, snap); err == nil {
-		t.Fatal("clustered snapshot accepted for single-process restore")
+	if err := restoreClusterIdentity(&Config{}, snap); err != nil {
+		t.Fatalf("clustered snapshot refused for single-process restore: %v", err)
 	}
 	cfg := Config{Exchange: ex, ClusterShard: 0, ClusterShards: 2}
 	if err := restoreClusterIdentity(&cfg, snap); err == nil {

@@ -128,9 +128,9 @@ type Config struct {
 	// exchange (see internal/cluster and cluster.go). The daemon never
 	// closes the Exchange — the caller that built it owns its lifetime,
 	// and must keep it open across Drain so the final rounds complete.
-	// Cluster mode pins Parallelism to ClusterShards and rejects
-	// WorkloadWeight > 0 (read heat is shard-local, so a workload term
-	// would diverge the replicas).
+	// Cluster mode rejects WorkloadWeight > 0 (read heat is shard-local,
+	// so a workload term would diverge the replicas). Parallelism stays
+	// free: it sets how many goroutines decide this shard's slice.
 	Exchange cluster.Exchange
 	// ClusterShard is this replica's shard index in [0, ClusterShards).
 	ClusterShard int
@@ -231,9 +231,6 @@ func (c Config) validate() error {
 	if c.WorkloadWeight != 0 {
 		return fmt.Errorf("server: the workload objective is unavailable in cluster mode (heat is shard-local; replicas would diverge)")
 	}
-	if c.Parallelism != 0 && c.Parallelism != 1 && c.Parallelism != c.ClusterShards {
-		return fmt.Errorf("server: cluster mode pins Parallelism to ClusterShards (%d), got %d", c.ClusterShards, c.Parallelism)
-	}
 	if c.MaxPending < 0 || c.MaxPending > graph.MaxWireBatch {
 		return fmt.Errorf("server: cluster mode needs 0 ≤ MaxPending ≤ %d (a tick's batch must fit one round payload), got %d",
 			graph.MaxWireBatch, c.MaxPending)
@@ -246,12 +243,6 @@ func (c Config) coreConfig() core.Config {
 	cc.S = c.S
 	cc.CapacityFactor = c.CapacityFactor
 	cc.Parallelism = c.Parallelism
-	if c.Exchange != nil {
-		// One RNG stream per cluster shard: replica i advances only
-		// stream i, and the merged outcome equals one process running
-		// Parallelism = ClusterShards (see cluster.go).
-		cc.Parallelism = c.ClusterShards
-	}
 	cc.Incremental = c.Incremental
 	cc.ConvergenceWindow = c.ConvergenceWindow
 	cc.WorkloadWeight = c.WorkloadWeight
@@ -345,8 +336,8 @@ type Server struct {
 
 	// Cluster mode (cluster.go). tickMu serializes whole ticks — cluster
 	// rounds must never interleave, and a checkpoint taken between a
-	// decide and its apply would capture advanced RNG streams without
-	// the moves they produced — so TickNow and the public Checkpoint
+	// round's exchange and its apply would record the round as completed
+	// without the moves it produced — so TickNow and the public Checkpoint
 	// both hold it for their full duration. clusterRounds is the highest
 	// completed exchange round (persisted in checkpoints as the replay
 	// watermark); clusterErr latches the first failure that poisoned
@@ -381,19 +372,21 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Restore creates a daemon resuming from a snapshot: graph, assignment,
-// convergence bookkeeping, scheduler frontier and RNG positions all
-// continue exactly where the checkpointed daemon stopped. The snapshot's
-// algorithm parameters override cfg's (K, Seed, S, CapacityFactor,
-// Parallelism, Incremental, ConvergenceWindow) — a daemon cannot change
-// the algorithm mid-stream without forfeiting determinism — while cfg's
-// serving knobs (tick period, step budget, checkpoint policy) apply.
+// convergence bookkeeping, scheduler frontier and heat all continue
+// exactly where the checkpointed daemon stopped. The snapshot's algorithm
+// parameters override cfg's (K, Seed, S, CapacityFactor, Incremental,
+// ConvergenceWindow) — a daemon cannot change the algorithm mid-stream
+// without forfeiting determinism — while cfg's Parallelism and serving
+// knobs (tick period, step budget, checkpoint policy) apply: placements
+// do not depend on the shard count.
 func Restore(cfg Config, snap *snapshot.Snapshot) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	coreCfg := snap.Params.Config()
 	coreCfg.RecordEvery = 0
-	p, err := snap.NewPartitioner()
+	coreCfg.Parallelism = cfg.Parallelism
+	p, err := core.Restore(snap.Graph, snap.Assignment, coreCfg, snap.Core)
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +394,6 @@ func Restore(cfg Config, snap *snapshot.Snapshot) (*Server, error) {
 	cfg.Seed = snap.Params.Seed
 	cfg.S = snap.Params.S
 	cfg.CapacityFactor = snap.Params.CapacityFactor
-	cfg.Parallelism = snap.Params.Parallelism
 	cfg.Incremental = snap.Params.Incremental
 	cfg.ConvergenceWindow = snap.Params.ConvergenceWindow
 	cfg.WorkloadWeight = snap.Params.WorkloadWeight
@@ -757,8 +749,8 @@ func (s *Server) RecordRead(v graph.VertexID) { s.heatTable.Record(v) }
 // are folded into the partitioner first, so a between-tick checkpoint
 // loses no sampled reads), the file write happens outside all locks.
 // It serializes against whole ticks (tickMu): in cluster mode a capture
-// between a round's decide and apply would snapshot advanced RNG
-// streams without the moves they produced, which could never replay.
+// between a round's exchange and its apply would record the round as
+// completed without the moves it produced, which could never replay.
 func (s *Server) Checkpoint(path string) (*snapshot.Snapshot, error) {
 	s.tickMu.Lock()
 	defer s.tickMu.Unlock()

@@ -2,9 +2,8 @@ package snapshot
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"math"
+	"os"
 	"testing"
 
 	"xdgp/internal/core"
@@ -12,36 +11,11 @@ import (
 	"xdgp/internal/partition"
 )
 
-// downgradeToV2 rewrites a v3 snapshot byte stream that carries no heat
-// accumulator into the exact v2 layout: version field 2, the
-// WorkloadWeight f64 removed from the params block, the heat-presence
-// byte removed from the core section, checksum recomputed. The byte
-// offsets are part of the pinned on-disk format.
-func downgradeToV2(tb testing.TB, v3 []byte) []byte {
-	tb.Helper()
-	// params block: 7×i64/f64 (56B) + bool + i64 + bool + bool, then the
-	// v3 WorkloadWeight f64 — offset 12+56+1+8+1+1 = 79.
-	const wwOff = 79
-	body := v3[:len(v3)-4]
-	// The current writer ends the body with the heat-presence bool (v3+)
-	// followed by the cluster-presence bool (v4+); a v2 stream has
-	// neither.
-	if body[len(body)-1] != 0 || body[len(body)-2] != 0 {
-		tb.Fatal("fixture snapshot unexpectedly carries a heat accumulator or cluster identity")
-	}
-	out := append([]byte(nil), body[:len(body)-2]...)
-	binary.LittleEndian.PutUint32(out[8:12], 2)
-	out = append(out[:wwOff], out[wwOff+8:]...)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(out))
-	return append(out, crc[:]...)
-}
-
 // FuzzReadSnapshot hammers the snapshot reader with mutated byte
 // streams: whatever the input, Read must fail cleanly or return a
 // snapshot whose state is internally consistent — consistent enough to
-// re-encode. Seeds cover both supported format versions and the v3 heat
-// section.
+// re-encode. Seeds cover both supported format versions (the v4 one is
+// testdata/v4.snap) and the heat section.
 func FuzzReadSnapshot(f *testing.F) {
 	seed := func(withHeat bool) []byte {
 		cfg := core.DefaultConfig(3, 9)
@@ -93,7 +67,11 @@ func FuzzReadSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(nan.Bytes())
-	f.Add(downgradeToV2(f, plain))
+	v4, err := os.ReadFile(v4Fixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v4)
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
 
@@ -104,7 +82,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		// A successfully parsed snapshot must re-encode cleanly; restore
 		// may legitimately reject semantic mismatches the codec cannot
-		// see (e.g. RNG state length), but must not panic.
+		// see (e.g. impossible heat), but must not panic.
 		var buf bytes.Buffer
 		if err := Write(&buf, s); err != nil {
 			t.Fatalf("re-encoding accepted snapshot: %v", err)

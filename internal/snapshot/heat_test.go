@@ -2,11 +2,15 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
+	"slices"
 	"testing"
 
 	"xdgp/internal/core"
 	"xdgp/internal/graph"
+	"xdgp/internal/partition"
 )
 
 // heatTrace is a deterministic synthetic read trace: tick t samples a
@@ -94,35 +98,80 @@ func TestSnapshotHeatRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotReadsVersion2 pins backward compatibility: a hand-built v2
-// byte stream (no WorkloadWeight, no heat section) must load with the
-// workload term zeroed.
-func TestSnapshotReadsVersion2(t *testing.T) {
-	cfg := testConfig(1, false)
-	p := newRunningPartitioner(t, cfg)
-	for i := 0; i < 5; i++ {
+// v4Fixture is a version-4 checkpoint written by the last v4 writer: a
+// directed 120-vertex graph with a pending overlay, two shards' generator
+// states, active-set state, a heat accumulator and a cluster identity.
+const v4Fixture = "testdata/v4.snap"
+
+// TestSnapshotReadsVersion4 pins backward compatibility: the v4 file
+// reads with its shard count and generator states skipped, every other
+// field intact, and restores at any Parallelism to the same continuation.
+func TestSnapshotReadsVersion4(t *testing.T) {
+	s, err := Load(v4Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Params{K: 4, CapacityFactor: 1.1, S: 0.5, ConvergenceWindow: 30, MaxIterations: 5000,
+		Seed: 11, Incremental: true, WorkloadWeight: 4}
+	if s.Params != want {
+		t.Fatalf("params %+v, want %+v", s.Params, want)
+	}
+	if want := (Meta{Ticks: 4, MutationsIngested: 482, MutationsApplied: 480, CreatedUnix: 1700000000}); s.Meta != want {
+		t.Fatalf("meta %+v, want %+v", s.Meta, want)
+	}
+	if s.Cluster == nil || *s.Cluster != (ClusterIdentity{ShardID: 1, NumShards: 2, RoundsCompleted: 9}) {
+		t.Fatalf("cluster identity %+v", s.Cluster)
+	}
+	var table []byte
+	for _, p := range s.Assignment.Table() {
+		table = binary.LittleEndian.AppendUint32(table, uint32(int32(p)))
+	}
+	if sum := crc32.ChecksumIEEE(table); sum != 0x3ccfba4e || s.Graph.NumEdges() != 462 {
+		t.Fatalf("assignment crc %08x over %d edges, written as 3ccfba4e over 462", sum, s.Graph.NumEdges())
+	}
+	c := s.Core
+	if c.Iteration != 4 || c.Quiet != 0 || c.LastMigration != 3 || c.Active == nil || len(c.Active.Frontier) != 89 || len(c.Heat) != 120 {
+		t.Fatalf("core state: iteration %d quiet %d last %d active %v heat %d", c.Iteration, c.Quiet, c.LastMigration, c.Active != nil, len(c.Heat))
+	}
+
+	// Restore at one shard and at four: both continue identically, and
+	// the v5 re-encoding reads back to the same continuation.
+	var tables [][]partition.ID
+	for _, par := range []int{1, 4} {
+		s, err := Load(v4Fixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := s.Params.Config()
+		cfg.Parallelism = par
+		p, err := core.Restore(s.Graph, s.Assignment, cfg, s.Core)
+		if err != nil {
+			t.Fatalf("restoring the v4 snapshot at %d shards: %v", par, err)
+		}
+		for i := 0; i < 6; i++ {
+			p.Step()
+		}
+		tables = append(tables, p.Assignment().Table())
+	}
+	var v5 bytes.Buffer
+	if err := Write(&v5, s); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Read(&v5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := again.NewPartitioner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
 		p.Step()
 	}
-	snap, err := Capture(p, cfg, Meta{Ticks: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v3 bytes.Buffer
-	if err := Write(&v3, snap); err != nil {
-		t.Fatal(err)
-	}
-	v2 := downgradeToV2(t, v3.Bytes())
-	loaded, err := Read(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatalf("reading v2 snapshot: %v", err)
-	}
-	if loaded.Params.WorkloadWeight != 0 {
-		t.Fatalf("v2 snapshot restored WorkloadWeight %g, want 0", loaded.Params.WorkloadWeight)
-	}
-	if loaded.Core.Heat != nil {
-		t.Fatalf("v2 snapshot restored a heat accumulator (%d entries)", len(loaded.Core.Heat))
-	}
-	if _, err := loaded.NewPartitioner(); err != nil {
-		t.Fatalf("restoring v2 snapshot: %v", err)
+	tables = append(tables, p.Assignment().Table())
+	for i, tb := range tables[1:] {
+		if !slices.Equal(tb, tables[0]) {
+			t.Fatalf("continuation %d differs from the one-shard restore", i+1)
+		}
 	}
 }

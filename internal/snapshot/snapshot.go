@@ -2,20 +2,25 @@
 // the streaming partition daemon (cmd/apartd): a single file capturing
 // the complete partitioner state — graph topology (including slot layout
 // and free-list order), partition assignment, algorithm parameters,
-// convergence bookkeeping, active-set scheduler state and RNG positions —
-// so that a restarted daemon resumes deterministically mid-stream.
+// convergence bookkeeping, active-set scheduler state and heat — so that
+// a restarted daemon resumes deterministically mid-stream, at any
+// Parallelism.
 //
 // Format (little-endian throughout):
 //
 //	[8]byte  magic "XDGPSNAP"
-//	u32      version (currently 3)
+//	u32      version (currently 5)
 //	params   fixed-width algorithm parameters (see Params)
 //	meta     daemon counters (see Meta)
 //	u64 len + graph payload      (graph.AppendBinary)
 //	i32 k, u32 slots, slots×i32  assignment table (partition.None = -1)
-//	core     counters, serialized PCG states, optional active-set state,
-//	         optional heat accumulator (v3+)
+//	core     counters, optional active-set state, optional heat
+//	         accumulator, optional cluster identity
 //	u32      CRC-32 (IEEE) of every preceding byte
+//
+// Version 4 files also carry the resolved shard count in params and one
+// serialized generator per shard after the counters; the reader skips
+// both, since every draw is now keyed by (Seed, iteration, vertex).
 //
 // The trailing checksum makes torn or bit-rotted files fail loudly on
 // Load; Save writes to a temporary file in the target directory and
@@ -39,16 +44,14 @@ import (
 )
 
 // Magic identifies a snapshot file; Version is the current format
-// revision. Readers accept the current version and v2 (a v2 file simply
-// has no workload term: WorkloadWeight 0, no heat accumulator), but
-// reject v1: those checkpoints (pre-CSR-arena graph payload) are NOT
-// restorable — drain v1 daemons and replay their streams when upgrading
-// across the storage change.
+// revision. Readers accept the current version and v4; older files are
+// refused — restore them with a release that reads them, checkpoint, and
+// upgrade.
 const (
 	Magic   = "XDGPSNAP"
-	Version = 4 // v4: adds the optional cluster-identity section
+	Version = 5 // v5: no shard count, no generator states
 	// minReadVersion is the oldest version Read still understands.
-	minReadVersion = 2
+	minReadVersion = 4
 )
 
 // maxFileBytes bounds a whole snapshot file through checkFileSize, which
@@ -63,10 +66,9 @@ func checkFileSize(n int64) error {
 }
 
 // Params are the algorithm parameters a snapshot was taken under. They
-// mirror core.Config minus the non-serializable Placer hook;
-// Parallelism is the *resolved* shard count (never 0), so a snapshot
-// taken on an 8-core host restores with 8 shards — and therefore
-// byte-identical random streams — regardless of the restoring host.
+// mirror core.Config minus the non-serializable Placer hook and
+// Parallelism: placements do not depend on the shard count, so the
+// restoring process chooses its own.
 type Params struct {
 	K                 int
 	CapacityFactor    float64
@@ -74,19 +76,17 @@ type Params struct {
 	ConvergenceWindow int
 	MaxIterations     int
 	Seed              int64
-	Parallelism       int
 	Incremental       bool
 	RecordEvery       int
 	BalanceEdges      bool
 	DisableQuotas     bool
-	// WorkloadWeight is the workload term's strength (core.Config); 0 in
-	// every snapshot written before format v3.
+	// WorkloadWeight is the workload term's strength (core.Config).
 	WorkloadWeight float64
 }
 
-// ParamsOf derives the serializable parameters from a live partitioner's
-// configuration, resolving Parallelism to the running shard count.
-func ParamsOf(cfg core.Config, resolvedParallelism int) Params {
+// ParamsOf derives the serializable parameters from a partitioner's
+// configuration.
+func ParamsOf(cfg core.Config) Params {
 	return Params{
 		K:                 cfg.K,
 		CapacityFactor:    cfg.CapacityFactor,
@@ -94,7 +94,6 @@ func ParamsOf(cfg core.Config, resolvedParallelism int) Params {
 		ConvergenceWindow: cfg.ConvergenceWindow,
 		MaxIterations:     cfg.MaxIterations,
 		Seed:              cfg.Seed,
-		Parallelism:       resolvedParallelism,
 		Incremental:       cfg.Incremental,
 		RecordEvery:       cfg.RecordEvery,
 		BalanceEdges:      cfg.BalanceEdges,
@@ -104,7 +103,8 @@ func ParamsOf(cfg core.Config, resolvedParallelism int) Params {
 }
 
 // Config reconstructs the core configuration the snapshot was taken
-// under. Placer is nil: the daemon's hash-with-fallback default, which is
+// under, with one shard (core.DefaultConfig's); set Parallelism to run
+// more. Placer is nil: the daemon's hash-with-fallback default, which is
 // the only placement a snapshot can faithfully resume.
 func (p Params) Config() core.Config {
 	return core.Config{
@@ -114,7 +114,7 @@ func (p Params) Config() core.Config {
 		ConvergenceWindow: p.ConvergenceWindow,
 		MaxIterations:     p.MaxIterations,
 		Seed:              p.Seed,
-		Parallelism:       p.Parallelism,
+		Parallelism:       1,
 		Incremental:       p.Incremental,
 		RecordEvery:       p.RecordEvery,
 		BalanceEdges:      p.BalanceEdges,
@@ -151,16 +151,14 @@ type Snapshot struct {
 	Core       core.State
 	// Cluster records which cluster shard took the checkpoint and how
 	// many exchange rounds it had applied; nil for single-process
-	// daemons (and for every pre-v4 snapshot).
+	// daemons.
 	Cluster *ClusterIdentity
 }
 
-// ClusterIdentity pins a checkpoint to one shard of a cluster: a
-// restore must resume as the same shard of the same geometry, and the
+// ClusterIdentity pins a checkpoint to one shard of a cluster: the
 // round count is the exchange watermark the restored replica replays
-// from. Restoring a shard's checkpoint into a different shard slot
-// would replay another shard's RNG responsibilities — refused at the
-// server layer.
+// from, and the server layer resumes a clustered checkpoint only as the
+// same shard of the same geometry, whose journal that watermark indexes.
 type ClusterIdentity struct {
 	// ShardID is the checkpointing process's shard index.
 	ShardID uint32
@@ -183,7 +181,7 @@ func Capture(p *core.Partitioner, cfg core.Config, meta Meta) (*Snapshot, error)
 		return nil, fmt.Errorf("snapshot: copy assignment: %w", err)
 	}
 	return &Snapshot{
-		Params:     ParamsOf(cfg, p.Parallelism()),
+		Params:     ParamsOf(cfg),
 		Meta:       meta,
 		Graph:      p.Graph().Clone(),
 		Assignment: asn,
@@ -191,9 +189,10 @@ func Capture(p *core.Partitioner, cfg core.Config, meta Meta) (*Snapshot, error)
 	}, nil
 }
 
-// NewPartitioner restores a live partitioner from the snapshot. The
-// snapshot's graph and assignment are adopted by the partitioner (call
-// Read again for an independent copy).
+// NewPartitioner restores a live partitioner from the snapshot, with one
+// shard (see Params.Config; core.Restore takes any other). The snapshot's
+// graph and assignment are adopted by the partitioner (call Read again
+// for an independent copy).
 func (s *Snapshot) NewPartitioner() (*core.Partitioner, error) {
 	return core.Restore(s.Graph, s.Assignment, s.Params.Config(), s.Core)
 }
@@ -208,14 +207,11 @@ func Write(w io.Writer, s *Snapshot) error {
 }
 
 // encodedSize is the exact length of the file encode produces: header,
-// params, meta, graph, assignment, core counters and RNG, shard count,
-// three presence bytes and the CRC, plus the optional sections.
+// params, meta, graph, assignment, core counters, three presence bytes
+// and the CRC, plus the optional sections.
 func encodedSize(s *Snapshot) int64 {
-	n := len(Magic) + 4 + 75 + 32 + 8 + s.Graph.BinarySize() + 8 + 4 + 4*s.Assignment.Slots() +
-		3*8 + 4 + len(s.Core.RNG) + 4 + 1 + 1 + 1 + 4
-	for _, b := range s.Core.ShardRNGs {
-		n += 4 + len(b)
-	}
+	n := len(Magic) + 4 + 67 + 32 + 8 + s.Graph.BinarySize() + 8 + 4 + 4*s.Assignment.Slots() +
+		3*8 + 1 + 1 + 1 + 4
 	if a := s.Core.Active; a != nil {
 		n += 4 + 4*len(a.Frontier) + 4
 		for _, list := range a.Parked {
@@ -241,14 +237,13 @@ func encode(s *Snapshot) ([]byte, error) {
 	b = append(b, Magic...)
 	b = le.AppendUint32(b, Version)
 
-	// Params: 7×8 + 1 + 8 + 1 + 1 + 8 = 75 bytes.
+	// Params: 6×8 + 1 + 8 + 1 + 1 + 8 = 67 bytes.
 	b = le.AppendUint64(b, uint64(s.Params.K))
 	b = le.AppendUint64(b, math.Float64bits(s.Params.CapacityFactor))
 	b = le.AppendUint64(b, math.Float64bits(s.Params.S))
 	b = le.AppendUint64(b, uint64(s.Params.ConvergenceWindow))
 	b = le.AppendUint64(b, uint64(s.Params.MaxIterations))
 	b = le.AppendUint64(b, uint64(s.Params.Seed))
-	b = le.AppendUint64(b, uint64(s.Params.Parallelism))
 	b = appendBool(b, s.Params.Incremental)
 	b = le.AppendUint64(b, uint64(s.Params.RecordEvery))
 	b = appendBool(b, s.Params.BalanceEdges)
@@ -280,11 +275,6 @@ func encode(s *Snapshot) ([]byte, error) {
 	b = le.AppendUint64(b, uint64(s.Core.Iteration))
 	b = le.AppendUint64(b, uint64(s.Core.Quiet))
 	b = le.AppendUint64(b, uint64(s.Core.LastMigration))
-	b = appendBytes(b, s.Core.RNG)
-	b = le.AppendUint32(b, uint32(len(s.Core.ShardRNGs)))
-	for _, rng := range s.Core.ShardRNGs {
-		b = appendBytes(b, rng)
-	}
 	b = appendBool(b, s.Core.Active != nil)
 	if s.Core.Active != nil {
 		b = appendVertexList(b, s.Core.Active.Frontier)
@@ -293,7 +283,7 @@ func encode(s *Snapshot) ([]byte, error) {
 			b = appendVertexList(b, list)
 		}
 	}
-	// Heat accumulator (v3): mid-decay per-slot read heat, so a restored
+	// Heat accumulator: mid-decay per-slot read heat, so a restored
 	// workload-weighted run continues byte-identically.
 	b = appendBool(b, s.Core.Heat != nil)
 	if s.Core.Heat != nil {
@@ -303,7 +293,7 @@ func encode(s *Snapshot) ([]byte, error) {
 		}
 	}
 
-	// Cluster identity (v4+).
+	// Cluster identity.
 	b = appendBool(b, s.Cluster != nil)
 	if s.Cluster != nil {
 		b = le.AppendUint32(b, s.Cluster.ShardID)
@@ -352,14 +342,14 @@ func decode(raw []byte) (*Snapshot, error) {
 	s.Params.ConvergenceWindow = int(d.i64())
 	s.Params.MaxIterations = int(d.i64())
 	s.Params.Seed = d.i64()
-	s.Params.Parallelism = int(d.i64())
+	if version == 4 {
+		d.u64() // the writer's shard count
+	}
 	s.Params.Incremental = d.bool()
 	s.Params.RecordEvery = int(d.i64())
 	s.Params.BalanceEdges = d.bool()
 	s.Params.DisableQuotas = d.bool()
-	if version >= 3 {
-		s.Params.WorkloadWeight = d.f64()
-	}
+	s.Params.WorkloadWeight = d.f64()
 
 	s.Meta.Ticks = d.u64()
 	s.Meta.MutationsIngested = d.u64()
@@ -401,13 +391,13 @@ func decode(raw []byte) (*Snapshot, error) {
 	s.Core.Iteration = int(d.i64())
 	s.Core.Quiet = int(d.i64())
 	s.Core.LastMigration = int(d.i64())
-	s.Core.RNG = d.bytes()
-	nShards := d.u32()
-	if d.err == nil && nShards > 1<<16 {
-		d.err = fmt.Errorf("implausible shard count %d", nShards)
-	}
-	for i := uint32(0); i < nShards && d.err == nil; i++ {
-		s.Core.ShardRNGs = append(s.Core.ShardRNGs, d.bytes())
+	if version == 4 {
+		// The sequential generator, then one per shard: skipped.
+		d.skipBytes()
+		nShards := d.u32()
+		for i := uint32(0); i < nShards && d.err == nil; i++ {
+			d.skipBytes()
+		}
 	}
 	if d.bool() {
 		var st activeset.State
@@ -421,7 +411,7 @@ func decode(raw []byte) (*Snapshot, error) {
 		}
 		s.Core.Active = &st
 	}
-	if version >= 3 && d.bool() {
+	if d.bool() {
 		nHeat := d.u32()
 		if d.err == nil && uint64(nHeat)*4 > uint64(len(d.buf)) {
 			d.err = fmt.Errorf("heat section claims %d entries, %d bytes remain", nHeat, len(d.buf))
@@ -433,7 +423,7 @@ func decode(raw []byte) (*Snapshot, error) {
 			}
 		}
 	}
-	if version >= 4 && d.bool() {
+	if d.bool() {
 		ci := ClusterIdentity{ShardID: d.u32(), NumShards: d.u32(), RoundsCompleted: d.u64()}
 		if d.err == nil && (ci.NumShards < 2 || ci.ShardID >= ci.NumShards) {
 			d.err = fmt.Errorf("implausible cluster identity: shard %d of %d", ci.ShardID, ci.NumShards)
@@ -565,16 +555,13 @@ func (d *decoder) bool() bool {
 	}
 }
 
-func (d *decoder) bytes() []byte {
-	n := d.u32()
-	if d.err != nil {
-		return nil
-	}
-	if uint64(n) > uint64(len(d.buf)) {
+// skipBytes skips a u32-length-prefixed byte string.
+func (d *decoder) skipBytes() {
+	if n := d.u32(); d.err == nil && uint64(n) > uint64(len(d.buf)) {
 		d.err = fmt.Errorf("byte string claims %d bytes, %d remain", n, len(d.buf))
-		return nil
+	} else {
+		d.take(int(n))
 	}
-	return append([]byte(nil), d.take(int(n))...)
 }
 
 func (d *decoder) vertexList() []graph.VertexID {
@@ -600,10 +587,6 @@ func appendBool(b []byte, v bool) []byte {
 		return append(b, 1)
 	}
 	return append(b, 0)
-}
-
-func appendBytes(b, v []byte) []byte {
-	return append(le.AppendUint32(b, uint32(len(v))), v...)
 }
 
 func appendVertexList(b []byte, list []graph.VertexID) []byte {
