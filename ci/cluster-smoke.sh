@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of apartd cluster mode: three real daemon
 # processes mesh over the cluster RPC plane (manual tick mode) and must
-# compute byte-identical placements to a single-process daemon running
-# Parallelism=3 on the same seed and stream. Then one shard is
+# compute byte-identical placements to a one-shard single-process
+# daemon (-parallel 1) on the same seed and stream: placements do not
+# depend on the shard count, across processes either. Then one shard is
 # SIGTERMed, restarted from a deliberately stale checkpoint, and must
 # replay the missed rounds from its peers' journals back to identical
 # state before live ticks resume for everyone. CI runs this on every
@@ -115,7 +116,7 @@ echo "== start 3-shard cluster + single-process reference"
 start_shard 0 "$HTTP0" "$CL0"
 start_shard 1 "$HTTP1" "$CL1"
 start_shard 2 "$HTTP2" "$CL2" -checkpoint "$SNAP"
-"$WORK/apartd" -addr "$HTTPR" -k 4 -seed 7 -tick 0 -parallel 3 \
+"$WORK/apartd" -addr "$HTTPR" -k 4 -seed 7 -tick 0 -parallel 1 \
   >"$WORK/ref.log" 2>&1 &
 PIDS+=($!)
 for a in "$HTTP0" "$HTTP1" "$HTTP2" "$HTTPR"; do wait_healthy "$a"; done

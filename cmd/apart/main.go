@@ -94,7 +94,7 @@ func run(args []string) error {
 			return err
 		}
 		res := p.Run()
-		mode := fmt.Sprintf("%d shards", p.Parallelism())
+		mode := fmt.Sprintf("shards=%d", p.Parallelism())
 		if *increment {
 			mode += ", incremental"
 		}

@@ -29,9 +29,10 @@ func benchStep(b *testing.B, par int) {
 	}
 }
 
-// BenchmarkStepPowerLaw compares the sequential iteration against the
-// sharded sweep: the decide phase is embarrassingly parallel, so on a
-// multicore machine P≥4 is expected to beat seq by ≥2x.
+// BenchmarkStepPowerLaw compares one shard deciding inline (seq)
+// against the sharded decide phase: it is embarrassingly parallel, so on
+// a multicore machine P≥4 is expected to beat seq by ≥2x. Every
+// sub-benchmark steps through the same placements.
 func BenchmarkStepPowerLaw(b *testing.B) {
 	b.Run("seq", func(b *testing.B) { benchStep(b, 1) })
 	for _, par := range []int{2, 4, 8, 16} {
