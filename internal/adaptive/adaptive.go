@@ -389,8 +389,8 @@ func (s *Service) Plan(view *bsp.View) []bsp.MigrationRequest {
 // an overloaded partition — every vertex of that partition (load
 // pressure is global, so the drain cannot be frontier-local). The
 // frontier is drained in ascending vertex-ID order, the order the
-// quota claims are made in. decide's verdict keeps a vertex scheduled, settles it, or (for
-// hard denials) parks it inside decide itself.
+// quota claims are made in. decide's verdict keeps a vertex scheduled,
+// settles it, or (for hard denials) parks it inside decide itself.
 func (s *Service) planIncremental(g *graph.Graph, addr *partition.Assignment, hotness []float64, decide func(graph.VertexID) bool) {
 	if !s.seeded {
 		g.ForEachVertex(s.active.Mark)

@@ -15,9 +15,9 @@
 // the system implementation in internal/bsp.
 //
 // This package is the simulation form used by the paper's quality
-// experiments (Figures 1, 4, 5, 6) and the daemon; internal/adaptive integrates
-// the same heuristic into the Pregel-like engine for the system experiments
-// (Figures 7, 8, 9).
+// experiments (Figures 1, 4, 5, 6) and by the daemon; internal/adaptive
+// integrates the same heuristic into the Pregel-like engine for the
+// system experiments (Figures 7, 8, 9).
 package core
 
 import (
@@ -196,9 +196,8 @@ type Partitioner struct {
 	moves  []move
 	quota  [][]int
 	keeps  [][]graph.VertexID
-	// par is the resolved shard count: shards decide, decs points at
-	// their decisions.
-	par    int
+	// shards decide, one per resolved Parallelism; decs points at their
+	// decisions.
 	shards []*coreShard
 	decs   []*ShardDecision
 	// Active-set scheduler state (Config.Incremental): active holds the
@@ -256,12 +255,12 @@ func New(g *graph.Graph, asn *partition.Assignment, cfg Config) (*Partitioner, e
 	for i := range p.quota {
 		p.quota[i] = make([]int, cfg.K)
 	}
-	p.par = cfg.Parallelism
-	if p.par == 0 {
-		p.par = runtime.GOMAXPROCS(0)
+	par := cfg.Parallelism
+	if par == 0 {
+		par = runtime.GOMAXPROCS(0)
 	}
-	p.shards = make([]*coreShard, p.par)
-	p.decs = make([]*ShardDecision, p.par)
+	p.shards = make([]*coreShard, par)
+	p.decs = make([]*ShardDecision, par)
 	for s := range p.shards {
 		p.shards[s] = &coreShard{scorer: p.scorer.share()}
 		p.decs[s] = &p.shards[s].dec
@@ -279,7 +278,7 @@ func New(g *graph.Graph, asn *partition.Assignment, cfg Config) (*Partitioner, e
 }
 
 // Parallelism returns the resolved shard count the decide phase runs with.
-func (p *Partitioner) Parallelism() int { return p.par }
+func (p *Partitioner) Parallelism() int { return len(p.shards) }
 
 // SetChangeTracking turns assignment-change recording on or off. While
 // on, ApplyBatch and Step append every vertex whose placement they write
