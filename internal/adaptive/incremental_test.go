@@ -167,7 +167,7 @@ func TestIncrementalHotSpotWakesHotPartition(t *testing.T) {
 		t.Fatal("incremental hot-spot drain never migrated")
 	}
 	// The drain volume must be in the same ballpark (same mechanism,
-	// different RNG schedules).
+	// different visiting schedules).
 	if inc < full/4 {
 		t.Fatalf("incremental drained %d vs full sweep %d", inc, full)
 	}
