@@ -73,7 +73,7 @@ func (s *Set) MarkNeighborhood(g *graph.Graph, v graph.VertexID) {
 
 // Unschedule clears v's scheduled bit without parking it — the vertex
 // settled. Safe to call concurrently for distinct vertices (each touches
-// only its own bitmap element), which is how the sharded drain uses it.
+// only its own bitmap element).
 func (s *Set) Unschedule(v graph.VertexID) {
 	if int(v) < len(s.dirty) && v >= 0 {
 		s.dirty[v] = false
@@ -140,10 +140,10 @@ func (s *Set) UnparkAll() {
 
 // Prepare compacts the frontier (dropping vertices for which alive
 // reports false) and sorts it by vertex ID, so that drain order — and
-// therefore RNG consumption — is deterministic. The returned slice is
-// valid until the next Keep/Commit/Rebuild and must be drained by the
-// caller: every vertex either Keep'd (stays scheduled), Park'd, or
-// Unschedule'd.
+// therefore the order quota claims are made in — is deterministic. The
+// returned slice is valid until the next Keep/Commit/Rebuild and must be
+// drained by the caller: every vertex either Keep'd (stays scheduled),
+// Park'd, or Unschedule'd.
 //
 // The frontier is usually a long ascending run (the vertices kept from
 // the previous pass, in drain order) followed by the vertices woken
