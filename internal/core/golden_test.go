@@ -228,12 +228,16 @@ func (selfProgram) Compute(ctx *bsp.VertexContext, _ []any) {
 // adaptiveRows are the service configurations each adaptive path runs
 // with; every row starts from a skewed assignment (a third of the
 // vertices crowd partition 0) so the hot-spot drain has load to shed.
+// plain and directed are DefaultConfig, as the analytics workloads run
+// it. The heat-free rows must place identically in both schedules.
 var adaptiveRows = []struct {
 	name     string
 	directed bool
 	hotspot  bool
 	heat     bool
 }{
+	{"plain", false, false, false},
+	{"directed", true, false, false},
 	{"hotspot", false, true, false},
 	{"hotspot-heat", false, true, true},
 	{"directed-hotspot", true, true, false},
@@ -367,7 +371,8 @@ func TestLedgerShardCountIndependent(t *testing.T) {
 
 // TestLedgerFullMatchesIncremental is the scheduler-completeness oracle:
 // with the same keyed draws, the incremental schedule must place exactly
-// as the full sweep on every row whose wakes are complete.
+// as the full sweep on every row whose wakes are complete: the heat-free
+// core rows and the heat-free adaptive rows.
 func TestLedgerFullMatchesIncremental(t *testing.T) {
 	for _, r := range coreRows {
 		if !r.fullIsInc {
@@ -375,6 +380,14 @@ func TestLedgerFullMatchesIncremental(t *testing.T) {
 		}
 		if full, inc := runCoreCell(t, r, false, 1, false), runCoreCell(t, r, true, 1, false); full != inc {
 			t.Errorf("core/%s: full sweep hashes %s, incremental %s", r.name, full, inc)
+		}
+	}
+	for _, r := range adaptiveRows {
+		if r.heat {
+			continue
+		}
+		if full, inc := runAdaptiveCell(t, r.directed, r.hotspot, false, false), runAdaptiveCell(t, r.directed, r.hotspot, false, true); full != inc {
+			t.Errorf("adaptive/%s: full sweep hashes %s, incremental %s", r.name, full, inc)
 		}
 	}
 }
