@@ -71,18 +71,9 @@ func (s *Set) MarkNeighborhood(g *graph.Graph, v graph.VertexID) {
 	}
 }
 
-// Unschedule clears v's scheduled bit without parking it — the vertex
-// settled. Safe to call concurrently for distinct vertices (each touches
-// only its own bitmap element).
-func (s *Set) Unschedule(v graph.VertexID) {
-	if int(v) < len(s.dirty) && v >= 0 {
-		s.dirty[v] = false
-	}
-}
-
 // Park records that v's request was hard-denied towards every
-// destination in dsts. v leaves the frontier (the caller must not Keep
-// it) and re-wakes on UnparkDest of one of the destinations, UnparkAll,
+// destination in dsts. v leaves the frontier (the caller must not keep
+// it at Rebuild) and re-wakes on UnparkDest of one of the destinations, UnparkAll,
 // or a Mark from a neighbourhood event.
 func (s *Set) Park(v graph.VertexID, dsts []partition.ID) {
 	if int(v) >= len(s.dirty) || v < 0 {
@@ -141,9 +132,9 @@ func (s *Set) UnparkAll() {
 // Prepare compacts the frontier (dropping vertices for which alive
 // reports false) and sorts it by vertex ID, so that drain order — and
 // therefore the order quota claims are made in — is deterministic. The
-// returned slice is valid until the next Keep/Commit/Rebuild and must be
-// drained by the caller: every vertex either Keep'd (stays scheduled),
-// Park'd, or Unschedule'd.
+// returned slice is valid until the next Rebuild, which closes the
+// drain: the vertices it keeps stay scheduled, every other one settles,
+// and Park after Rebuild parks the hard-denied ones.
 //
 // The frontier is usually a long ascending run (the vertices kept from
 // the previous pass, in drain order) followed by the vertices woken
@@ -192,23 +183,21 @@ func mergeTail(ids []graph.VertexID, n int, scratch []graph.VertexID) []graph.Ve
 	return tail
 }
 
-// Keep retains a prepared vertex on the frontier for the next pass (its
-// scheduled bit is already set).
-func (s *Set) Keep(v graph.VertexID) { s.next = append(s.next, v) }
-
-// Commit replaces the frontier with the vertices Keep'd since Prepare.
-func (s *Set) Commit() {
-	s.frontier, s.next = s.next, s.frontier[:0]
-}
-
-// Rebuild replaces the frontier with the concatenation of the given keep
-// lists — the sharded drain's barrier-side Commit. Lists kept from
-// contiguous, ascending shard ranges concatenate to an ascending
-// frontier, which the next Prepare keeps without sorting; any other
-// order is still correct, just sorted there.
+// Rebuild closes a drain: every vertex of the prepared frontier settles
+// except those in the keep lists, and the frontier becomes their
+// concatenation. Lists kept from contiguous, ascending shard ranges
+// concatenate to an ascending frontier, which the next Prepare keeps
+// without sorting; any other order is still correct, just sorted there.
+// Every kept vertex must come from the prepared frontier.
 func (s *Set) Rebuild(keeps ...[]graph.VertexID) {
+	for _, v := range s.frontier {
+		s.dirty[v] = false
+	}
 	s.next = s.next[:0]
 	for _, keep := range keeps {
+		for _, v := range keep {
+			s.dirty[v] = true
+		}
 		s.next = append(s.next, keep...)
 	}
 	s.frontier, s.next = s.next, s.frontier[:0]

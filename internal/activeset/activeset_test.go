@@ -11,13 +11,10 @@ func alive(...graph.VertexID) func(graph.VertexID) bool {
 	return func(graph.VertexID) bool { return true }
 }
 
+// drain prepares the frontier and settles all of it.
 func drain(s *Set) []graph.VertexID {
-	f := s.Prepare(alive())
-	out := append([]graph.VertexID(nil), f...)
-	for _, v := range f {
-		s.Unschedule(v)
-	}
-	s.Commit()
+	out := append([]graph.VertexID(nil), s.Prepare(alive())...)
+	s.Rebuild()
 	return out
 }
 
@@ -56,8 +53,7 @@ func TestPrepareDropsDead(t *testing.T) {
 	if len(f) != 1 || f[0] != 2 {
 		t.Fatalf("prepared %v, want [2]", f)
 	}
-	s.Keep(2)
-	s.Commit()
+	s.Rebuild([]graph.VertexID{2})
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", s.Len())
 	}
@@ -72,10 +68,8 @@ func TestParkAndUnpark(t *testing.T) {
 	s := New(3)
 	s.Grow(8)
 	s.Mark(4)
-	for _, v := range s.Prepare(alive()) {
-		s.Park(v, []partition.ID{1, 2})
-	}
-	s.Commit()
+	drain(s)
+	s.Park(4, []partition.ID{1, 2})
 	if s.Len() != 0 {
 		t.Fatalf("parked vertex still scheduled: Len = %d", s.Len())
 	}
@@ -100,10 +94,8 @@ func TestMarkClearsParkedState(t *testing.T) {
 	s := New(2)
 	s.Grow(4)
 	s.Mark(3)
-	for _, v := range s.Prepare(alive()) {
-		s.Park(v, []partition.ID{0})
-	}
-	s.Commit()
+	drain(s)
+	s.Park(3, []partition.ID{0})
 	// A neighbourhood event re-marks the parked vertex directly…
 	s.Mark(3)
 	if s.Len() != 1 {
@@ -111,10 +103,7 @@ func TestMarkClearsParkedState(t *testing.T) {
 	}
 	// …and the stale park-list entry must not act on it again after it
 	// settles.
-	for _, v := range s.Prepare(alive()) {
-		s.Unschedule(v)
-	}
-	s.Commit()
+	drain(s)
 	s.UnparkAll()
 	if s.Len() != 0 {
 		t.Fatalf("stale entry resurrected a settled vertex: Len = %d", s.Len())
@@ -129,15 +118,21 @@ func TestRebuild(t *testing.T) {
 	}
 	s.Prepare(alive())
 	// Sharded drain: two keep lists, vertex 1 settles, vertex 4 parks.
-	s.Unschedule(1)
-	s.Park(4, []partition.ID{0})
 	s.Rebuild([]graph.VertexID{2}, []graph.VertexID{3})
+	s.Park(4, []partition.ID{0})
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}
+	// The kept vertices stay scheduled (a re-mark adds nothing); the
+	// settled one can be re-marked.
+	s.Mark(2)
+	s.Mark(1)
+	if s.Len() != 3 {
+		t.Fatalf("Len after re-marks = %d, want 3", s.Len())
+	}
 	got := drain(s)
-	if got[0] != 2 || got[1] != 3 {
-		t.Fatalf("rebuilt frontier %v, want [2 3]", got)
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("rebuilt frontier %v, want [1 2 3]", got)
 	}
 	s.UnparkAll()
 	if s.Len() != 1 {
@@ -153,16 +148,11 @@ func TestParkListsStayBounded(t *testing.T) {
 	s.Grow(4)
 	for i := 0; i < 1000; i++ {
 		s.Mark(3)
-		for _, v := range s.Prepare(alive()) {
-			s.Park(v, []partition.ID{0, 1})
-		}
-		s.Commit()
+		drain(s)
+		s.Park(3, []partition.ID{0, 1})
 		// Wake through an unrelated path, leaving stale entries behind.
 		s.Mark(3)
-		for _, v := range s.Prepare(alive()) {
-			s.Unschedule(v)
-		}
-		s.Commit()
+		drain(s)
 	}
 	for j, list := range s.parked {
 		if len(list) > 4+1 {
@@ -171,10 +161,8 @@ func TestParkListsStayBounded(t *testing.T) {
 	}
 	// And a genuine waiter still survives compaction.
 	s.Mark(2)
-	for _, v := range s.Prepare(alive()) {
-		s.Park(v, []partition.ID{0})
-	}
-	s.Commit()
+	drain(s)
+	s.Park(2, []partition.ID{0})
 	s.UnparkDest(0)
 	if s.Len() != 1 {
 		t.Fatalf("waiter lost after compaction churn: Len = %d", s.Len())

@@ -64,8 +64,8 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 			t.Fatalf("prepared frontiers differ at %d: %v vs %v", i, a, b)
 		}
 	}
-	s.Commit()
-	r.Commit()
+	s.Rebuild()
+	r.Rebuild()
 }
 
 func TestExportIsACopy(t *testing.T) {

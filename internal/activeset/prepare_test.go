@@ -31,9 +31,9 @@ func refPrepare(s *Set, alive func(graph.VertexID) bool) []graph.VertexID {
 // TestPrepareMatchesReference drives two sets through identical random
 // histories — Mark, MarkNeighborhood, UnparkDest, UnparkAll, vertex
 // deaths and table growth between passes, sometimes in bursts that
-// wake hundreds of vertices at once; Keep/Park/Unschedule verdicts
-// during each drain, closed by Commit or by a sharded Rebuild whose keep
-// lists may arrive out of order — one draining with Prepare, the other
+// wake hundreds of vertices at once; keep/park/settle verdicts during
+// each drain, closed by a sharded Rebuild whose keep lists may arrive out
+// of order and then the parks — one draining with Prepare, the other
 // with the reference. Every drain order, every exported state and every
 // scheduled bit must agree.
 func TestPrepareMatchesReference(t *testing.T) {
@@ -116,55 +116,38 @@ func prepareDifferential(t *testing.T, seed uint64, directed bool) {
 				return false, nil
 			}
 		}
-		if rng.IntN(2) == 0 {
-			// Sequential drain.
-			for _, v := range fg {
+		// Sharded drain: contiguous chunks, barrier-side Rebuild and
+		// parks. Sometimes the keep lists arrive disordered, as a
+		// cluster peer could send them.
+		shards := 1 + rng.IntN(4)
+		keeps := make([][]graph.VertexID, shards)
+		type parked struct {
+			v    graph.VertexID
+			dsts []partition.ID
+		}
+		var parks []parked
+		for sh := range shards {
+			lo, hi := graph.ShardRange(sh, shards, len(fg))
+			for _, v := range fg[lo:hi] {
 				switch keep, park := verdict(); {
 				case keep:
-					both(func(s *Set) { s.Keep(v) })
+					keeps[sh] = append(keeps[sh], v)
 				case park != nil:
-					both(func(s *Set) { s.Park(v, park) })
-				default:
-					both(func(s *Set) { s.Unschedule(v) })
+					parks = append(parks, parked{v, park})
 				}
 			}
-			both(func(s *Set) { s.Commit() })
-		} else {
-			// Sharded drain: contiguous chunks, barrier-side Rebuild and
-			// parks. Sometimes the keep lists arrive disordered, as a
-			// cluster peer could send them.
-			shards := 1 + rng.IntN(4)
-			keeps := make([][]graph.VertexID, shards)
-			type parked struct {
-				v    graph.VertexID
-				dsts []partition.ID
+		}
+		switch rng.IntN(4) {
+		case 0:
+			slices.Reverse(keeps)
+		case 1:
+			for _, keep := range keeps {
+				rng.Shuffle(len(keep), func(i, j int) { keep[i], keep[j] = keep[j], keep[i] })
 			}
-			var parks []parked
-			for sh := range shards {
-				lo, hi := graph.ShardRange(sh, shards, len(fg))
-				for _, v := range fg[lo:hi] {
-					switch keep, park := verdict(); {
-					case keep:
-						keeps[sh] = append(keeps[sh], v)
-					case park != nil:
-						parks = append(parks, parked{v, park})
-					default:
-						both(func(s *Set) { s.Unschedule(v) })
-					}
-				}
-			}
-			switch rng.IntN(4) {
-			case 0:
-				slices.Reverse(keeps)
-			case 1:
-				for _, keep := range keeps {
-					rng.Shuffle(len(keep), func(i, j int) { keep[i], keep[j] = keep[j], keep[i] })
-				}
-			}
-			both(func(s *Set) { s.Rebuild(keeps...) })
-			for _, p := range parks {
-				both(func(s *Set) { s.Park(p.v, p.dsts) })
-			}
+		}
+		both(func(s *Set) { s.Rebuild(keeps...) })
+		for _, p := range parks {
+			both(func(s *Set) { s.Park(p.v, p.dsts) })
 		}
 
 		if eg, ew := got.Export(), want.Export(); !reflect.DeepEqual(eg, ew) {
@@ -179,8 +162,9 @@ func prepareDifferential(t *testing.T, seed uint64, directed bool) {
 // BenchmarkPrepareFrontier measures one drain preparation in the shape
 // the incremental step sees: a sorted kept prefix (the previous pass's
 // keeps, in drain order) followed by vertices woken at random since.
-// Each iteration restores that state — Rebuild from the kept list, then
-// Mark the wakes — prepares it, and unschedules the wakes again.
+// Each iteration restores that state — Rebuild from the kept list, which
+// settles the previous iteration's wakes, then Mark the wakes — and
+// prepares it.
 func BenchmarkPrepareFrontier(b *testing.B) {
 	const slots, kept, woken = 1 << 20, 32768, 4096
 	rng := rand.New(rand.NewPCG(1, 2))
@@ -207,8 +191,5 @@ func BenchmarkPrepareFrontier(b *testing.B) {
 			s.Mark(v)
 		}
 		s.Prepare(live)
-		for _, v := range wakes {
-			s.Unschedule(v)
-		}
 	}
 }

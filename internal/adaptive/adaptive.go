@@ -18,12 +18,12 @@
 // Decisions themselves use only vertex-local information: the partitions
 // of a vertex's own neighbours (available locally because every worker
 // hears migration notices for vertices adjacent to its own) and the
-// delayed capacity vector. The vote over those partitions is
-// core.Scorer, the one scorer every internal/core execution path uses
-// too; what is the service's own is the delayed capacity view, the
-// unit-weight quota claim against it and the hot-spot drain, which asks
-// the scorer for its drain form (the best partition other than the
-// current one).
+// delayed capacity vector. The rule is core.Decider, the one decide→grant
+// every internal/core step path runs too: the service hands it the
+// delayed free capacities (scaled down on hot partitions), the hot-spot
+// drain odds and the deferred-migration window, and keeps only the
+// BSP side — the capacity broadcast, the frontier wakes and the
+// conversion of granted moves into migration requests.
 //
 // Randomness: vertex v's draws in superstep t (the willingness coin, the
 // hot-spot drain coin and the tie shuffle) are core's keyed per-vertex
@@ -59,30 +59,19 @@ type Config struct {
 	// CapacityFactor sizes partition capacities relative to the balanced
 	// load (the paper's experiments use 1.10).
 	CapacityFactor float64
-	// Interval runs the migration decision every n supersteps (1 = every
-	// superstep, the paper's continuous mode).
-	Interval int
 	// HotSpotAware enables the paper's second future-work extension
 	// (Section 6): partitions that measured hotter than the mean in the
 	// previous superstep advertise proportionally less free capacity, so
 	// migration pressure drains towards cool workers.
 	HotSpotAware bool
 	// Incremental enables the active-set scheduler: a Plan pass examines
-	// only vertices whose decision inputs could have changed — vertices
-	// the barrier's mutation batch touched (View.MutatedVertices),
-	// neighbours of vertices the service migrated (their Γ-counts shift
-	// when the addressing changes), vertices that have not finished
-	// deciding (failed the S coin, denied a quota that in-pass
-	// competition exhausted, or still inside the deferred-migration
-	// window), and — with HotSpotAware — every vertex of a partition
-	// measuring hotter than the mean, since the hot-spot drain is driven
-	// by load, not topology. Requesters every advertised quota column
-	// rejects outright are parked per destination and re-woken when that
-	// column turns positive (the delayed capacity view is re-derived
-	// every pass, so graph growth, departures and hot-spot relaxation
-	// all surface there). Steady-state Plan cost is proportional to
-	// churn instead of |V|. Off by default (full sweep, the paper-exact
-	// reference).
+	// only vertices whose decision inputs could have changed — those the
+	// barrier's mutation batch touched, neighbours of granted movers,
+	// vertices that have not finished deciding, parked requesters whose
+	// destination's quota turned positive and, with HotSpotAware, every
+	// vertex of a draining partition (see prepareFrontier). Steady-state
+	// Plan cost is then proportional to churn instead of |V|. Off by
+	// default (full sweep, the paper-exact reference).
 	Incremental bool
 	// WorkloadWeight enables the workload term of the migration
 	// objective: each member of Γ(v) votes for its partition with weight
@@ -98,7 +87,7 @@ type Config struct {
 
 // DefaultConfig mirrors the paper's standard setting.
 func DefaultConfig(seed int64) Config {
-	return Config{S: 0.5, CapacityFactor: 1.10, Interval: 1, Seed: seed}
+	return Config{S: 0.5, CapacityFactor: 1.10, Seed: seed}
 }
 
 // Service is the adaptive repartitioning background application.
@@ -108,11 +97,14 @@ type Service struct {
 	// knownFree is the delayed capacity knowledge: free slots per
 	// partition as of the previous barrier's capacity broadcast.
 	knownFree []int
-	booted    bool
 
-	// scorer is core's decision rule; quota is per-pass scratch.
+	// d is core's decide→grant rule; scorer and dec are its one shard's
+	// scratch, free and drain its per-pass inputs.
+	d      core.Decider
 	scorer *core.Scorer
-	quota  [][]int
+	dec    core.ShardDecision
+	free   []int
+	drain  []float64
 
 	// Workload term (Config.WorkloadWeight, heat.go): the frozen heat
 	// view (also installed in the scorer) and whether the next Plan
@@ -120,15 +112,10 @@ type Service struct {
 	heat      []float32
 	heatDirty bool
 
-	// Active-set scheduler state (Config.Incremental): active holds the
-	// frontier/parking bookkeeping shared with internal/core, colQuota
-	// the planning-pass per-pair quota by destination column (the
-	// competition-free admission bound parking decisions test against).
-	// seeded flips after the first Plan populates the frontier with
-	// every live vertex.
-	active   *activeset.Set
-	colQuota []int
-	seeded   bool
+	// active holds the frontier/parking bookkeeping shared with
+	// internal/core (Config.Incremental). It is built, with every live
+	// vertex scheduled, when the first View arrives.
+	active *activeset.Set
 
 	// Totals for reporting.
 	totalRequested int
@@ -148,11 +135,9 @@ func New(cfg Config) (*Service, error) {
 	if !(cfg.WorkloadWeight >= 0) || math.IsInf(cfg.WorkloadWeight, 1) {
 		return nil, fmt.Errorf("adaptive: WorkloadWeight must be finite and ≥ 0, got %g", cfg.WorkloadWeight)
 	}
-	if cfg.Interval < 1 {
-		cfg.Interval = 1
-	}
 	return &Service{
 		cfg:    cfg,
+		d:      core.Decider{S: cfg.S, Seed: cfg.Seed, Incremental: cfg.Incremental},
 		scorer: core.NewScorer(),
 	}, nil
 }
@@ -178,47 +163,31 @@ func (s *Service) DirtyCount() int {
 	return s.active.Len()
 }
 
-// ensureActive lazily builds the scheduler state (k is only known once a
-// View arrives) and sizes it to the engine's vertex table.
-func (s *Service) ensureActive(k, slots int) {
-	if s.active == nil {
-		s.active = activeset.New(k)
-		s.colQuota = make([]int, k)
-	}
-	s.active.Grow(slots)
-}
-
-// Plan implements bsp.Repartitioner. It runs each worker's local decision
-// pass and returns the granted migration requests.
+// Plan implements bsp.Repartitioner. It runs one decide→grant pass of
+// core.Decider over the delayed capacity view and returns the granted
+// migration requests.
 func (s *Service) Plan(view *bsp.View) []bsp.MigrationRequest {
 	g := view.Graph()
+	k := view.K()
 	if s.cfg.Incremental {
-		// Collect this barrier's mutation notices even on supersteps the
-		// Interval skips — the engine resets them every superstep, and a
-		// wake lost here would never be re-delivered.
-		s.ensureActive(view.K(), g.NumSlots())
+		if s.active == nil {
+			// First pass: every live vertex is scheduled.
+			s.active = activeset.New(k)
+			s.active.Grow(g.NumSlots())
+			g.ForEachVertex(s.active.Mark)
+		}
+		s.active.Grow(g.NumSlots())
 		for _, v := range view.MutatedVertices() {
 			if g.Has(v) {
 				s.active.Mark(v)
 			}
 		}
 	}
-	if view.Superstep()%s.cfg.Interval != 0 {
-		return nil
-	}
-	k := view.K()
 	if k < 2 {
 		return nil
 	}
 	addr := view.Addr()
 	caps := partition.UniformCapacities(g.NumVertices(), k, s.cfg.CapacityFactor)
-
-	if len(s.quota) != k {
-		s.quota = make([][]int, k)
-		for i := range s.quota {
-			s.quota[i] = make([]int, k)
-		}
-	}
 	if s.cfg.Incremental {
 		s.wakeHotNeighborhoods(g)
 	}
@@ -226,17 +195,20 @@ func (s *Service) Plan(view *bsp.View) []bsp.MigrationRequest {
 	// Capacity knowledge: the broadcast from the previous barrier. On the
 	// very first run the loading phase's broadcast equals current state.
 	sizes := addr.Sizes()
-	if !s.booted || len(s.knownFree) != k {
+	if len(s.knownFree) != k {
 		s.knownFree = make([]int, k)
 		for j := 0; j < k; j++ {
 			s.knownFree[j] = caps[j] - sizes[j]
 		}
-		s.booted = true
+		s.free = make([]int, k)
+		s.drain = make([]float64, k)
 	}
 
-	// Quotas from the delayed capacity view: Q(i,j) = ⌊free(j)/(k−1)⌋.
-	// With hot-spot awareness, partitions measured hotter than the mean
-	// advertise proportionally less free capacity.
+	// Quotas come from the delayed capacity view. With hot-spot
+	// awareness, a partition measured hotter than the mean advertises
+	// proportionally less free capacity, and its fractional overload is
+	// the odds that a vertex preferring to stay drains anyway — load
+	// balancing traded against locality, the point of the extension.
 	var costs []float64
 	if s.cfg.HotSpotAware {
 		costs = view.WorkerCosts()
@@ -248,182 +220,78 @@ func (s *Service) Plan(view *bsp.View) []bsp.MigrationRequest {
 		}
 		meanCost /= float64(k)
 	}
+	s.d.Drain = nil
 	for j := 0; j < k; j++ {
-		free := s.knownFree[j]
-		if free < 0 {
-			free = 0
-		}
+		free := max(s.knownFree[j], 0)
+		s.drain[j] = 0
 		if len(costs) == k && meanCost > 0 && costs[j] > meanCost {
 			free = int(float64(free) * meanCost / costs[j])
-		}
-		q := free / (k - 1)
-		for i := 0; i < k; i++ {
-			s.quota[i][j] = q
-		}
-		if s.colQuota != nil {
-			s.colQuota[j] = q
-		}
-	}
-
-	// Hotness per partition: fractional overload vs the mean measured
-	// cost. A vertex on an overloaded partition will consider leaving
-	// even when staying is locally optimal for the cut — load balancing
-	// traded against locality, the point of the extension.
-	hotness := make([]float64, k)
-	if len(costs) == k && meanCost > 0 {
-		for j := 0; j < k; j++ {
 			if h := costs[j]/meanCost - 1; h > 0 {
-				hotness[j] = h
+				s.drain[j] = h
+				s.d.Drain = s.drain
 			}
 		}
+		s.free[j] = free
 	}
+	s.d.Hold = view.Migrating
+	s.d.Begin(g, addr, view.Superstep(), s.free)
 
-	var reqs []bsp.MigrationRequest
-	key := core.IterationDraws(s.cfg.Seed, view.Superstep())
-	granted := make([]int, k)  // inbound grants per partition
-	departed := make([]int, k) // outbound grants per partition
-
-	// decide evaluates one vertex and reports whether an incremental
-	// schedule must keep it on the frontier: vertices that have not
-	// finished deciding (inside the migration window, failed the S coin,
-	// or denied a quota that in-pass competition exhausted) stay;
-	// vertices that settled or migrated leave (a mover's wake re-marks
-	// its neighbourhood below), and hard-denied requesters — every
-	// tied-best destination advertising zero quota before any competitor
-	// claimed it — park until that capacity shifts (planIncremental
-	// unparks every destination whose column quota turns positive).
-	decide := func(v graph.VertexID) (keep bool) {
-		s.totalExamined++
-		cur := addr.Of(v)
-		if cur == partition.None {
-			return false
-		}
-		if view.Migrating(v) {
-			return true // mid-window: revisit once the move completes
-		}
-		r := key.Vertex(v)
-		if s.cfg.S < 1 && r.Float64() >= s.cfg.S {
-			return true // unwilling this pass: stays scheduled
-		}
-		best := s.scorer.Best(g, addr, v, cur)
-		if best == nil {
-			if hotness[cur] == 0 || r.Float64() >= hotness[cur] {
-				// Settled. While cur stays hot the hot-spot wake below
-				// re-schedules the whole partition, so dropping here is
-				// safe even when only the drain coin declined.
-				return false
-			}
-			// Hot-spot drain: staying is locally optimal for the cut,
-			// but the partition is overloaded — fall back to the best
-			// destinations among the other partitions.
-			best = s.scorer.BestOther(g, addr, v, cur)
-			if best == nil {
-				return false
-			}
-		}
-		s.totalRequested++
-		r.Shuffle(best)
-		for _, dst := range best {
-			if s.quota[cur][dst] > 0 {
-				s.quota[cur][dst]--
-				reqs = append(reqs, bsp.MigrationRequest{V: v, To: dst})
-				granted[dst]++
-				departed[cur]++
-				s.totalGranted++
-				return false // mover: its wake re-marks the neighbourhood
-			}
-		}
-		if s.active != nil {
-			hard := true
-			for _, dst := range best {
-				if s.colQuota[dst] > 0 {
-					hard = false
-					break
-				}
-			}
-			if hard {
-				s.active.Park(v, best)
-				return false
-			}
-		}
-		return true // competition-denied: the odds change next pass
-	}
-
-	if !s.cfg.Incremental {
-		g.ForEachVertex(func(v graph.VertexID) { decide(v) })
-	} else {
-		s.planIncremental(g, addr, hotness, decide)
-	}
-
+	var frontier []graph.VertexID
 	if s.cfg.Incremental {
-		// The engine rewrites the addressing of every granted vertex at
-		// this barrier, so the movers' neighbours see new Γ-counts on the
-		// next pass: re-wake them (and the mover, which re-settles).
-		// Departures also free capacity in the mover's source partition,
-		// so vertices parked on it get another chance.
-		for _, r := range reqs {
-			s.active.MarkNeighborhood(g, r.V)
-		}
-		for j := 0; j < k; j++ {
-			if departed[j] > 0 {
-				s.active.UnparkDest(partition.ID(j))
-			}
-		}
+		frontier = s.prepareFrontier(g, addr)
 	}
+	s.d.Decide(s.scorer, &s.dec, 0, 1, frontier)
+	moves := s.d.Grant([]*core.ShardDecision{&s.dec}, s.active)
+	s.totalExamined += s.dec.Examined
+	s.totalRequested += s.dec.Requested
+	s.totalGranted += len(moves)
 
 	// Broadcast predicted capacities for the next superstep:
-	// C^{t+1}(i) = C^t(i) − V_in + V_out applied to the free view.
+	// C^{t+1}(i) = C^t(i) − V_in + V_out applied to the free view. When
+	// incremental, the engine rewrites the addressing of every granted
+	// vertex at this barrier, so the movers' neighbours see new Γ-counts
+	// on the next pass: re-wake them (and the mover, which re-settles).
+	// Departures also free capacity in the mover's source partition, so
+	// vertices parked on it get another chance.
 	for j := 0; j < k; j++ {
-		s.knownFree[j] = caps[j] - (sizes[j] + granted[j] - departed[j])
+		s.knownFree[j] = caps[j] - sizes[j]
+	}
+	reqs := make([]bsp.MigrationRequest, len(moves))
+	for i, mv := range moves {
+		reqs[i] = bsp.MigrationRequest{V: mv.V, To: mv.To}
+		s.knownFree[mv.To]--
+		s.knownFree[mv.From]++
+		if s.cfg.Incremental {
+			s.active.MarkNeighborhood(g, mv.V)
+			s.active.UnparkDest(mv.From)
+		}
 	}
 	return reqs
 }
 
-// planIncremental runs the decision pass over the active set only. The
-// frontier is seeded with every live vertex on the first pass and woken
-// by: the barrier's mutation notices (collected in Plan); any
-// destination whose column quota turned positive — the capacity-shift
-// event hard-parked requesters wait on, covering graph growth, migration
+// prepareFrontier returns the sorted frontier of an incremental pass.
+// Besides the barrier's mutation notices (collected in Plan) and the
+// movers' wakes, two events schedule vertices here: any destination
+// whose quota is positive unparks its waiters — the capacity-shift event
+// hard-parked requesters wait on, covering graph growth, migration
 // departures and hot-spot scaling alike, since the delayed capacity view
-// is re-derived every pass; and — when the hot-spot extension measures
-// an overloaded partition — every vertex of that partition (load
-// pressure is global, so the drain cannot be frontier-local). The
-// frontier is drained in ascending vertex-ID order, the order the
-// quota claims are made in. decide's verdict keeps a vertex scheduled,
-// settles it, or (for hard denials) parks it inside decide itself.
-func (s *Service) planIncremental(g *graph.Graph, addr *partition.Assignment, hotness []float64, decide func(graph.VertexID) bool) {
-	if !s.seeded {
-		g.ForEachVertex(s.active.Mark)
-		s.seeded = true
-	}
-	for j, q := range s.colQuota {
-		if q > 0 {
+// is re-derived every pass; and every vertex of a draining partition is
+// scheduled, since load pressure is global and the drain cannot be
+// frontier-local.
+func (s *Service) prepareFrontier(g *graph.Graph, addr *partition.Assignment) []graph.VertexID {
+	for j := range s.free {
+		if s.d.Quota(partition.ID(j)) > 0 {
 			s.active.UnparkDest(partition.ID(j))
 		}
 	}
-	anyHot := false
-	for _, h := range hotness {
-		if h > 0 {
-			anyHot = true
-			break
-		}
-	}
-	if anyHot {
+	if s.d.Drain != nil {
 		g.ForEachVertex(func(v graph.VertexID) {
-			if p := addr.Of(v); p != partition.None && hotness[p] > 0 {
+			if s.drain[addr.Of(v)] > 0 {
 				s.active.Mark(v)
 			}
 		})
 	}
-
-	for _, v := range s.active.Prepare(g.Has) {
-		if decide(v) {
-			s.active.Keep(v)
-		} else {
-			s.active.Unschedule(v)
-		}
-	}
-	s.active.Commit()
+	return s.active.Prepare(g.Has)
 }
 
 var _ bsp.Repartitioner = (*Service)(nil)

@@ -24,12 +24,8 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{S: 0.5, CapacityFactor: 0.9}); err == nil {
 		t.Fatal("capacity factor < 1 must error")
 	}
-	svc, err := New(Config{S: 0.5, CapacityFactor: 1.1, Interval: 0})
-	if err != nil {
+	if _, err := New(Config{S: 0.5, CapacityFactor: 1.1}); err != nil {
 		t.Fatal(err)
-	}
-	if svc.cfg.Interval != 1 {
-		t.Fatal("Interval must default to 1")
 	}
 }
 
@@ -124,29 +120,6 @@ func TestAdaptiveRespectsCapacitiesFromBalancedStart(t *testing.T) {
 		if !partition.WithinCapacities(e.Addr(), caps) {
 			t.Fatalf("superstep %d: capacity exceeded: sizes=%v caps=%v",
 				i, e.Addr().Sizes(), caps)
-		}
-	}
-}
-
-func TestIntervalSkipsSupersteps(t *testing.T) {
-	g := gen.Cube3D(5)
-	asn := partition.Hash(g, 4)
-	e, err := bsp.NewEngine(g, asn, idleProgram{}, bsp.Config{Workers: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(1)
-	cfg.Interval = 3
-	svc, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SetRepartitioner(svc)
-	sts := e.RunSupersteps(6)
-	// Only supersteps 0 and 3 may start migrations.
-	for i, st := range sts {
-		if i%3 != 0 && st.MigrationsStarted > 0 {
-			t.Fatalf("superstep %d started migrations despite Interval=3", i)
 		}
 	}
 }

@@ -181,43 +181,3 @@ func (countProgram) Init(ctx *bsp.VertexContext) any { return 0 }
 func (countProgram) Compute(ctx *bsp.VertexContext, _ []any) {
 	ctx.SetValue(ctx.Value().(int) + 1)
 }
-
-// TestIncrementalIntervalKeepsWakes pins the Interval interaction: wakes
-// arriving on skipped supersteps must not be lost.
-func TestIncrementalIntervalKeepsWakes(t *testing.T) {
-	g := gen.Cube3D(6)
-	e, err := bsp.NewEngine(g, partition.Hash(g, 4), idleProgram{}, bsp.Config{Workers: 4, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(7)
-	cfg.Incremental = true
-	cfg.Interval = 3
-	svc, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SetRepartitioner(svc)
-	e.RunSupersteps(90)
-	drained := svc.DirtyCount()
-
-	// Deliver a batch on a superstep the Interval skips (90 % 3 == 0, so
-	// the next two are skipped). The wake must survive until the next
-	// planning pass.
-	next := graph.VertexID(g.NumSlots())
-	e.SetStream(graph.NewSliceStream([]graph.Batch{
-		nil,
-		{{Kind: graph.MutAddVertex, U: next}, {Kind: graph.MutAddEdge, U: next, V: 0}},
-	}))
-	e.RunSupersteps(2) // batch lands on superstep 91 — a skipped pass
-	if svc.DirtyCount() <= drained {
-		t.Fatal("mutation notice on a skipped superstep was lost")
-	}
-	e.RunSupersteps(4)
-	if e.Addr().Of(next) == partition.None {
-		t.Fatal("streamed vertex was not placed")
-	}
-	if err := e.Addr().Validate(g); err != nil {
-		t.Fatal(err)
-	}
-}

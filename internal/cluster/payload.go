@@ -22,7 +22,7 @@ import (
 // fuzz-hardened batch frame codec verbatim.
 //
 // Step payload ('S'): one shard's core.ShardDecision — the requests,
-// settles, keeps and parks of its slice of the sweep — in a flat
+// keeps and parks of its slice of the sweep — in a flat
 // little-endian layout with every length bounded before allocation.
 
 // Payload kind tags (first byte of every round payload).
@@ -97,7 +97,7 @@ func AppendStepPayload(dst []byte, d *core.ShardDecision) ([]byte, error) {
 	for _, reqs := range d.Reqs {
 		total += len(reqs)
 	}
-	if total > maxStepItems || len(d.Cands) > maxStepItems || len(d.Settled) > maxStepItems ||
+	if total > maxStepItems || len(d.Cands) > maxStepItems ||
 		len(d.Keeps) > maxStepItems || len(d.Parks) > maxStepItems || len(d.ParkDests) > maxStepItems {
 		return dst, fmt.Errorf("cluster: step payload too large to encode")
 	}
@@ -115,7 +115,6 @@ func AppendStepPayload(dst []byte, d *core.ShardDecision) ([]byte, error) {
 		}
 	}
 	dst = appendIDList(dst, d.Cands)
-	dst = appendVertexList(dst, d.Settled)
 	dst = appendVertexList(dst, d.Keeps)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(d.Parks)))
 	for _, pk := range d.Parks {
@@ -235,7 +234,6 @@ func DecodeStepPayload(b []byte) (*core.ShardDecision, error) {
 		}
 	}
 	out.Cands = d.idList()
-	out.Settled = d.vertexList()
 	out.Keeps = d.vertexList()
 	nParks := d.count(12)
 	if d.err == nil && nParks > 0 {

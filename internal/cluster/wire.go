@@ -29,8 +29,10 @@ import (
 //	Reject    → UTF-8 reason. Fatal handshake refusal (config mismatch,
 //	            journal gap); the receiver poisons its exchange.
 const (
-	// WireVersion is the cluster RPC frame format version.
-	WireVersion = 1
+	// WireVersion is the cluster RPC frame format version. Version 2
+	// dropped the settled list from the step payload; peers of different
+	// versions refuse each other at the first frame.
+	WireVersion = 2
 
 	frameHeaderLen = 6
 )

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"strings"
 	"testing"
 
 	"xdgp/internal/core"
@@ -45,19 +46,27 @@ func TestWireRoundtrip(t *testing.T) {
 }
 
 func TestWireRejectsGarbage(t *testing.T) {
+	const v = WireVersion
 	cases := [][]byte{
-		{2, byte(FrameHello), 24, 0, 0, 0},         // wrong version
-		{1, 42, 0, 0, 0, 0},                        // unknown type
-		{1, byte(FrameHello), 5, 0, 0, 0, 1, 2, 3}, // wrong hello length
-		{1, byte(FrameRound), 4, 0, 0, 0, 1, 2, 3}, // round too short
-		{1, byte(FrameRound), 0, 0, 0, 255},        // oversized payload length
-		{1, byte(FrameCaughtUp), 1, 0, 0, 0, 9},    // caughtup with payload
-		{1, byte(FrameHelloAck), 8, 0, 0, 0, 1, 2}, // truncated body
+		{v - 1, byte(FrameHello), 24, 0, 0, 0},     // the previous version
+		{v + 1, byte(FrameHello), 24, 0, 0, 0},     // a later version
+		{v, 42, 0, 0, 0, 0},                        // unknown type
+		{v, byte(FrameHello), 5, 0, 0, 0, 1, 2, 3}, // wrong hello length
+		{v, byte(FrameRound), 4, 0, 0, 0, 1, 2, 3}, // round too short
+		{v, byte(FrameRound), 0, 0, 0, 255},        // oversized payload length
+		{v, byte(FrameCaughtUp), 1, 0, 0, 0, 9},    // caughtup with payload
+		{v, byte(FrameHelloAck), 8, 0, 0, 0, 1, 2}, // truncated body
 	}
 	for i, b := range cases {
 		if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(b))); err == nil {
 			t.Fatalf("case %d: garbage frame accepted", i)
 		}
+	}
+	// A peer of the previous version is refused at its first frame.
+	hello := AppendHelloFrame(nil, Hello{Shard: 1, Shards: 2})
+	hello[0] = WireVersion - 1
+	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(hello))); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("previous-version hello: got %v, want a version error", err)
 	}
 	// A clean EOF between frames is io.EOF, not corruption.
 	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(nil))); err != io.EOF {
@@ -99,7 +108,6 @@ func TestStepPayloadRoundtrip(t *testing.T) {
 			{{V: 30, Off: 3, N: 1, W: 1}},
 		},
 		Cands:     []partition.ID{2, 0, 1, 0},
-		Settled:   []graph.VertexID{4, 8},
 		Keeps:     []graph.VertexID{5, 9, 30},
 		Parks:     []core.ClusterPark{{V: 17, Off: 0, N: 1}},
 		ParkDests: []partition.ID{2},
@@ -118,7 +126,6 @@ func TestStepPayloadRoundtrip(t *testing.T) {
 	if got.Examined != d.Examined || got.Requested != d.Requested ||
 		len(got.Reqs) != 3 || len(got.Reqs[1]) != 2 || got.Reqs[1][1] != d.Reqs[1][1] ||
 		len(got.Cands) != 4 || got.Cands[0] != 2 ||
-		len(got.Settled) != 2 || got.Settled[1] != 8 ||
 		len(got.Keeps) != 3 || got.Keeps[2] != 30 ||
 		len(got.Parks) != 1 || got.Parks[0] != d.Parks[0] ||
 		len(got.ParkDests) != 1 || got.ParkDests[0] != 2 {
@@ -146,7 +153,7 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	f.Add(AppendCaughtUpFrame(nil))
 	f.Add(AppendRejectFrame(nil, "reason"))
-	f.Add([]byte{1, 3, 255, 255, 255, 255})
+	f.Add([]byte{WireVersion, 3, 255, 255, 255, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {

@@ -48,9 +48,8 @@ type ClusterPark struct {
 // scratch — valid until the next decide on it, so encode (or copy)
 // before stepping again.
 type ShardDecision struct {
-	// Examined is the number of frontier slots this shard's chunk
-	// covered (incremental mode; the full sweep reports vertices
-	// globally at apply time).
+	// Examined is the number of vertices this shard decided: the live
+	// vertices of its slot range, or its frontier chunk when incremental.
 	Examined int
 	// Requested counts post-coin, pre-quota migration requests.
 	Requested int
@@ -59,10 +58,9 @@ type ShardDecision struct {
 	Reqs [][]ClusterReq
 	// Cands is the arena backing every request's candidate list.
 	Cands []partition.ID
-	// Settled lists frontier vertices that chose to stay (incremental
-	// mode): every replica unschedules them at the barrier.
-	Settled []graph.VertexID
-	// Keeps lists frontier vertices staying dirty (incremental mode).
+	// Keeps lists frontier vertices staying dirty (incremental mode);
+	// every other vertex of the shard's chunk leaves the frontier at the
+	// barrier.
 	Keeps []graph.VertexID
 	// Parks lists hard-denied vertices with ParkDests as their
 	// destination arena (incremental mode).
@@ -79,7 +77,7 @@ func (d *ShardDecision) reset(k int) {
 		d.Reqs[i] = d.Reqs[i][:0]
 	}
 	*d = ShardDecision{
-		Reqs: d.Reqs, Cands: d.Cands[:0], Settled: d.Settled[:0], Keeps: d.Keeps[:0],
+		Reqs: d.Reqs, Cands: d.Cands[:0], Keeps: d.Keeps[:0],
 		Parks: d.Parks[:0], ParkDests: d.ParkDests[:0],
 	}
 }
@@ -95,9 +93,9 @@ func (p *Partitioner) StepClusterDecide(shard, n int) (*ShardDecision, error) {
 	if shard < 0 || shard >= n {
 		return nil, fmt.Errorf("core: cluster shard %d out of range [0,%d)", shard, n)
 	}
-	weight := p.beginIteration()
+	p.begin()
 	sh := p.shards[0]
-	p.decideShard(sh, shard, n, p.prepareFrontier(), weight)
+	p.d.Decide(&sh.scorer, &sh.dec, shard, n, p.prepareFrontier())
 	return &sh.dec, nil
 }
 
@@ -135,6 +133,11 @@ func (p *Partitioner) StepClusterApply(decisions []*ShardDecision) (IterationSta
 		for _, pk := range d.Parks {
 			if pk.Off < 0 || pk.N < 0 || int(pk.Off)+int(pk.N) > len(d.ParkDests) {
 				return IterationStats{}, fmt.Errorf("core: cluster park destinations out of range")
+			}
+		}
+		for _, v := range d.Keeps {
+			if v < 0 || int(v) >= p.g.NumSlots() {
+				return IterationStats{}, fmt.Errorf("core: cluster keep %d outside the vertex table", v)
 			}
 		}
 	}

@@ -107,7 +107,8 @@ func TestClusterStepMatchesSingleProcess(t *testing.T) {
 }
 
 // TestClusterDecideValidation covers the error paths: out-of-range
-// shard, no decisions, malformed and nil decisions.
+// shard, no decisions, malformed and nil decisions, and keeps outside
+// the vertex table.
 func TestClusterDecideValidation(t *testing.T) {
 	g := gen.Cube3D(4)
 	cfg := DefaultConfig(4, 7)
@@ -137,5 +138,9 @@ func TestClusterDecideValidation(t *testing.T) {
 	}
 	if _, err := p.StepClusterApply([]*ShardDecision{d, nil}); err == nil {
 		t.Fatal("apply with nil decision must fail")
+	}
+	keep := &ShardDecision{Keeps: []graph.VertexID{graph.VertexID(g.NumSlots())}}
+	if _, err := p.StepClusterApply([]*ShardDecision{d, keep}); err == nil {
+		t.Fatal("apply with a keep outside the vertex table must fail")
 	}
 }

@@ -190,24 +190,21 @@ type Partitioner struct {
 	quiet int
 	// lastMigration is the iteration index of the most recent migration.
 	lastMigration int
-	// scorer holds the heat view every shard's scorer shares. moves,
-	// quota and keeps are reused per iteration.
+	// d is the decide→grant rule every step path runs; free is its
+	// per-iteration capacity view. scorer holds the heat view every
+	// shard's scorer shares.
+	d      Decider
+	free   []int
 	scorer *Scorer
-	moves  []move
-	quota  [][]int
-	keeps  [][]graph.VertexID
 	// shards decide, one per resolved Parallelism; decs points at their
 	// decisions.
 	shards []*coreShard
 	decs   []*ShardDecision
 	// Active-set scheduler state (Config.Incremental): active holds the
-	// frontier/parking bookkeeping shared with internal/adaptive,
-	// touchScratch buffers the per-batch mutation notices, and quotaCol
-	// is the iteration-start per-pair quota by destination column — the
-	// competition-free admission bound parking decisions test against.
+	// frontier/parking bookkeeping shared with internal/adaptive, and
+	// touchScratch buffers the per-batch mutation notices.
 	active       *activeset.Set
 	touchScratch []graph.VertexID
-	quotaCol     []int
 	// Change tracking (SetChangeTracking): when on, every vertex whose
 	// assignment this partitioner writes — granted moves, stream
 	// placements, removal unassignments — is appended to changed until
@@ -228,11 +225,6 @@ type Partitioner struct {
 	heatWake []uint64
 }
 
-type move struct {
-	v        graph.VertexID
-	from, to partition.ID
-}
-
 // New creates a Partitioner over g starting from the given initial
 // assignment (which it adopts and mutates in place).
 func New(g *graph.Graph, asn *partition.Assignment, cfg Config) (*Partitioner, error) {
@@ -246,14 +238,18 @@ func New(g *graph.Graph, asn *partition.Assignment, cfg Config) (*Partitioner, e
 		return nil, fmt.Errorf("core: invalid initial assignment: %w", err)
 	}
 	p := &Partitioner{
-		cfg:    cfg,
-		g:      g,
-		asn:    asn,
+		cfg: cfg,
+		g:   g,
+		asn: asn,
+		d: Decider{
+			S:             cfg.S,
+			Seed:          cfg.Seed,
+			Incremental:   cfg.Incremental,
+			BalanceEdges:  cfg.BalanceEdges,
+			DisableQuotas: cfg.DisableQuotas,
+		},
+		free:   make([]int, cfg.K),
 		scorer: NewScorer(),
-		quota:  make([][]int, cfg.K),
-	}
-	for i := range p.quota {
-		p.quota[i] = make([]int, cfg.K)
 	}
 	par := cfg.Parallelism
 	if par == 0 {
@@ -267,7 +263,6 @@ func New(g *graph.Graph, asn *partition.Assignment, cfg Config) (*Partitioner, e
 	}
 	p.recomputeCapacities()
 	if cfg.Incremental {
-		p.quotaCol = make([]int, cfg.K)
 		// Seed the frontier with every live vertex — the initial state,
 		// equivalent to a full sweep until the first vertices settle.
 		p.active = activeset.New(cfg.K)
@@ -436,128 +431,57 @@ func (p *Partitioner) leastLoaded() partition.ID {
 	return best
 }
 
-// beginIteration runs the iteration preamble shared by every execution
-// path: capacities are refreshed, the per-pair quota matrix (and its
-// column mirror) is filled from free capacity, and the request-weight
-// function is returned. Pure function of (graph, assignment, config), so
-// every cluster replica derives the identical quota view independently.
-func (p *Partitioner) beginIteration() func(graph.VertexID) int {
-	k := p.cfg.K
+// begin runs the iteration preamble shared by every execution path:
+// capacities are refreshed and the decider is started on the free
+// capacity C(j) − load(j), in vertices or, edge-balanced, in degree
+// units. Pure function of (graph, assignment, config), so every cluster
+// replica derives the identical quota view independently.
+func (p *Partitioner) begin() {
 	if p.g.NumVertices() != p.capsN {
 		p.recomputeCapacities()
 	}
-
-	// Capacity accounting: vertex counts by default, degree units with
-	// the edge-balanced extension.
-	caps := p.caps
-	var loads []int
 	if p.cfg.BalanceEdges {
-		caps = p.edgeCapacities()
-		loads = EdgeLoads(p.g, p.asn)
-	}
-	loadOf := func(j int) int {
-		if loads != nil {
-			return loads[j]
+		caps, loads := p.edgeCapacities(), EdgeLoads(p.g, p.asn)
+		for j := range p.free {
+			p.free[j] = caps[j] - loads[j]
 		}
-		return p.asn.Size(partition.ID(j))
-	}
-	weight := func(v graph.VertexID) int {
-		if p.cfg.BalanceEdges {
-			if d := p.g.Degree(v); d > 0 {
-				return d
-			}
-		}
-		return 1
-	}
-
-	// Quotas from free capacity at the start of the iteration:
-	// Q(i,j) = floor(C_free(j) / (k−1)) for i ≠ j (Section 2.2).
-	for j := 0; j < k; j++ {
-		free := caps[j] - loadOf(j)
-		if free < 0 {
-			free = 0
-		}
-		q := free
-		if k > 1 {
-			q = free / (k - 1)
-		}
-		for i := 0; i < k; i++ {
-			p.quota[i][j] = q
-		}
-		if p.quotaCol != nil {
-			p.quotaCol[j] = q
+	} else {
+		for j := range p.free {
+			p.free[j] = p.caps[j] - p.asn.Size(partition.ID(j))
 		}
 	}
-	return weight
+	p.d.Begin(p.g, p.asn, p.iter, p.free)
 }
 
 // apply is the second half of every iteration, in process (Step) and in
-// a cluster (StepClusterApply): it grants the decisions' requests, runs
-// the incremental barrier, applies every granted move simultaneously and
-// advances the counters.
-//
-// Grants walk the quota matrix row by row (source partition i), and
-// within a row the decisions in shard order and each decision's requests
-// in slot order. A claim touches only row i, and shards hold contiguous
-// ascending slot ranges or frontier chunks, so both the granted set and
-// the move list — row order, then slot order — are the same for every
-// shard count. recordChange and the wakes below therefore see the moves
-// in one order whatever the shard count.
+// a cluster (StepClusterApply): the decider grants the decisions'
+// requests and runs the incremental barrier, then every granted move is
+// applied simultaneously and the counters advance. The move list is in
+// row, then slot order for every shard count, so recordChange and the
+// wakes below see the moves in one order whatever the shard count.
 func (p *Partitioner) apply(decisions []*ShardDecision) IterationStats {
-	k := p.cfg.K
-	p.moves = p.moves[:0]
 	requested, examined := 0, 0
 	for _, d := range decisions {
 		requested += d.Requested
 		examined += d.Examined
 	}
-	if p.active == nil && k > 1 {
-		examined = p.g.NumVertices()
-	}
-	for i := 0; i < k; i++ {
-		for _, d := range decisions {
-			if i >= len(d.Reqs) {
-				continue
-			}
-			for _, r := range d.Reqs[i] {
-				p.claim(r.V, partition.ID(i), d.Cands[r.Off:r.Off+r.N], int(r.W))
-			}
-		}
-	}
-	if p.active != nil && examined > 0 {
-		// Barrier bookkeeping, in shard order: settles, then the frontier
-		// rebuild from the keep lists (contiguous ascending chunks, so the
-		// next Prepare need not re-sort them), then the hard-denied parks.
-		p.keeps = p.keeps[:0]
-		for _, d := range decisions {
-			for _, v := range d.Settled {
-				p.active.Unschedule(v)
-			}
-			p.keeps = append(p.keeps, d.Keeps)
-		}
-		p.active.Rebuild(p.keeps...)
-		for _, d := range decisions {
-			for _, pk := range d.Parks {
-				p.active.Park(pk.V, d.ParkDests[pk.Off:pk.Off+pk.N])
-			}
-		}
-	}
+	moves := p.d.Grant(decisions, p.active)
 
 	// Apply all granted migrations simultaneously (end of iteration).
-	for _, mv := range p.moves {
-		p.asn.Assign(mv.v, mv.to)
-		p.recordChange(mv.v)
+	for _, mv := range moves {
+		p.asn.Assign(mv.V, mv.To)
+		p.recordChange(mv.V)
 	}
 	if p.cfg.Incremental {
 		// Every applied move changes the Γ-counts of the mover's
 		// neighbours: re-wake them (and the mover, which re-settles).
 		// Departures also free capacity in the source partition, so
 		// vertices parked on it get another chance.
-		for _, mv := range p.moves {
-			p.active.MarkNeighborhood(p.g, mv.v)
+		for _, mv := range moves {
+			p.active.MarkNeighborhood(p.g, mv.V)
 		}
-		for _, mv := range p.moves {
-			p.active.UnparkDest(mv.from)
+		for _, mv := range moves {
+			p.active.UnparkDest(mv.From)
 		}
 	}
 
@@ -565,7 +489,7 @@ func (p *Partitioner) apply(decisions []*ShardDecision) IterationStats {
 		Iteration:  p.iter,
 		Examined:   examined,
 		Requested:  requested,
-		Migrations: len(p.moves),
+		Migrations: len(moves),
 		CutEdges:   -1,
 	}
 	if p.cfg.RecordEvery > 0 && p.iter%p.cfg.RecordEvery == 0 {
@@ -573,7 +497,7 @@ func (p *Partitioner) apply(decisions []*ShardDecision) IterationStats {
 		st.CutRatio = ratio(st.CutEdges, p.g.NumEdges())
 		st.Imbalance = partition.Imbalance(p.asn)
 	}
-	if len(p.moves) == 0 {
+	if len(moves) == 0 {
 		p.quiet++
 	} else {
 		p.quiet = 0
@@ -581,23 +505,6 @@ func (p *Partitioner) apply(decisions []*ShardDecision) IterationStats {
 	}
 	p.iter++
 	return st
-}
-
-// claim grants v's request of weight w towards the first destination in
-// dsts whose per-pair quota Q(cur, dst) still covers w, consuming it and
-// queueing the move (with quotas disabled the first destination wins).
-// No quota left anywhere means stay (worst-case capacity rule).
-func (p *Partitioner) claim(v graph.VertexID, cur partition.ID, dsts []partition.ID, w int) {
-	for _, dst := range dsts {
-		if !p.cfg.DisableQuotas {
-			if p.quota[cur][dst] < w {
-				continue
-			}
-			p.quota[cur][dst] -= w
-		}
-		p.moves = append(p.moves, move{v: v, from: cur, to: dst})
-		return
-	}
 }
 
 // Run iterates until convergence (ConvergenceWindow quiet iterations) or

@@ -1,7 +1,5 @@
 package core
 
-import "xdgp/internal/partition"
-
 // This file implements the active-set (frontier) scheduler: with
 // Config.Incremental set, an iteration re-examines only vertices whose
 // decision inputs could have changed since they last chose to stay,
@@ -40,14 +38,9 @@ import "xdgp/internal/partition"
 // steady-state cost is proportional to churn — the property SDP and the
 // near-real-time survey demand of a streaming partitioner.
 //
-// The frontier is drained in ascending vertex-ID order and cut into
-// Config.Parallelism contiguous chunks, one per shard (parallel.go). Each
-// vertex's draws are keyed by (Seed, iteration, v), so the outcome does
-// not depend on the cut. The shards' keep lists concatenate to an
-// ascending frontier at the barrier (activeset.Set.Rebuild), so
-// activeset.Prepare sorts only the W vertices woken since and merges
-// them in: O(D + W) per iteration for D scheduled vertices, not a full
-// sort.
+// Shards drain contiguous chunks of the sorted frontier (parallel.go).
+// Their keep lists concatenate to an ascending frontier at the barrier,
+// so activeset.Prepare sorts only the vertices woken since.
 
 // DirtyCount returns the current size of the active set — the number of
 // vertices scheduled for re-examination. It is 0 when the scheduler is
@@ -57,16 +50,4 @@ func (p *Partitioner) DirtyCount() int {
 		return 0
 	}
 	return p.active.Len()
-}
-
-// hardDenied reports whether a request of weight w cannot be granted
-// towards any of dsts even without competition: the iteration-start
-// per-pair quota of every destination is below w.
-func (p *Partitioner) hardDenied(dsts []partition.ID, w int) bool {
-	for _, dst := range dsts {
-		if p.quotaCol[dst] >= w {
-			return false
-		}
-	}
-	return true
 }
