@@ -4,13 +4,14 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
+
+	"xdgp/internal/graph"
 )
 
-// This file is the cluster RPC's frame codec, mirroring the binary
-// ingest plane's framing discipline (internal/graph/wire.go): a fixed
-// 6-byte header — u8 version, u8 type, u32 little-endian payload
-// length — followed by the payload. Every length is bounded before
+// This file is the cluster RPC's frame codec. It shares the binary
+// ingest plane's frame header and its reader (graph.AppendFrameHeader,
+// graph.ReadFrameHeader): u8 version, u8 type, u32 little-endian payload
+// length, followed by the payload. Every length is bounded before
 // allocation and every multi-byte integer is little-endian; a malformed
 // frame is an error, never a panic, which the fuzz target
 // (FuzzReadFrame) enforces.
@@ -28,14 +29,11 @@ import (
 //	            dialer may start live rounds once every peer sent one.
 //	Reject    → UTF-8 reason. Fatal handshake refusal (config mismatch,
 //	            journal gap); the receiver poisons its exchange.
-const (
-	// WireVersion is the cluster RPC frame format version. Version 2
-	// dropped the settled list from the step payload; peers of different
-	// versions refuse each other at the first frame.
-	WireVersion = 2
 
-	frameHeaderLen = 6
-)
+// WireVersion is the cluster RPC frame format version. Version 2 dropped
+// the settled list from the step payload; peers of different versions
+// refuse each other at the first frame.
+const WireVersion = 2
 
 // FrameType identifies a cluster RPC frame.
 type FrameType byte
@@ -108,8 +106,7 @@ type Frame struct {
 }
 
 func appendHeader(dst []byte, t FrameType, payload int) []byte {
-	dst = append(dst, WireVersion, byte(t))
-	return binary.LittleEndian.AppendUint32(dst, uint32(payload))
+	return graph.AppendFrameHeader(dst, WireVersion, byte(t), payload)
 }
 
 // AppendHelloFrame appends an encoded Hello frame to dst.
@@ -156,29 +153,19 @@ func AppendRejectFrame(dst []byte, reason string) []byte {
 // ReadFrame reads and validates one cluster RPC frame. Errors are
 // terminal for the connection: framing cannot re-align after garbage.
 func ReadFrame(r *bufio.Reader) (Frame, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return Frame{}, err // clean EOF between frames stays io.EOF
+	typ, n, err := graph.ReadFrameHeader(r, "cluster", WireVersion, MaxRoundPayload+12)
+	if err != nil {
+		return Frame{}, err
 	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return Frame{}, noEOF(err)
-	}
-	if hdr[0] != WireVersion {
-		return Frame{}, fmt.Errorf("cluster: unsupported wire version %d (have %d)", hdr[0], WireVersion)
-	}
-	t := FrameType(hdr[1])
-	n := int(binary.LittleEndian.Uint32(hdr[2:]))
-	if n > MaxRoundPayload+12 {
-		return Frame{}, fmt.Errorf("cluster: frame payload %d bytes exceeds the wire maximum", n)
-	}
+	t := FrameType(typ)
 	switch t {
 	case FrameHello:
 		if n != 24 {
 			return Frame{}, fmt.Errorf("cluster: hello frame payload must be 24 bytes, got %d", n)
 		}
 		var b [24]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return Frame{}, noEOF(err)
+		if err := graph.ReadFrameBytes(r, b[:]); err != nil {
+			return Frame{}, err
 		}
 		return Frame{Type: t, Hello: Hello{
 			Shard:      binary.LittleEndian.Uint32(b[0:]),
@@ -191,8 +178,8 @@ func ReadFrame(r *bufio.Reader) (Frame, error) {
 			return Frame{}, fmt.Errorf("cluster: helloack frame payload must be 8 bytes, got %d", n)
 		}
 		var b [8]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return Frame{}, noEOF(err)
+		if err := graph.ReadFrameBytes(r, b[:]); err != nil {
+			return Frame{}, err
 		}
 		return Frame{Type: t, Watermark: binary.LittleEndian.Uint64(b[:])}, nil
 	case FrameRound:
@@ -200,12 +187,12 @@ func ReadFrame(r *bufio.Reader) (Frame, error) {
 			return Frame{}, fmt.Errorf("cluster: round frame payload must be ≥ 12 bytes, got %d", n)
 		}
 		var b [12]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return Frame{}, noEOF(err)
+		if err := graph.ReadFrameBytes(r, b[:]); err != nil {
+			return Frame{}, err
 		}
 		payload := make([]byte, n-12)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return Frame{}, noEOF(err)
+		if err := graph.ReadFrameBytes(r, payload); err != nil {
+			return Frame{}, err
 		}
 		return Frame{Type: t, Round: Round{
 			Round:   binary.LittleEndian.Uint64(b[0:]),
@@ -222,20 +209,11 @@ func ReadFrame(r *bufio.Reader) (Frame, error) {
 			return Frame{}, fmt.Errorf("cluster: reject reason %d bytes exceeds the maximum %d", n, maxRejectReason)
 		}
 		b := make([]byte, n)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return Frame{}, noEOF(err)
+		if err := graph.ReadFrameBytes(r, b); err != nil {
+			return Frame{}, err
 		}
 		return Frame{Type: t, Reason: string(b)}, nil
 	default:
-		return Frame{}, fmt.Errorf("cluster: unknown frame type %d", hdr[1])
+		return Frame{}, fmt.Errorf("cluster: unknown frame type %d", typ)
 	}
-}
-
-// noEOF maps io.EOF to io.ErrUnexpectedEOF: once a frame has begun, a
-// short read is corruption, not a clean end of stream.
-func noEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }

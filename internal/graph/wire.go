@@ -46,6 +46,44 @@ import (
 // reader refuses other versions instead of guessing at the layout.
 const WireVersion = 1
 
+// AppendFrameHeader appends the header that starts every frame of both
+// binary wires, this protocol and the cluster RPC (internal/cluster):
+// u8 version, u8 type, u32 little-endian payload length. Each wire has
+// its own version byte and frame types.
+func AppendFrameHeader(dst []byte, version, typ byte, payload int) []byte {
+	return appendU32(append(dst, version, typ), uint32(payload))
+}
+
+// ReadFrameHeader reads one frame header of the wire named wire and
+// returns the frame's type and payload length. A stream that ends
+// cleanly before the header returns io.EOF bare; another version than
+// version, a header cut short or a payload over max is an error.
+func ReadFrameHeader(r io.Reader, wire string, version byte, max int) (typ byte, payload int, err error) {
+	var hdr [6]byte
+	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
+		return 0, 0, err // clean EOF between frames stays io.EOF
+	}
+	if hdr[0] != version {
+		return 0, 0, fmt.Errorf("%s: unsupported version %d (want %d)", wire, hdr[0], version)
+	}
+	if err := ReadFrameBytes(r, hdr[1:]); err != nil {
+		return 0, 0, fmt.Errorf("%s: header: %w", wire, err)
+	}
+	if payload = int(leU32(hdr[2:])); payload > max {
+		return 0, 0, fmt.Errorf("%s: payload of %d bytes exceeds the maximum %d", wire, payload, max)
+	}
+	return hdr[1], payload, nil
+}
+
+// ReadFrameBytes fills b from r inside a frame, where the stream ending
+// is corruption, not a clean end: io.EOF becomes io.ErrUnexpectedEOF.
+func ReadFrameBytes(r io.Reader, b []byte) error {
+	if _, err := io.ReadAtLeast(r, b, len(b)); err != io.EOF {
+		return err
+	}
+	return io.ErrUnexpectedEOF
+}
+
 // FrameType discriminates the payloads of the mutation wire protocol.
 type FrameType byte
 
@@ -144,9 +182,7 @@ func AppendBatchFrame(dst []byte, b Batch) ([]byte, error) {
 			}
 		}
 	}
-	payload := 4 + len(b)*wireMutationSize
-	dst = append(dst, WireVersion, byte(FrameBatch))
-	dst = appendU32(dst, uint32(payload))
+	dst = AppendFrameHeader(dst, WireVersion, byte(FrameBatch), 4+len(b)*wireMutationSize)
 	dst = appendU32(dst, uint32(len(b)))
 	for _, mu := range b {
 		dst = append(dst, byte(mu.Kind))
@@ -172,16 +208,14 @@ func WriteBatchFrame(w io.Writer, b Batch) error {
 
 // AppendAckFrame appends an ack frame to dst.
 func AppendAckFrame(dst []byte, a Ack) []byte {
-	dst = append(dst, WireVersion, byte(FrameAck))
-	dst = appendU32(dst, 8)
+	dst = AppendFrameHeader(dst, WireVersion, byte(FrameAck), 8)
 	dst = appendU32(dst, a.Accepted)
 	return appendU32(dst, a.Queued)
 }
 
 // AppendNakFrame appends a nak frame to dst.
 func AppendNakFrame(dst []byte, n Nak) []byte {
-	dst = append(dst, WireVersion, byte(FrameNak))
-	dst = appendU32(dst, 5)
+	dst = AppendFrameHeader(dst, WireVersion, byte(FrameNak), 5)
 	dst = append(dst, byte(n.Code))
 	return appendU32(dst, n.RetryAfterMillis)
 }
@@ -193,22 +227,11 @@ func AppendNakFrame(dst []byte, n Nak) []byte {
 // allocation. io.EOF is returned bare only when the stream ends cleanly
 // between frames (a half-read frame is io.ErrUnexpectedEOF).
 func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [6]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return Frame{}, err // clean EOF between frames stays io.EOF
+	t, payload, err := ReadFrameHeader(r, "graph wire", WireVersion, maxWirePayload)
+	if err != nil {
+		return Frame{}, err
 	}
-	if hdr[0] != WireVersion {
-		return Frame{}, fmt.Errorf("graph wire: unsupported version %d (want %d)", hdr[0], WireVersion)
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return Frame{}, fmt.Errorf("graph wire: header: %w", noEOF(err))
-	}
-	typ := FrameType(hdr[1])
-	payload := int(leU32(hdr[2:6]))
-	if payload > maxWirePayload {
-		return Frame{}, fmt.Errorf("graph wire: payload of %d bytes exceeds the maximum %d", payload, maxWirePayload)
-	}
-	switch typ {
+	switch FrameType(t) {
 	case FrameBatch:
 		return readBatchPayload(r, payload)
 	case FrameAck:
@@ -216,8 +239,8 @@ func ReadFrame(r io.Reader) (Frame, error) {
 			return Frame{}, fmt.Errorf("graph wire: ack payload is %d bytes, want 8", payload)
 		}
 		var buf [8]byte
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return Frame{}, fmt.Errorf("graph wire: ack: %w", noEOF(err))
+		if err := ReadFrameBytes(r, buf[:]); err != nil {
+			return Frame{}, fmt.Errorf("graph wire: ack: %w", err)
 		}
 		return Frame{Type: FrameAck, Ack: Ack{Accepted: leU32(buf[0:4]), Queued: leU32(buf[4:8])}}, nil
 	case FrameNak:
@@ -225,8 +248,8 @@ func ReadFrame(r io.Reader) (Frame, error) {
 			return Frame{}, fmt.Errorf("graph wire: nak payload is %d bytes, want 5", payload)
 		}
 		var buf [5]byte
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return Frame{}, fmt.Errorf("graph wire: nak: %w", noEOF(err))
+		if err := ReadFrameBytes(r, buf[:]); err != nil {
+			return Frame{}, fmt.Errorf("graph wire: nak: %w", err)
 		}
 		code := NakCode(buf[0])
 		if code != NakBackpressure && code != NakMalformed && code != NakShutdown {
@@ -234,7 +257,7 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		}
 		return Frame{Type: FrameNak, Nak: Nak{Code: code, RetryAfterMillis: leU32(buf[1:5])}}, nil
 	default:
-		return Frame{}, fmt.Errorf("graph wire: unknown frame type %d", hdr[1])
+		return Frame{}, fmt.Errorf("graph wire: unknown frame type %d", t)
 	}
 }
 
@@ -243,8 +266,8 @@ func readBatchPayload(r io.Reader, payload int) (Frame, error) {
 		return Frame{}, fmt.Errorf("graph wire: batch payload of %d bytes lacks a count", payload)
 	}
 	var cntBuf [4]byte
-	if _, err := io.ReadFull(r, cntBuf[:]); err != nil {
-		return Frame{}, fmt.Errorf("graph wire: batch count: %w", noEOF(err))
+	if err := ReadFrameBytes(r, cntBuf[:]); err != nil {
+		return Frame{}, fmt.Errorf("graph wire: batch count: %w", err)
 	}
 	count := int(leU32(cntBuf[:]))
 	if count > MaxWireBatch {
@@ -259,8 +282,8 @@ func readBatchPayload(r io.Reader, payload int) (Frame, error) {
 	b := make(Batch, 0, min(count, 1<<16))
 	var mbuf [wireMutationSize]byte
 	for i := 0; i < count; i++ {
-		if _, err := io.ReadFull(r, mbuf[:]); err != nil {
-			return Frame{}, fmt.Errorf("graph wire: mutation %d: %w", i, noEOF(err))
+		if err := ReadFrameBytes(r, mbuf[:]); err != nil {
+			return Frame{}, fmt.Errorf("graph wire: mutation %d: %w", i, err)
 		}
 		kind := MutationKind(mbuf[0])
 		if kind < MutAddVertex || kind > MutRemoveEdge {
@@ -298,15 +321,6 @@ func checkWireVertex(v VertexID) error {
 		return fmt.Errorf("vertex id %d exceeds the supported maximum %d", int64(v), int64(MaxReadVertexID))
 	}
 	return nil
-}
-
-// noEOF maps io.EOF to io.ErrUnexpectedEOF: once a frame has begun, a
-// short read is corruption, not a clean end of stream.
-func noEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }
 
 func appendU32(dst []byte, v uint32) []byte {
