@@ -20,9 +20,8 @@
 // hears migration notices for vertices adjacent to its own) and the
 // delayed capacity vector. The rule is core.Decider, the one decide→grant
 // every internal/core step path runs too: the service hands it the
-// delayed free capacities (scaled down on hot partitions), the hot-spot
-// drain odds and the deferred-migration window, and keeps only the
-// BSP side — the capacity broadcast, the frontier wakes and the
+// delayed free capacities (scaled down on hot partitions) and the
+// hot-spot drain odds, and keeps only the BSP side — the capacity broadcast, the frontier wakes and the
 // conversion of granted moves into migration requests.
 //
 // Randomness: vertex v's draws in superstep t (the willingness coin, the
@@ -233,7 +232,6 @@ func (s *Service) Plan(view *bsp.View) []bsp.MigrationRequest {
 		}
 		s.free[j] = free
 	}
-	s.d.Hold = view.Migrating
 	s.d.Begin(g, addr, view.Superstep(), s.free)
 
 	var frontier []graph.VertexID

@@ -30,8 +30,8 @@ import (
 //	Reject    → UTF-8 reason. Fatal handshake refusal (config mismatch,
 //	            journal gap); the receiver poisons its exchange.
 
-// WireVersion is the cluster RPC frame format version. Version 2 dropped
-// the settled list from the step payload; peers of different versions
+// WireVersion is the cluster RPC frame format version. It changes with
+// any frame or round payload layout, so that peers of different builds
 // refuse each other at the first frame.
 const WireVersion = 2
 

@@ -33,9 +33,6 @@ type Decider struct {
 	// partition j that prefers to stay requests the best other partitions
 	// with probability Drain[j].
 	Drain []float64
-	// Hold, when set, reports vertices to keep on the frontier without
-	// deciding them (the service's deferred-migration window).
-	Hold func(graph.VertexID) bool
 
 	g     *graph.Graph
 	asn   *partition.Assignment
@@ -105,17 +102,11 @@ func (d *Decider) Decide(sc *Scorer, dec *ShardDecision, s, n int, frontier []gr
 }
 
 // decide evaluates vertex v and, when incremental, sorts it for the
-// barrier: kept on the frontier (held, unwilling, or requesting),
-// settled (prefers to stay) or parked (hard-denied: no destination's
-// quota at Begin admits it, whatever the competition).
+// barrier: kept on the frontier (unwilling, or requesting), settled
+// (prefers to stay) or parked (hard-denied: no destination's quota at
+// Begin admits it, whatever the competition).
 func (d *Decider) decide(sc *Scorer, dec *ShardDecision, v graph.VertexID) {
 	inc := d.Incremental
-	if d.Hold != nil && d.Hold(v) {
-		if inc {
-			dec.Keeps = append(dec.Keeps, v)
-		}
-		return
-	}
 	r := d.key.Vertex(v)
 	if d.S < 1 && r.Float64() >= d.S {
 		if inc {
