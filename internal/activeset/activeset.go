@@ -73,8 +73,8 @@ func (s *Set) MarkNeighborhood(g *graph.Graph, v graph.VertexID) {
 
 // Park records that v's request was hard-denied towards every
 // destination in dsts. v leaves the frontier (the caller must not keep
-// it at Rebuild) and re-wakes on UnparkDest of one of the destinations, UnparkAll,
-// or a Mark from a neighbourhood event.
+// it at Rebuild) and re-wakes on UnparkDest of one of the destinations,
+// UnparkAll, or a Mark from a neighbourhood event.
 func (s *Set) Park(v graph.VertexID, dsts []partition.ID) {
 	if int(v) >= len(s.dirty) || v < 0 {
 		return

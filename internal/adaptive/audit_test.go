@@ -15,8 +15,9 @@ import (
 //   - Plan allocates its request slice fresh on every pass (the engine
 //     consumes it at the same barrier; no scratch buffer is ever handed
 //     out);
-//   - the service's scratch (counts, tied, quota) and scheduler state
-//     (active, colQuota) are unexported and unreachable;
+//   - the service's scratch (the core.Decider and its decision, the
+//     scorer, the free and drain vectors) and scheduler state (active)
+//     are unexported and unreachable;
 //   - the daemon checkpoints core.Partitioner, not Service, so no
 //     Service state crosses the snapshot boundary at all.
 //

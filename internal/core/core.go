@@ -16,8 +16,8 @@
 //
 // This package is the simulation form used by the paper's quality
 // experiments (Figures 1, 4, 5, 6) and by the daemon; internal/adaptive
-// integrates the same heuristic into the Pregel-like engine for the
-// system experiments (Figures 7, 8, 9).
+// runs the same rule, Decider (decide.go), inside the Pregel-like engine
+// for the system experiments (Figures 7, 8, 9).
 package core
 
 import (
