@@ -93,12 +93,14 @@ func (d *Decider) Decide(sc *Scorer, dec *ShardDecision, s, n int, frontier []gr
 		return
 	}
 	lo, hi := graph.ShardRange(s, n, d.g.NumSlots())
+	examined := 0
 	for id := lo; id < hi; id++ {
 		if v := graph.VertexID(id); d.g.Has(v) {
-			dec.Examined++
+			examined++
 			d.decide(sc, dec, v)
 		}
 	}
+	dec.Examined = examined
 }
 
 // decide evaluates vertex v and, when incremental, sorts it for the
