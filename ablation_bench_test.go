@@ -215,5 +215,7 @@ func BenchmarkAblationHotSpot(b *testing.B) {
 
 type hotProg struct{}
 
-func (hotProg) Init(ctx *bsp.VertexContext) any         { return nil }
-func (hotProg) Compute(ctx *bsp.VertexContext, _ []any) { ctx.SendTo(ctx.ID(), struct{}{}) }
+func (hotProg) Init(ctx *bsp.VertexContext[struct{}]) any { return nil }
+func (hotProg) Compute(ctx *bsp.VertexContext[struct{}], _ []struct{}) {
+	ctx.SendTo(ctx.ID(), struct{}{})
+}

@@ -14,8 +14,8 @@ import (
 // the engine to the background partitioner.
 type idleProgram struct{}
 
-func (idleProgram) Init(ctx *bsp.VertexContext) any         { return nil }
-func (idleProgram) Compute(ctx *bsp.VertexContext, _ []any) { ctx.VoteToHalt() }
+func (idleProgram) Init(ctx *bsp.VertexContext[struct{}]) any              { return nil }
+func (idleProgram) Compute(ctx *bsp.VertexContext[struct{}], _ []struct{}) { ctx.VoteToHalt() }
 
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{S: -0.1, CapacityFactor: 1.1}); err == nil {
@@ -168,8 +168,8 @@ func TestSinglePartitionNoMigration(t *testing.T) {
 // one partition measures hot, exercising the hot-spot extension.
 type skewProgram struct{}
 
-func (skewProgram) Init(ctx *bsp.VertexContext) any { return nil }
-func (skewProgram) Compute(ctx *bsp.VertexContext, _ []any) {
+func (skewProgram) Init(ctx *bsp.VertexContext[struct{}]) any { return nil }
+func (skewProgram) Compute(ctx *bsp.VertexContext[struct{}], _ []struct{}) {
 	// Keep every vertex active so worker costs are measured each step.
 	ctx.SendTo(ctx.ID(), struct{}{})
 }

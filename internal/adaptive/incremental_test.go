@@ -177,7 +177,7 @@ func TestIncrementalHotSpotWakesHotPartition(t *testing.T) {
 // the hot-spot statistics are live.
 type countProgram struct{}
 
-func (countProgram) Init(ctx *bsp.VertexContext) any { return 0 }
-func (countProgram) Compute(ctx *bsp.VertexContext, _ []any) {
+func (countProgram) Init(ctx *bsp.VertexContext[struct{}]) any { return 0 }
+func (countProgram) Compute(ctx *bsp.VertexContext[struct{}], _ []struct{}) {
 	ctx.SetValue(ctx.Value().(int) + 1)
 }

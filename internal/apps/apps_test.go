@@ -10,7 +10,7 @@ import (
 	"xdgp/internal/partition"
 )
 
-func newEngine(t *testing.T, g *graph.Graph, k int, prog bsp.Program) *bsp.Engine {
+func newEngine[M any](t *testing.T, g *graph.Graph, k int, prog bsp.Program[M]) *bsp.Engine {
 	t.Helper()
 	e, err := bsp.NewEngine(g, partition.Hash(g, k), prog, bsp.Config{Workers: k, Seed: 1})
 	if err != nil {
@@ -18,6 +18,30 @@ func newEngine(t *testing.T, g *graph.Graph, k int, prog bsp.Program) *bsp.Engin
 	}
 	return e
 }
+
+// suiteProg holds a program of this package whatever its message type, so
+// that one table can list programs of different message types.
+type suiteProg interface {
+	// start builds an engine over g running the program.
+	start(g *graph.Graph, asn *partition.Assignment, cfg bsp.Config) (*bsp.Engine, error)
+	// withoutCombiner returns the program wrapped in WithoutCombiner.
+	withoutCombiner() suiteProg
+	// program returns the program, for VerifyStreaming.
+	program() any
+}
+
+// suite wraps p as a suiteProg.
+func suite[M any](p bsp.Program[M]) suiteProg { return progOf[M]{p} }
+
+type progOf[M any] struct{ p bsp.Program[M] }
+
+func (s progOf[M]) start(g *graph.Graph, asn *partition.Assignment, cfg bsp.Config) (*bsp.Engine, error) {
+	return bsp.NewEngine(g, asn, s.p, cfg)
+}
+
+func (s progOf[M]) withoutCombiner() suiteProg { return progOf[M]{WithoutCombiner[M]{P: s.p}} }
+
+func (s progOf[M]) program() any { return s.p }
 
 // bfsDistances is the ground truth for SSSP.
 func bfsDistances(g *graph.Graph, src graph.VertexID) map[graph.VertexID]int {

@@ -52,7 +52,7 @@ func (c *Cardiac) CostPerVertex() float64 { return float64(c.NumEquations) }
 type cellState []float64
 
 // Init creates a resting cell; vertex 0 acts as the pacemaker.
-func (c *Cardiac) Init(ctx *bsp.VertexContext) any {
+func (c *Cardiac) Init(ctx *bsp.VertexContext[float64]) any {
 	st := make(cellState, c.NumVars)
 	if ctx.ID() == 0 {
 		st[0] = 1.0 // initial stimulus at the pacemaker
@@ -72,7 +72,7 @@ func (c *Cardiac) CloneValue(v any) any {
 // Compute advances the cell one time step: diffusion from neighbour
 // potentials, FitzHugh–Nagumo excitation dynamics, and NumEquations
 // auxiliary gating updates over the state vector.
-func (c *Cardiac) Compute(ctx *bsp.VertexContext, msgs []any) {
+func (c *Cardiac) Compute(ctx *bsp.VertexContext[float64], msgs []float64) {
 	st, ok := ctx.Value().(cellState)
 	if !ok || len(st) < 2 {
 		st = make(cellState, c.NumVars)
@@ -83,16 +83,10 @@ func (c *Cardiac) Compute(ctx *bsp.VertexContext, msgs []any) {
 	// Diffusive coupling with neighbours (cable equation term).
 	if len(msgs) > 0 {
 		sum := 0.0
-		n := 0
-		for _, m := range msgs {
-			if x, ok := m.(float64); ok {
-				sum += x
-				n++
-			}
+		for _, x := range msgs {
+			sum += x
 		}
-		if n > 0 {
-			v += c.Dt * c.DiffusionCoeff * (sum/float64(n) - v)
-		}
+		v += c.Dt * c.DiffusionCoeff * (sum/float64(len(msgs)) - v)
 	}
 
 	// FitzHugh–Nagumo excitation.
@@ -145,7 +139,7 @@ func clamp(x, lo, hi float64) float64 {
 }
 
 var (
-	_ bsp.Program      = (*Cardiac)(nil)
-	_ bsp.CostDeclarer = (*Cardiac)(nil)
-	_ bsp.ValueCloner  = (*Cardiac)(nil)
+	_ bsp.Program[float64] = (*Cardiac)(nil)
+	_ bsp.CostDeclarer     = (*Cardiac)(nil)
+	_ bsp.ValueCloner      = (*Cardiac)(nil)
 )

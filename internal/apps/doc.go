@@ -16,5 +16,8 @@
 // from-scratch oracles in this package (OracleComponents, OracleDistances,
 // OraclePageRank; VerifyStreaming diffs a quiescent engine against them).
 //
-// All programs follow the engine's Pregel-style API.
+// All programs follow the engine's Pregel-style API and declare their
+// message type: float64 (PageRank, TunkRank, SSSP, Cardiac), int64 (WCC),
+// or a small struct of the program's own (the streaming programs and
+// MaxClique).
 package apps

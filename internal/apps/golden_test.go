@@ -114,11 +114,11 @@ func boolByte(b bool) byte {
 
 // runGolden executes one cell and returns the value hash and the stats
 // hash (per superstep: local, remote and active counts).
-func runGolden(t *testing.T, prog bsp.Program, workers int, adapt bool) (uint64, uint64) {
+func runGolden(t *testing.T, prog suiteProg, workers int, adapt bool) (uint64, uint64) {
 	t.Helper()
 	g := gen.BarabasiAlbert(goldenVertices, 3, 17)
 	batches := goldenChurn(g)
-	e, err := bsp.NewEngine(g, partition.Hash(g, goldenK), prog, bsp.Config{Workers: workers, Seed: 5})
+	e, err := prog.start(g, partition.Hash(g, goldenK), bsp.Config{Workers: workers, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,30 +160,30 @@ func runGolden(t *testing.T, prog bsp.Program, workers int, adapt bool) (uint64,
 func TestAnalyticsGolden(t *testing.T) {
 	for _, c := range []struct {
 		name          string
-		prog          func() bsp.Program
+		prog          func() suiteProg
 		combine       bool
 		adapt         bool
 		values, stats uint64
 	}{
-		{"cc", func() bsp.Program { return NewStreamingCC() }, true, false, 0xa8991988b60f046f, 0xd6d0f419ff6156e7},
-		{"cc", func() bsp.Program { return NewStreamingCC() }, true, true, 0xa8991988b60f046f, 0x090a74612c8795ce},
-		{"cc", func() bsp.Program { return NewStreamingCC() }, false, false, 0xa8991988b60f046f, 0x08af81f884179795},
-		{"cc", func() bsp.Program { return NewStreamingCC() }, false, true, 0xa8991988b60f046f, 0xa131f2c7c533b012},
-		{"sssp", func() bsp.Program { return NewStreamingSSSP(goldenSource) }, true, false, 0xdacfcc57fd473573, 0x7d28cc77b3de5a21},
-		{"sssp", func() bsp.Program { return NewStreamingSSSP(goldenSource) }, true, true, 0xdacfcc57fd473573, 0x29538ba21896202f},
-		{"sssp", func() bsp.Program { return NewStreamingSSSP(goldenSource) }, false, false, 0xdacfcc57fd473573, 0x6c659c92c4bc916b},
-		{"sssp", func() bsp.Program { return NewStreamingSSSP(goldenSource) }, false, true, 0xdacfcc57fd473573, 0x1ee0950a625e56d9},
-		{"pagerank", func() bsp.Program { return NewStreamingPageRank() }, true, false, 0x6038f6ec54cdfb83, 0x73267227f13ef852},
-		{"pagerank", func() bsp.Program { return NewStreamingPageRank() }, true, true, 0x6038f6ec54cdfb83, 0x2059832247f17e62},
-		{"pagerank", func() bsp.Program { return NewStreamingPageRank() }, false, false, 0x6038f6ec54cdfb83, 0x73267227f13ef852},
-		{"pagerank", func() bsp.Program { return NewStreamingPageRank() }, false, true, 0x6038f6ec54cdfb83, 0x2059832247f17e62},
+		{"cc", func() suiteProg { return suite(NewStreamingCC()) }, true, false, 0xa8991988b60f046f, 0xd6d0f419ff6156e7},
+		{"cc", func() suiteProg { return suite(NewStreamingCC()) }, true, true, 0xa8991988b60f046f, 0x090a74612c8795ce},
+		{"cc", func() suiteProg { return suite(NewStreamingCC()) }, false, false, 0xa8991988b60f046f, 0x08af81f884179795},
+		{"cc", func() suiteProg { return suite(NewStreamingCC()) }, false, true, 0xa8991988b60f046f, 0xa131f2c7c533b012},
+		{"sssp", func() suiteProg { return suite(NewStreamingSSSP(goldenSource)) }, true, false, 0xdacfcc57fd473573, 0x7d28cc77b3de5a21},
+		{"sssp", func() suiteProg { return suite(NewStreamingSSSP(goldenSource)) }, true, true, 0xdacfcc57fd473573, 0x29538ba21896202f},
+		{"sssp", func() suiteProg { return suite(NewStreamingSSSP(goldenSource)) }, false, false, 0xdacfcc57fd473573, 0x6c659c92c4bc916b},
+		{"sssp", func() suiteProg { return suite(NewStreamingSSSP(goldenSource)) }, false, true, 0xdacfcc57fd473573, 0x1ee0950a625e56d9},
+		{"pagerank", func() suiteProg { return suite(NewStreamingPageRank()) }, true, false, 0x6038f6ec54cdfb83, 0x73267227f13ef852},
+		{"pagerank", func() suiteProg { return suite(NewStreamingPageRank()) }, true, true, 0x6038f6ec54cdfb83, 0x2059832247f17e62},
+		{"pagerank", func() suiteProg { return suite(NewStreamingPageRank()) }, false, false, 0x6038f6ec54cdfb83, 0x73267227f13ef852},
+		{"pagerank", func() suiteProg { return suite(NewStreamingPageRank()) }, false, true, 0x6038f6ec54cdfb83, 0x2059832247f17e62},
 	} {
 		for _, workers := range []int{1, 3} {
 			name := fmt.Sprintf("%s/combine=%v/adapt=%v/workers=%d", c.name, c.combine, c.adapt, workers)
 			t.Run(name, func(t *testing.T) {
 				prog := c.prog()
 				if !c.combine {
-					prog = WithoutCombiner{P: prog}
+					prog = prog.withoutCombiner()
 				}
 				values, stats := runGolden(t, prog, workers, c.adapt)
 				if values != c.values || stats != c.stats {

@@ -40,7 +40,7 @@ type neighborList struct {
 }
 
 // Init starts every vertex in the exchange phase.
-func (mc *MaxClique) Init(ctx *bsp.VertexContext) any { return &cliqueState{} }
+func (mc *MaxClique) Init(ctx *bsp.VertexContext[neighborList]) any { return &cliqueState{} }
 
 // CloneValue deep-copies the mutable clique state for checkpointing.
 func (mc *MaxClique) CloneValue(v any) any {
@@ -52,7 +52,7 @@ func (mc *MaxClique) CloneValue(v any) any {
 }
 
 // Compute implements the two-phase exchange-and-intersect algorithm.
-func (mc *MaxClique) Compute(ctx *bsp.VertexContext, msgs []any) {
+func (mc *MaxClique) Compute(ctx *bsp.VertexContext[neighborList], msgs []neighborList) {
 	st, ok := ctx.Value().(*cliqueState)
 	if !ok {
 		st = &cliqueState{}
@@ -86,14 +86,10 @@ func (mc *MaxClique) Compute(ctx *bsp.VertexContext, msgs []any) {
 // neighbour lists: candidates are v's neighbours ordered by how many of
 // v's other neighbours they connect to (descending), each admitted iff
 // adjacent to every member so far.
-func (mc *MaxClique) greedyClique(v graph.VertexID, msgs []any) []graph.VertexID {
+func (mc *MaxClique) greedyClique(v graph.VertexID, msgs []neighborList) []graph.VertexID {
 	adjOf := make(map[graph.VertexID]map[graph.VertexID]bool, len(msgs))
 	order := make([]graph.VertexID, 0, len(msgs))
-	for _, m := range msgs {
-		nl, ok := m.(neighborList)
-		if !ok {
-			continue
-		}
+	for _, nl := range msgs {
 		set := make(map[graph.VertexID]bool, len(nl.adj))
 		for _, w := range nl.adj {
 			set[w] = true
@@ -149,6 +145,6 @@ func Clique(v any) []graph.VertexID {
 }
 
 var (
-	_ bsp.Program     = (*MaxClique)(nil)
-	_ bsp.ValueCloner = (*MaxClique)(nil)
+	_ bsp.Program[neighborList] = (*MaxClique)(nil)
+	_ bsp.ValueCloner           = (*MaxClique)(nil)
 )

@@ -118,9 +118,9 @@ const prOracleTol = 1e-6
 // matching from-scratch oracle and returns the first divergence found.
 // prog must be the program the engine runs: one of the streaming programs,
 // optionally wrapped in WithoutCombiner.
-func VerifyStreaming(e *bsp.Engine, prog bsp.Program) error {
-	if w, ok := prog.(WithoutCombiner); ok {
-		prog = w.P
+func VerifyStreaming(e *bsp.Engine, prog any) error {
+	if w, ok := prog.(interface{ unwrap() any }); ok {
+		prog = w.unwrap()
 	}
 	g := e.Graph()
 	var err error

@@ -27,7 +27,7 @@ const churnSlotBudget = 48
 
 type streamingCase struct {
 	name string
-	prog func() bsp.Program
+	prog func() suiteProg
 	// batchCap bounds the supersteps allowed to re-quiesce after one
 	// batch. PageRank needs headroom: residual waves die geometrically
 	// but slowly near the announcement tolerance.
@@ -36,9 +36,9 @@ type streamingCase struct {
 
 func streamingCases() []streamingCase {
 	return []streamingCase{
-		{name: "cc", prog: func() bsp.Program { return NewStreamingCC() }, batchCap: 400},
-		{name: "sssp", prog: func() bsp.Program { return NewStreamingSSSP(0) }, batchCap: 400},
-		{name: "pagerank", prog: func() bsp.Program { return NewStreamingPageRank() }, batchCap: 900},
+		{name: "cc", prog: func() suiteProg { return suite(NewStreamingCC()) }, batchCap: 400},
+		{name: "sssp", prog: func() suiteProg { return suite(NewStreamingSSSP(0)) }, batchCap: 400},
+		{name: "pagerank", prog: func() suiteProg { return suite(NewStreamingPageRank()) }, batchCap: 900},
 	}
 }
 
@@ -72,7 +72,7 @@ func randChurnBatch(rng *rand.Rand) graph.Batch {
 func runChurnSequence(c streamingCase, batches []graph.Batch, adapt bool) (int, error) {
 	g := graph.NewUndirected(0)
 	prog := c.prog()
-	e, err := bsp.NewEngine(g, partition.Hash(g, 3), prog, bsp.Config{Workers: 2, Seed: 7})
+	e, err := prog.start(g, partition.Hash(g, 3), bsp.Config{Workers: 2, Seed: 7})
 	if err != nil {
 		return -1, err
 	}
@@ -88,7 +88,7 @@ func runChurnSequence(c streamingCase, batches []graph.Batch, adapt bool) (int, 
 		if _, done := e.RunUntilQuiescent(c.batchCap); !done {
 			return i, fmt.Errorf("no quiescence within %d supersteps", c.batchCap)
 		}
-		if err := VerifyStreaming(e, prog); err != nil {
+		if err := VerifyStreaming(e, prog.program()); err != nil {
 			return i, err
 		}
 	}

@@ -23,16 +23,14 @@ func NewPageRank(n, rounds int) *PageRank {
 }
 
 // Init gives every vertex the uniform prior 1/N.
-func (p *PageRank) Init(ctx *bsp.VertexContext) any { return 1 / float64(p.N) }
+func (p *PageRank) Init(ctx *bsp.VertexContext[float64]) any { return 1 / float64(p.N) }
 
 // Compute implements one power-iteration step per superstep.
-func (p *PageRank) Compute(ctx *bsp.VertexContext, msgs []any) {
+func (p *PageRank) Compute(ctx *bsp.VertexContext[float64], msgs []float64) {
 	if ctx.Superstep() > 0 {
 		sum := 0.0
-		for _, m := range msgs {
-			if x, ok := m.(float64); ok {
-				sum += x
-			}
+		for _, x := range msgs {
+			sum += x
 		}
 		ctx.SetValue((1-p.Damping)/float64(p.N) + p.Damping*sum)
 	}
@@ -48,16 +46,9 @@ func (p *PageRank) Compute(ctx *bsp.VertexContext, msgs []any) {
 
 // CombineMessages sums rank contributions at the sender (Pregel combiner),
 // cutting message volume on high-degree destinations.
-func (p *PageRank) CombineMessages(a, b any) any {
-	af, aok := a.(float64)
-	bf, bok := b.(float64)
-	if !aok || !bok {
-		return a
-	}
-	return af + bf
-}
+func (p *PageRank) CombineMessages(a, b float64) float64 { return a + b }
 
 var (
-	_ bsp.Program         = (*PageRank)(nil)
-	_ bsp.MessageCombiner = (*PageRank)(nil)
+	_ bsp.Program[float64]         = (*PageRank)(nil)
+	_ bsp.MessageCombiner[float64] = (*PageRank)(nil)
 )

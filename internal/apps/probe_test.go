@@ -15,10 +15,11 @@ import (
 // only by chance, and diffs the quiescent values against the oracles.
 
 // newProbeEngine builds an engine over g with two workers over three
-// partitions, so announcements cross partitions and arrive out of order.
-func newProbeEngine(t *testing.T, g *graph.Graph, prog bsp.Program) *bsp.Engine {
+// partitions, so announcements cross partitions, and a combiner delivers
+// them grouped by source partition rather than by sender.
+func newProbeEngine(t *testing.T, g *graph.Graph, prog suiteProg) *bsp.Engine {
 	t.Helper()
-	e, err := bsp.NewEngine(g, partition.Hash(g, 3), prog, bsp.Config{Workers: 2, Seed: 3})
+	e, err := prog.start(g, partition.Hash(g, 3), bsp.Config{Workers: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,12 +28,12 @@ func newProbeEngine(t *testing.T, g *graph.Graph, prog bsp.Program) *bsp.Engine 
 
 // quiesceAndVerify runs the engine to quiescence and diffs it against the
 // program's oracle.
-func quiesceAndVerify(t *testing.T, e *bsp.Engine, prog bsp.Program) {
+func quiesceAndVerify(t *testing.T, e *bsp.Engine, prog suiteProg) {
 	t.Helper()
 	if _, done := e.RunUntilQuiescent(900); !done {
 		t.Fatal("no quiescence")
 	}
-	if err := VerifyStreaming(e, prog); err != nil {
+	if err := VerifyStreaming(e, prog.program()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -48,7 +49,7 @@ func TestPageRankOverlayOnlyNeighbourhood(t *testing.T) {
 	}
 	g.AddEdge(1, 2)
 	g.AddEdge(6, 7)
-	prog := NewStreamingPageRank()
+	prog := suite(NewStreamingPageRank())
 	e := newProbeEngine(t, g, prog)
 	quiesceAndVerify(t, e, prog)
 	var wire graph.Batch
@@ -65,8 +66,8 @@ func TestPageRankOverlayOnlyNeighbourhood(t *testing.T) {
 
 // TestHubProbeSpillsStackBuffer: a hub with more than 16 announcing
 // senders, part base span (with entries spliced out) and part overlay, so
-// the programs' 16-entry stack buffers spill to the heap and the probe
-// crosses both halves of the adjacency.
+// the flood programs' 16-entry stack buffer spills to the heap and every
+// program's probe crosses both halves of the adjacency.
 func TestHubProbeSpillsStackBuffer(t *testing.T) {
 	for _, c := range streamingCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -121,7 +122,7 @@ func TestFloodParentLostWhileOverlayCandidateArrives(t *testing.T) {
 		g.AddEdge(e[0], e[1])
 	}
 	g.Compact()
-	prog := NewStreamingSSSP(0)
+	prog := suite(NewStreamingSSSP(0))
 	e := newProbeEngine(t, g, prog)
 	quiesceAndVerify(t, e, prog)
 	// Batch 1 wires 7-4 into the overlay; 7 announces distance 3 over it

@@ -58,13 +58,8 @@ type floodMsg struct{ entries []floodEntry }
 // combineFlood concatenates announcement lists. Receivers sort entries by
 // sender before folding, so the concatenation order (which depends on the
 // worker count) is immaterial.
-func combineFlood(a, b any) any {
-	am, aok := a.(floodMsg)
-	bm, bok := b.(floodMsg)
-	if !aok || !bok {
-		return a
-	}
-	return floodMsg{entries: append(am.entries, bm.entries...)}
+func combineFlood(a, b floodMsg) floodMsg {
+	return floodMsg{entries: append(a.entries, b.entries...)}
 }
 
 // floodState is the per-vertex value of the flood programs: the current
@@ -91,7 +86,7 @@ func floodLess(k1 float64, h1 int32, k2 float64, h2 int32) bool {
 // floodCompute is the shared Compute of the flood programs. root returns a
 // vertex's rest potential key (its own label for components, 0 or +Inf for
 // SSSP).
-func floodCompute(ctx *bsp.VertexContext, msgs []any, root func(graph.VertexID) float64) {
+func floodCompute(ctx *bsp.VertexContext[floodMsg], msgs []floodMsg, root func(graph.VertexID) float64) {
 	me := ctx.ID()
 	st, ok := ctx.Value().(floodState)
 	if !ok {
@@ -101,15 +96,14 @@ func floodCompute(ctx *bsp.VertexContext, msgs []any, root func(graph.VertexID) 
 	st.booted = true
 	notice := ctx.TopologyChanged()
 
-	// Collect announcements in sender order: delivery order varies with
-	// the worker count and with combining, the sorted fold does not. The
-	// buffer stays on the stack unless more than 16 senders announce.
+	// Collect announcements in sender order: a combiner concatenates them
+	// in merged order (grouped by source partition), the sorted fold does
+	// not depend on it. The buffer stays on the stack unless more than 16
+	// senders announce.
 	var buf [16]floodEntry
 	entries := buf[:0]
 	for _, m := range msgs {
-		if fm, ok := m.(floodMsg); ok {
-			entries = append(entries, fm.entries...)
-		}
+		entries = append(entries, m.entries...)
 	}
 	slices.SortFunc(entries, func(a, b floodEntry) int { return cmp.Compare(a.from, b.from) })
 
@@ -181,19 +175,19 @@ type StreamingCC struct{}
 func NewStreamingCC() *StreamingCC { return &StreamingCC{} }
 
 // Init roots the vertex at its own ID.
-func (c *StreamingCC) Init(ctx *bsp.VertexContext) any {
+func (c *StreamingCC) Init(ctx *bsp.VertexContext[floodMsg]) any {
 	return floodState{key: float64(ctx.ID()), parent: ctx.ID()}
 }
 
 // Compute runs the shared self-repairing flood with every vertex a
 // potential root.
-func (c *StreamingCC) Compute(ctx *bsp.VertexContext, msgs []any) {
+func (c *StreamingCC) Compute(ctx *bsp.VertexContext[floodMsg], msgs []floodMsg) {
 	floodCompute(ctx, msgs, func(v graph.VertexID) float64 { return float64(v) })
 }
 
 // CombineMessages concatenates announcements (one priced message per
 // source partition and destination).
-func (c *StreamingCC) CombineMessages(a, b any) any { return combineFlood(a, b) }
+func (c *StreamingCC) CombineMessages(a, b floodMsg) floodMsg { return combineFlood(a, b) }
 
 // StreamingCCLabel extracts the component label from a StreamingCC vertex
 // value (ok is false for nil or foreign values).
@@ -224,7 +218,7 @@ func NewStreamingSSSP(source graph.VertexID) *StreamingSSSP {
 }
 
 // Init roots the source at distance 0 and every other vertex at +Inf.
-func (s *StreamingSSSP) Init(ctx *bsp.VertexContext) any {
+func (s *StreamingSSSP) Init(ctx *bsp.VertexContext[floodMsg]) any {
 	return floodState{key: s.rootKey(ctx.ID()), parent: ctx.ID()}
 }
 
@@ -236,13 +230,13 @@ func (s *StreamingSSSP) rootKey(v graph.VertexID) float64 {
 }
 
 // Compute runs the shared self-repairing flood rooted at the source.
-func (s *StreamingSSSP) Compute(ctx *bsp.VertexContext, msgs []any) {
+func (s *StreamingSSSP) Compute(ctx *bsp.VertexContext[floodMsg], msgs []floodMsg) {
 	floodCompute(ctx, msgs, s.rootKey)
 }
 
 // CombineMessages concatenates announcements (one priced message per
 // source partition and destination).
-func (s *StreamingSSSP) CombineMessages(a, b any) any { return combineFlood(a, b) }
+func (s *StreamingSSSP) CombineMessages(a, b floodMsg) floodMsg { return combineFlood(a, b) }
 
 // StreamingSSSPDist extracts the hop distance from a StreamingSSSP vertex
 // value: +Inf for unreachable vertices, ok false for nil or foreign
@@ -262,17 +256,20 @@ func StreamingSSSPDist(v any) (float64, bool) {
 // CostDeclarer) it implements while forwarding everything else — the
 // combiner-off axis of the invariance tests. Vertex values, and therefore
 // results, must not depend on the wrapping; only message statistics may.
-type WithoutCombiner struct{ P bsp.Program }
+type WithoutCombiner[M any] struct{ P bsp.Program[M] }
 
 // Init forwards to the wrapped program.
-func (w WithoutCombiner) Init(ctx *bsp.VertexContext) any { return w.P.Init(ctx) }
+func (w WithoutCombiner[M]) Init(ctx *bsp.VertexContext[M]) any { return w.P.Init(ctx) }
 
 // Compute forwards to the wrapped program.
-func (w WithoutCombiner) Compute(ctx *bsp.VertexContext, msgs []any) { w.P.Compute(ctx, msgs) }
+func (w WithoutCombiner[M]) Compute(ctx *bsp.VertexContext[M], msgs []M) { w.P.Compute(ctx, msgs) }
+
+// unwrap returns the wrapped program, for VerifyStreaming's dispatch.
+func (w WithoutCombiner[M]) unwrap() any { return w.P }
 
 // CloneValue forwards to the wrapped program's ValueCloner, or returns the
 // value unchanged when it has none.
-func (w WithoutCombiner) CloneValue(v any) any {
+func (w WithoutCombiner[M]) CloneValue(v any) any {
 	if c, ok := w.P.(bsp.ValueCloner); ok {
 		return c.CloneValue(v)
 	}
@@ -280,10 +277,10 @@ func (w WithoutCombiner) CloneValue(v any) any {
 }
 
 var (
-	_ bsp.Program         = (*StreamingCC)(nil)
-	_ bsp.MessageCombiner = (*StreamingCC)(nil)
-	_ bsp.Program         = (*StreamingSSSP)(nil)
-	_ bsp.MessageCombiner = (*StreamingSSSP)(nil)
-	_ bsp.Program         = WithoutCombiner{}
-	_ bsp.ValueCloner     = WithoutCombiner{}
+	_ bsp.Program[floodMsg]         = (*StreamingCC)(nil)
+	_ bsp.MessageCombiner[floodMsg] = (*StreamingCC)(nil)
+	_ bsp.Program[floodMsg]         = (*StreamingSSSP)(nil)
+	_ bsp.MessageCombiner[floodMsg] = (*StreamingSSSP)(nil)
+	_ bsp.Program[floodMsg]         = WithoutCombiner[floodMsg]{}
+	_ bsp.ValueCloner               = WithoutCombiner[floodMsg]{}
 )

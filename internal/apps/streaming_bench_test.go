@@ -26,7 +26,7 @@ func BenchmarkStreamingPageRankChurn(b *testing.B) { benchmarkChurn(b, NewStream
 // benchmarkChurn converges prog on BA(10000, 3), k=8, then times absorbing
 // one batch of 100 paired edge rewires per iteration, drained back to
 // quiescence.
-func benchmarkChurn(b *testing.B, prog bsp.Program) {
+func benchmarkChurn[M any](b *testing.B, prog bsp.Program[M]) {
 	const (
 		n        = 10000
 		k        = 8

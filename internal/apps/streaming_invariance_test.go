@@ -25,7 +25,7 @@ import (
 // then a drain to quiescence with the adaptive service migrating
 // underneath.
 type invariancePlan struct {
-	prog        func() bsp.Program
+	prog        func() suiteProg
 	workers     int
 	incremental bool
 	adapt       bool
@@ -69,8 +69,7 @@ func invariantChurn(seed int64) []graph.Batch {
 func runInvariant(t *testing.T, p invariancePlan, batches []graph.Batch) ([]bsp.SuperstepStats, map[graph.VertexID]string, map[graph.VertexID]partition.ID) {
 	t.Helper()
 	g := gen.BarabasiAlbert(invVertices, 2, 5)
-	prog := p.prog()
-	e, err := bsp.NewEngine(g, partition.Hash(g, invK), prog, bsp.Config{Workers: p.workers, Seed: 9})
+	e, err := p.prog().start(g, partition.Hash(g, invK), bsp.Config{Workers: p.workers, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,17 +129,17 @@ func diffRuns(t *testing.T, label string,
 // with a combiner) combiner-off forms.
 func streamingVariants() []struct {
 	name string
-	prog func() bsp.Program
+	prog func() suiteProg
 } {
 	return []struct {
 		name string
-		prog func() bsp.Program
+		prog func() suiteProg
 	}{
-		{"cc", func() bsp.Program { return NewStreamingCC() }},
-		{"cc-nocombine", func() bsp.Program { return WithoutCombiner{P: NewStreamingCC()} }},
-		{"sssp", func() bsp.Program { return NewStreamingSSSP(0) }},
-		{"sssp-nocombine", func() bsp.Program { return WithoutCombiner{P: NewStreamingSSSP(0)} }},
-		{"pagerank", func() bsp.Program { return NewStreamingPageRank() }},
+		{"cc", func() suiteProg { return suite(NewStreamingCC()) }},
+		{"cc-nocombine", func() suiteProg { return suite(NewStreamingCC()).withoutCombiner() }},
+		{"sssp", func() suiteProg { return suite(NewStreamingSSSP(0)) }},
+		{"sssp-nocombine", func() suiteProg { return suite(NewStreamingSSSP(0)).withoutCombiner() }},
+		{"pagerank", func() suiteProg { return suite(NewStreamingPageRank()) }},
 	}
 }
 
@@ -169,13 +168,13 @@ func TestStreamingCombinerEquivalence(t *testing.T) {
 	batches := invariantChurn(22)
 	for _, c := range []struct {
 		name string
-		on   func() bsp.Program
-		off  func() bsp.Program
+		on   func() suiteProg
+		off  func() suiteProg
 	}{
-		{"cc", func() bsp.Program { return NewStreamingCC() },
-			func() bsp.Program { return WithoutCombiner{P: NewStreamingCC()} }},
-		{"sssp", func() bsp.Program { return NewStreamingSSSP(0) },
-			func() bsp.Program { return WithoutCombiner{P: NewStreamingSSSP(0)} }},
+		{"cc", func() suiteProg { return suite(NewStreamingCC()) },
+			func() suiteProg { return suite(NewStreamingCC()).withoutCombiner() }},
+		{"sssp", func() suiteProg { return suite(NewStreamingSSSP(0)) },
+			func() suiteProg { return suite(NewStreamingSSSP(0)).withoutCombiner() }},
 	} {
 		hOn, vOn, aOn := runInvariant(t, invariancePlan{prog: c.on, workers: 3, adapt: true}, batches)
 		hOff, vOff, aOff := runInvariant(t, invariancePlan{prog: c.off, workers: 3, adapt: true}, batches)
@@ -221,9 +220,9 @@ func TestAnalyticsDoNotPerturbPartitionerRNG(t *testing.T) {
 	batches := invariantChurn(24)
 	for _, incremental := range []bool{false, true} {
 		var assigns []map[graph.VertexID]partition.ID
-		for _, prog := range []func() bsp.Program{
-			func() bsp.Program { return NewStreamingCC() },
-			func() bsp.Program { return NewStreamingPageRank() },
+		for _, prog := range []func() suiteProg{
+			func() suiteProg { return suite(NewStreamingCC()) },
+			func() suiteProg { return suite(NewStreamingPageRank()) },
 		} {
 			_, _, a := runInvariant(t, invariancePlan{prog: prog, workers: 2, adapt: true, incremental: incremental}, batches)
 			assigns = append(assigns, a)

@@ -11,7 +11,7 @@ import (
 )
 
 // Unit pins for the small exported surfaces of the streaming suite: value
-// accessors on foreign values, combiner and clone edge cases, and
+// accessors on foreign values, the flood combiner, clone edge cases, and
 // VerifyStreaming's failure modes (the differential harness only ever
 // sees it succeed).
 
@@ -42,22 +42,18 @@ func TestStreamingValueAccessors(t *testing.T) {
 	}
 }
 
-func TestCombineFloodForeignValues(t *testing.T) {
+func TestCombineFloodConcatenates(t *testing.T) {
 	a := floodMsg{entries: []floodEntry{{key: 1, from: 7}}}
 	b := floodMsg{entries: []floodEntry{{key: 2, from: 8}}}
-	merged, ok := combineFlood(a, b).(floodMsg)
-	if !ok || len(merged.entries) != 2 {
+	merged := combineFlood(a, b)
+	if len(merged.entries) != 2 || merged.entries[0].from != 7 || merged.entries[1].from != 8 {
 		t.Fatalf("merged = %+v", merged)
-	}
-	// A foreign operand must pass through rather than panic.
-	if got := combineFlood("foreign", b); got != "foreign" {
-		t.Errorf("foreign combine = %v", got)
 	}
 }
 
 func TestWithoutCombinerCloneValue(t *testing.T) {
 	// Wrapping a ValueCloner forwards to its deep copy.
-	pr := WithoutCombiner{P: NewStreamingPageRank()}
+	pr := WithoutCombiner[prMsg]{P: NewStreamingPageRank()}
 	orig := &prState{rank: 1, in: []prContrib{{from: 3, share: 0.5}}}
 	clone := pr.CloneValue(orig).(*prState)
 	orig.in[0].share = 9
@@ -65,7 +61,7 @@ func TestWithoutCombinerCloneValue(t *testing.T) {
 		t.Error("clone aliases the original in-contribution table")
 	}
 	// Wrapping a value-type program returns the value unchanged.
-	cc := WithoutCombiner{P: NewStreamingCC()}
+	cc := WithoutCombiner[floodMsg]{P: NewStreamingCC()}
 	v := floodState{key: 4, hops: 2}
 	if got := cc.CloneValue(v); got != any(v) {
 		t.Errorf("CloneValue = %v, want %v", got, v)
@@ -76,10 +72,10 @@ func TestWithoutCombinerCloneValue(t *testing.T) {
 // used to provoke VerifyStreaming's no-value and no-oracle errors.
 type quietProgram struct{}
 
-func (quietProgram) Init(ctx *bsp.VertexContext) any            { return nil }
-func (quietProgram) Compute(ctx *bsp.VertexContext, msgs []any) { ctx.VoteToHalt() }
+func (quietProgram) Init(ctx *bsp.VertexContext[struct{}]) any                 { return nil }
+func (quietProgram) Compute(ctx *bsp.VertexContext[struct{}], msgs []struct{}) { ctx.VoteToHalt() }
 
-func pathEngine(t *testing.T, prog bsp.Program) *bsp.Engine {
+func pathEngine[M any](t *testing.T, prog bsp.Program[M]) *bsp.Engine {
 	t.Helper()
 	g := graph.NewUndirected(3)
 	a, b, c := g.AddVertex(), g.AddVertex(), g.AddVertex()
@@ -125,8 +121,8 @@ func TestVerifyStreamingFailureModes(t *testing.T) {
 	}
 
 	// WithoutCombiner unwraps before dispatch.
-	ew := pathEngine(t, WithoutCombiner{P: NewStreamingCC()})
-	if err := VerifyStreaming(ew, WithoutCombiner{P: NewStreamingCC()}); err != nil {
+	ew := pathEngine(t, WithoutCombiner[floodMsg]{P: NewStreamingCC()})
+	if err := VerifyStreaming(ew, WithoutCombiner[floodMsg]{P: NewStreamingCC()}); err != nil {
 		t.Errorf("wrapped CC run rejected: %v", err)
 	}
 }

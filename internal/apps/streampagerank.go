@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"cmp"
 	"slices"
 
 	"xdgp/internal/bsp"
@@ -58,14 +57,15 @@ type prState struct {
 // previous contribution from the same sender. Absolute (not delta)
 // announcements make delivery idempotent, which is what lets repair and
 // regular propagation share one code path. The program has no combiner:
-// contributions need per-sender identity.
+// contributions need per-sender identity, and without one the engine
+// delivers a vertex's messages in ascending sender order.
 type prMsg struct {
 	share float64
 	from  graph.VertexID
 }
 
 // Init starts the vertex at the bare teleport mass.
-func (p *StreamingPageRank) Init(ctx *bsp.VertexContext) any {
+func (p *StreamingPageRank) Init(ctx *bsp.VertexContext[prMsg]) any {
 	return &prState{rank: 1 - p.Damping}
 }
 
@@ -80,29 +80,20 @@ func (p *StreamingPageRank) CloneValue(v any) any {
 // Compute folds announced shares into the in-contribution table, prunes it
 // against the live neighbourhood on topology notices, recomputes the rank
 // and re-announces its own share when it moved by more than Tol.
-func (p *StreamingPageRank) Compute(ctx *bsp.VertexContext, msgs []any) {
+func (p *StreamingPageRank) Compute(ctx *bsp.VertexContext[prMsg], msgs []prMsg) {
 	st := ctx.Value().(*prState)
 	notice := ctx.TopologyChanged()
 
-	// Apply announcements in sender order (delivery order varies with the
-	// worker count), dropping senders that are no longer neighbours —
-	// their edge vanished while the message was in flight. The buffer
-	// stays on the stack unless a hub hears from more than 16 senders.
+	// Apply announcements in place, dropping senders that are no longer
+	// neighbours — their edge vanished while the message was in flight.
+	// Without a combiner the engine delivers them in ascending sender
+	// order for any worker count (bsp's order guarantee), as st.in and
+	// the neighbour span ascend: merge all three. The walk costs no more
+	// than the rank sum below, which reads all of st.in anyway.
 	if len(msgs) > 0 {
-		var buf [16]prMsg
-		anns := buf[:0]
-		for _, m := range msgs {
-			if pm, ok := m.(prMsg); ok {
-				anns = append(anns, pm)
-			}
-		}
-		slices.SortFunc(anns, func(a, b prMsg) int { return cmp.Compare(a.from, b.from) })
-		// Senders ascend, as do st.in and the neighbour span: merge all
-		// three. The walk costs no more than the rank sum below, which reads
-		// all of st.in anyway.
 		i := 0
 		nbrs := ctx.NeighborCursor()
-		for _, a := range anns {
+		for _, a := range msgs {
 			if !nbrs.Contains(a.from) {
 				continue
 			}
@@ -162,6 +153,6 @@ func StreamingRank(v any) (float64, bool) {
 }
 
 var (
-	_ bsp.Program     = (*StreamingPageRank)(nil)
-	_ bsp.ValueCloner = (*StreamingPageRank)(nil)
+	_ bsp.Program[prMsg] = (*StreamingPageRank)(nil)
+	_ bsp.ValueCloner    = (*StreamingPageRank)(nil)
 )

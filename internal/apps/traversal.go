@@ -20,7 +20,7 @@ type SSSP struct {
 func NewSSSP(source graph.VertexID) *SSSP { return &SSSP{Source: source} }
 
 // Init assigns +Inf everywhere except the source.
-func (s *SSSP) Init(ctx *bsp.VertexContext) any {
+func (s *SSSP) Init(ctx *bsp.VertexContext[float64]) any {
 	if ctx.ID() == s.Source {
 		return 0.0
 	}
@@ -28,13 +28,11 @@ func (s *SSSP) Init(ctx *bsp.VertexContext) any {
 }
 
 // Compute relaxes incoming distances and halts when stable.
-func (s *SSSP) Compute(ctx *bsp.VertexContext, msgs []any) {
+func (s *SSSP) Compute(ctx *bsp.VertexContext[float64], msgs []float64) {
 	dist := ctx.Value().(float64)
 	best := dist
-	for _, m := range msgs {
-		if d, ok := m.(float64); ok && d < best {
-			best = d
-		}
+	for _, d := range msgs {
+		best = min(best, d)
 	}
 	improved := best < dist
 	if improved {
@@ -48,21 +46,11 @@ func (s *SSSP) Compute(ctx *bsp.VertexContext, msgs []any) {
 }
 
 // CombineMessages keeps only the minimum candidate distance (combiner).
-func (s *SSSP) CombineMessages(a, b any) any {
-	af, aok := a.(float64)
-	bf, bok := b.(float64)
-	if !aok || !bok {
-		return a
-	}
-	if bf < af {
-		return bf
-	}
-	return af
-}
+func (s *SSSP) CombineMessages(a, b float64) float64 { return min(a, b) }
 
 var (
-	_ bsp.Program         = (*SSSP)(nil)
-	_ bsp.MessageCombiner = (*SSSP)(nil)
+	_ bsp.Program[float64]         = (*SSSP)(nil)
+	_ bsp.MessageCombiner[float64] = (*SSSP)(nil)
 )
 
 // WCC computes weakly connected components by min-label propagation: each
@@ -75,16 +63,14 @@ type WCC struct{}
 func NewWCC() *WCC { return &WCC{} }
 
 // Init labels every vertex with itself.
-func (w *WCC) Init(ctx *bsp.VertexContext) any { return int64(ctx.ID()) }
+func (w *WCC) Init(ctx *bsp.VertexContext[int64]) any { return int64(ctx.ID()) }
 
 // Compute adopts the minimum heard label and propagates improvements.
-func (w *WCC) Compute(ctx *bsp.VertexContext, msgs []any) {
+func (w *WCC) Compute(ctx *bsp.VertexContext[int64], msgs []int64) {
 	label := ctx.Value().(int64)
 	best := label
-	for _, m := range msgs {
-		if l, ok := m.(int64); ok && l < best {
-			best = l
-		}
+	for _, l := range msgs {
+		best = min(best, l)
 	}
 	if best < label || ctx.Superstep() == 0 {
 		ctx.SetValue(best)
@@ -94,19 +80,9 @@ func (w *WCC) Compute(ctx *bsp.VertexContext, msgs []any) {
 }
 
 // CombineMessages keeps only the minimum candidate label (combiner).
-func (w *WCC) CombineMessages(a, b any) any {
-	al, aok := a.(int64)
-	bl, bok := b.(int64)
-	if !aok || !bok {
-		return a
-	}
-	if bl < al {
-		return bl
-	}
-	return al
-}
+func (w *WCC) CombineMessages(a, b int64) int64 { return min(a, b) }
 
 var (
-	_ bsp.Program         = (*WCC)(nil)
-	_ bsp.MessageCombiner = (*WCC)(nil)
+	_ bsp.Program[int64]         = (*WCC)(nil)
+	_ bsp.MessageCombiner[int64] = (*WCC)(nil)
 )

@@ -20,17 +20,15 @@ type TunkRank struct {
 func NewTunkRank() *TunkRank { return &TunkRank{P: 0.5} }
 
 // Init starts every user with zero influence.
-func (t *TunkRank) Init(ctx *bsp.VertexContext) any { return 0.0 }
+func (t *TunkRank) Init(ctx *bsp.VertexContext[float64]) any { return 0.0 }
 
 // Compute folds incoming mention contributions into the influence estimate
 // and forwards this vertex's contribution to everyone it mentions.
-func (t *TunkRank) Compute(ctx *bsp.VertexContext, msgs []any) {
+func (t *TunkRank) Compute(ctx *bsp.VertexContext[float64], msgs []float64) {
 	if ctx.Superstep() > 0 {
 		inf := 0.0
-		for _, m := range msgs {
-			if x, ok := m.(float64); ok {
-				inf += x
-			}
+		for _, x := range msgs {
+			inf += x
 		}
 		ctx.SetValue(inf)
 		ctx.Aggregate("tunkrank.total", inf)
@@ -44,16 +42,9 @@ func (t *TunkRank) Compute(ctx *bsp.VertexContext, msgs []any) {
 
 // CombineMessages sums influence contributions at the sender, the natural
 // combiner for a celebrity receiving thousands of mentions per superstep.
-func (t *TunkRank) CombineMessages(a, b any) any {
-	af, aok := a.(float64)
-	bf, bok := b.(float64)
-	if !aok || !bok {
-		return a
-	}
-	return af + bf
-}
+func (t *TunkRank) CombineMessages(a, b float64) float64 { return a + b }
 
 var (
-	_ bsp.Program         = (*TunkRank)(nil)
-	_ bsp.MessageCombiner = (*TunkRank)(nil)
+	_ bsp.Program[float64]         = (*TunkRank)(nil)
+	_ bsp.MessageCombiner[float64] = (*TunkRank)(nil)
 )

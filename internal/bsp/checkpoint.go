@@ -18,14 +18,14 @@ import (
 // so batches consumed between the checkpoint and the failure are dropped —
 // the graph state is internally consistent but momentarily behind the
 // stream, which is exactly the throughput dip the paper's Figure 8 shows.
-type checkpoint struct {
+type checkpoint[M any] struct {
 	superstep   int
 	g           *graph.Graph
 	addr        *partition.Assignment
 	home        []int32
 	values      []any
 	halted      []bool
-	inbox       []any
+	inbox       []M
 	inboxOff    []int32
 	inboxLen    []int32
 	mutNotice   []bool
@@ -35,8 +35,8 @@ type checkpoint struct {
 }
 
 // snapshot captures the engine's complete state.
-func (e *Engine) snapshot() {
-	cp := &checkpoint{
+func (e *engine[M]) snapshot() {
+	cp := &checkpoint[M]{
 		superstep:   e.superstep,
 		g:           e.g.Clone(),
 		addr:        e.addr.Clone(),
@@ -70,7 +70,7 @@ func (e *Engine) snapshot() {
 
 // restore rolls the engine back to the last checkpoint. The caller must
 // have verified a checkpoint exists.
-func (e *Engine) restore() {
+func (e *engine[M]) restore() {
 	cp := e.cp
 	e.superstep = cp.superstep
 	e.g = cp.g.Clone()

@@ -7,9 +7,10 @@ import "xdgp/internal/graph"
 // PageRank contributions, minima for shortest paths. When a program
 // declares a combiner, the engine folds messages to the same destination
 // together at the *sender*, before they are priced by the cost clock — the
-// same network saving a real Pregel combiner buys.
-type MessageCombiner interface {
-	CombineMessages(a, b any) any
+// same network saving a real Pregel combiner buys. The operands are the
+// program's own message type, so a combiner never meets a foreign value.
+type MessageCombiner[M any] interface {
+	CombineMessages(a, b M) M
 }
 
 // combine folds msg into the worker's outbox entry for the current source
@@ -18,7 +19,7 @@ type MessageCombiner interface {
 // distinct simulated machines; the engine completes each partition's fold
 // across workers at the barrier. The per-superstep index map makes the
 // lookup O(1).
-func (w *worker) combine(dst graph.VertexID, msg any) bool {
+func (w *worker[M]) combine(dst graph.VertexID, msg M) bool {
 	idx, ok := w.combineIdx[mergeKey{src: w.srcPart, dst: dst}]
 	if !ok {
 		return false

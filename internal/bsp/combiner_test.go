@@ -14,13 +14,13 @@ type fanInProgram struct {
 	combine bool
 }
 
-func (p *fanInProgram) Init(ctx *VertexContext) any { return 0.0 }
+func (p *fanInProgram) Init(ctx *VertexContext[float64]) any { return 0.0 }
 
-func (p *fanInProgram) Compute(ctx *VertexContext, msgs []any) {
+func (p *fanInProgram) Compute(ctx *VertexContext[float64], msgs []float64) {
 	if ctx.ID() == 0 {
 		total := ctx.Value().(float64)
 		for _, m := range msgs {
-			total += m.(float64)
+			total += m
 		}
 		ctx.SetValue(total)
 	}
@@ -34,9 +34,7 @@ func (p *fanInProgram) Compute(ctx *VertexContext, msgs []any) {
 // combiningFanIn adds the combiner to fanInProgram.
 type combiningFanIn struct{ fanInProgram }
 
-func (p *combiningFanIn) CombineMessages(a, b any) any {
-	return a.(float64) + b.(float64)
-}
+func (p *combiningFanIn) CombineMessages(a, b float64) float64 { return a + b }
 
 func fanGraph(n int) *graph.Graph {
 	g := graph.NewUndirected(n)
@@ -48,7 +46,7 @@ func fanGraph(n int) *graph.Graph {
 
 func TestCombinerReducesMessageCount(t *testing.T) {
 	const n, k = 40, 4
-	run := func(prog Program) (msgs int, sum float64) {
+	run := func(prog Program[float64]) (msgs int, sum float64) {
 		g := fanGraph(n)
 		e, err := NewEngine(g, partition.Random(g, k, 1), prog, Config{Workers: k, Seed: 1})
 		if err != nil {
@@ -80,7 +78,7 @@ func TestCombinerReducesMessageCount(t *testing.T) {
 
 func TestCombinerCostReflectsSavings(t *testing.T) {
 	const n, k = 40, 4
-	run := func(prog Program) float64 {
+	run := func(prog Program[float64]) float64 {
 		g := fanGraph(n)
 		e, err := NewEngine(g, partition.Random(g, k, 1), prog, Config{Workers: k, Seed: 1})
 		if err != nil {

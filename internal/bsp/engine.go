@@ -52,7 +52,7 @@ type Repartitioner interface {
 }
 
 // View is the read-only system state handed to a Repartitioner.
-type View struct{ e *Engine }
+type View struct{ e *state }
 
 // K returns the number of partitions.
 func (v *View) K() int { return v.e.k }
@@ -60,7 +60,7 @@ func (v *View) K() int { return v.e.k }
 // Workers returns the number of compute goroutines. Repartitioning logic
 // should almost always use K instead: partition membership, quotas and the
 // cost model are all per-partition.
-func (v *View) Workers() int { return len(v.e.workers) }
+func (v *View) Workers() int { return v.e.cfg.Workers }
 
 // Superstep returns the superstep whose barrier is executing.
 func (v *View) Superstep() int { return v.e.superstep }
@@ -71,13 +71,6 @@ func (v *View) Graph() *graph.Graph { return v.e.g }
 // Addr returns the current addressing table (vertex → partition). Callers
 // must treat it as read-only.
 func (v *View) Addr() *partition.Assignment { return v.e.addr }
-
-// Migrating reports whether the vertex is already in the deferred
-// migration window (decided but not yet physically moved).
-func (v *View) Migrating(id graph.VertexID) bool {
-	_, ok := v.e.pendingHome[id]
-	return ok
-}
 
 // WorkerCosts returns each partition's simulated cost from the superstep
 // whose barrier is executing — the runtime hot-spot statistics the paper's
@@ -105,10 +98,12 @@ func (v *View) MutatedVertices() []graph.VertexID {
 	return append([]graph.VertexID(nil), v.e.lastMutated...)
 }
 
-type outMsg struct {
+// outMsg is one buffered send. The message is held by value, so for a
+// plain-struct M the outboxes and the inbox hold no pointers.
+type outMsg[M any] struct {
 	dst graph.VertexID
 	src partition.ID // sending vertex's partition: prices local vs remote
-	msg any
+	msg M
 }
 
 // mergeKey identifies a combinable message group: one source partition,
@@ -124,13 +119,13 @@ type mergeKey struct {
 // exclusive access to those vertices during the parallel compute phase.
 // Cost accounting stays per-partition — the simulated machines — so the
 // numbers a run reports are identical for any worker count.
-type worker struct {
+type worker[M any] struct {
 	id            int
 	lo, hi        int
-	outbox        [][]outMsg // indexed by destination partition
+	outbox        [][]outMsg[M] // indexed by destination partition
 	aggPartial    map[string]float64
 	aggMaxPartial map[string]float64
-	combiner      MessageCombiner
+	combiner      MessageCombiner[M]
 	combineIdx    map[mergeKey]combineRef
 	srcPart       partition.ID // partition of the vertex being computed
 	computedBy    []int        // computed vertices per partition
@@ -141,9 +136,9 @@ type worker struct {
 	computed      int
 }
 
-func (w *worker) reset(k int) {
+func (w *worker[M]) reset(k int) {
 	if w.outbox == nil {
-		w.outbox = make([][]outMsg, k)
+		w.outbox = make([][]outMsg[M], k)
 		w.computedBy = make([]int, k)
 		w.localBy = make([]int, k)
 		w.remoteBy = make([]int, k)
@@ -172,7 +167,7 @@ func (w *worker) reset(k int) {
 // the barrier (a partition's vertices may be swept by several goroutines),
 // where the merged messages are priced, so combiner statistics are also
 // invariant under the worker count.
-func (w *worker) send(e *Engine, dst graph.VertexID, msg any) {
+func (w *worker[M]) send(e *engine[M], dst graph.VertexID, msg M) {
 	p := e.addr.Of(dst)
 	if p == partition.None {
 		return // destination unknown (removed or never existed): drop
@@ -181,7 +176,7 @@ func (w *worker) send(e *Engine, dst graph.VertexID, msg any) {
 		if w.combine(dst, msg) {
 			return
 		}
-		w.outbox[p] = append(w.outbox[p], outMsg{dst: dst, src: w.srcPart, msg: msg})
+		w.outbox[p] = append(w.outbox[p], outMsg[M]{dst: dst, src: w.srcPart, msg: msg})
 		w.combineIdx[mergeKey{src: w.srcPart, dst: dst}] = combineRef{part: int(p), pos: len(w.outbox[p]) - 1}
 		return
 	}
@@ -192,14 +187,38 @@ func (w *worker) send(e *Engine, dst graph.VertexID, msg any) {
 		w.remoteMsgs++
 		w.remoteBy[w.srcPart]++
 	}
-	w.outbox[p] = append(w.outbox[p], outMsg{dst: dst, src: w.srcPart, msg: msg})
+	w.outbox[p] = append(w.outbox[p], outMsg[M]{dst: dst, src: w.srcPart, msg: msg})
 }
 
-// Engine executes a Program over a partitioned dynamic graph.
+// Engine executes a Program over a partitioned dynamic graph. It is one
+// non-generic handle over an engine of any message type: the state that
+// does not depend on the message type is shared, and the runner is the
+// typed engine NewEngine built.
 type Engine struct {
-	cfg  Config
-	g    *graph.Graph
-	prog Program
+	*state
+	runner
+}
+
+// runner is the part of the Engine API that touches typed messages.
+type runner interface {
+	// RunSuperstep executes one superstep (parallel compute, then
+	// barrier) and returns its stats.
+	RunSuperstep() SuperstepStats
+	// ResetComputation reinitialises every vertex value via Program.Init
+	// and reactivates all vertices, keeping the graph, the partitioning
+	// and the superstep clock intact. The mobile-network use case uses
+	// this to rerun the clique computation over each buffered window of
+	// graph changes while the adaptive partitioning persists across runs
+	// (paper Section 4.3).
+	ResetComputation()
+}
+
+// state is the engine state that does not depend on the message type: the
+// topology, the placement, the vertex values and the per-slot inbox
+// ranges, the barrier scratch and the run's history. View reads it.
+type state struct {
+	cfg Config
+	g   *graph.Graph
 	// k is the number of partitions (simulated machines), from the
 	// assignment — independent of the number of compute workers.
 	k int
@@ -218,15 +237,8 @@ type Engine struct {
 
 	values []any
 	halted []bool
-	// The inbox is flat: the messages delivered at the last barrier sit in
-	// one buffer, grouped by destination, and vertex v's are
-	// inbox[inboxOff[v] : inboxOff[v]+inboxLen[v]], in delivery order
-	// (sending worker, then destination partition, then send order; with
-	// a combiner, the merged order, partition 0 to k−1). The buffer is
-	// reused every superstep and dropped at a barrier that delivers
-	// nothing, so an idle engine holds no message memory. A vertex's
-	// length is zeroed once it has computed, and when it is removed.
-	inbox    []any
+	// Vertex v's messages are inbox[inboxOff[v] : inboxOff[v]+inboxLen[v]]
+	// of the typed engine's flat inbox (see engine.inbox).
 	inboxOff []int32
 	inboxLen []int32
 	// mutNotice marks vertices whose immediate neighbourhood changed at the
@@ -236,19 +248,9 @@ type Engine struct {
 	// program-facing twin of View.MutatedVertices.
 	mutNotice []bool
 
-	workers    []*worker
-	combiner   MessageCombiner
 	aggregated map[string]float64
 	repart     Repartitioner
 	stream     graph.Stream
-
-	// Barrier-side scratch for completing the combiner fold across
-	// workers and pricing the merged messages per source partition.
-	mergeIdx      map[mergeKey]int
-	mergedBuf     []outMsg
-	boxes         [][]outMsg // the outboxes in delivery order
-	deliverLocal  []int
-	deliverRemote []int
 
 	// Barrier scratch reused across supersteps.
 	migCost    []float64 // per-partition migration cost
@@ -258,18 +260,46 @@ type Engine struct {
 	superstep     int
 	costPerVertex float64
 	msgsInFlight  int
-	lastCosts     []float64 // per-worker cost of the last superstep
+	lastCosts     []float64 // per-partition cost of the last superstep
 	lastMutated   []graph.VertexID
 	history       []SuperstepStats
 
-	cp     *checkpoint
 	failAt map[int]bool
-	wg     sync.WaitGroup
+}
+
+// engine is the typed engine behind an Engine.
+type engine[M any] struct {
+	state
+	prog Program[M]
+	// The inbox is flat: the messages delivered at the last barrier sit in
+	// one buffer, grouped by destination, and vertex v's are
+	// inbox[inboxOff[v] : inboxOff[v]+inboxLen[v]], in delivery order
+	// (sending worker, then destination partition, then send order; with
+	// a combiner, the merged order, partition 0 to k−1). The buffer is
+	// reused every superstep and dropped at a barrier that delivers
+	// nothing, so an idle engine holds no message memory. A vertex's
+	// length is zeroed once it has computed, and when it is removed.
+	inbox []M
+
+	workers  []*worker[M]
+	combiner MessageCombiner[M]
+
+	// Barrier-side scratch for completing the combiner fold across
+	// workers and pricing the merged messages per source partition.
+	mergeIdx      map[mergeKey]int
+	mergedBuf     []outMsg[M]
+	boxes         [][]outMsg[M] // the outboxes in delivery order
+	deliverLocal  []int
+	deliverRemote []int
+
+	cp *checkpoint[M]
+	wg sync.WaitGroup
 }
 
 // NewEngine builds an engine over g with the given initial assignment
-// (adopted, not copied) and vertex program.
-func NewEngine(g *graph.Graph, asn *partition.Assignment, prog Program, cfg Config) (*Engine, error) {
+// (adopted, not copied) and vertex program. The message type M is
+// inferred from the program's methods.
+func NewEngine[M any](g *graph.Graph, asn *partition.Assignment, prog Program[M], cfg Config) (*Engine, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("bsp: Workers must be ≥ 0, got %d", cfg.Workers)
 	}
@@ -285,32 +315,34 @@ func NewEngine(g *graph.Graph, asn *partition.Assignment, prog Program, cfg Conf
 	if cfg.Cost == (CostModel{}) {
 		cfg.Cost = DefaultCostModel()
 	}
-	e := &Engine{
-		cfg:           cfg,
-		g:             g,
-		prog:          prog,
-		k:             asn.K(),
-		addr:          asn,
-		pendingHome:   make(map[graph.VertexID]partition.ID),
-		aggregated:    make(map[string]float64),
-		aggTouched:    make(map[string]bool),
-		migCost:       make([]float64, asn.K()),
-		failAt:        make(map[int]bool),
-		costPerVertex: 1,
+	e := &engine[M]{
+		state: state{
+			cfg:           cfg,
+			g:             g,
+			k:             asn.K(),
+			addr:          asn,
+			pendingHome:   make(map[graph.VertexID]partition.ID),
+			aggregated:    make(map[string]float64),
+			aggTouched:    make(map[string]bool),
+			migCost:       make([]float64, asn.K()),
+			failAt:        make(map[int]bool),
+			costPerVertex: 1,
+		},
+		prog: prog,
 	}
 	if cd, ok := prog.(CostDeclarer); ok {
 		e.costPerVertex = cd.CostPerVertex()
 	}
-	combiner, _ := prog.(MessageCombiner)
+	combiner, _ := prog.(MessageCombiner[M])
 	e.combiner = combiner
 	if combiner != nil {
 		e.mergeIdx = make(map[mergeKey]int)
 		e.deliverLocal = make([]int, e.k)
 		e.deliverRemote = make([]int, e.k)
 	}
-	e.workers = make([]*worker, cfg.Workers)
+	e.workers = make([]*worker[M], cfg.Workers)
 	for i := range e.workers {
-		e.workers[i] = &worker{
+		e.workers[i] = &worker[M]{
 			id:            i,
 			aggPartial:    make(map[string]float64),
 			aggMaxPartial: make(map[string]float64),
@@ -321,17 +353,17 @@ func NewEngine(g *graph.Graph, asn *partition.Assignment, prog Program, cfg Conf
 		}
 	}
 	e.grow()
-	ctx := &VertexContext{engine: e}
+	ctx := &VertexContext[M]{engine: e}
 	g.ForEachVertex(func(v graph.VertexID) {
 		e.home[v] = int32(asn.Of(v))
 		ctx.id = v
 		e.values[v] = prog.Init(ctx)
 	})
-	return e, nil
+	return &Engine{state: &e.state, runner: e}, nil
 }
 
 // grow sizes the per-vertex tables to the graph's slot count.
-func (e *Engine) grow() {
+func (e *state) grow() {
 	for len(e.home) < e.g.NumSlots() {
 		e.home = append(e.home, -1)
 		e.values = append(e.values, nil)
@@ -345,23 +377,23 @@ func (e *Engine) grow() {
 
 // SetRepartitioner installs the background repartitioning service (nil
 // disables adaptation — the static baseline).
-func (e *Engine) SetRepartitioner(r Repartitioner) { e.repart = r }
+func (e *state) SetRepartitioner(r Repartitioner) { e.repart = r }
 
 // SetStream installs the dynamic mutation stream consumed one batch per
 // superstep barrier.
-func (e *Engine) SetStream(s graph.Stream) { e.stream = s }
+func (e *state) SetStream(s graph.Stream) { e.stream = s }
 
 // Graph returns the engine's topology.
-func (e *Engine) Graph() *graph.Graph { return e.g }
+func (e *state) Graph() *graph.Graph { return e.g }
 
 // Addr returns the live addressing table.
-func (e *Engine) Addr() *partition.Assignment { return e.addr }
+func (e *state) Addr() *partition.Assignment { return e.addr }
 
 // Superstep returns the number of supersteps executed.
-func (e *Engine) Superstep() int { return e.superstep }
+func (e *state) Superstep() int { return e.superstep }
 
 // Value returns the current value of a vertex (nil for dead vertices).
-func (e *Engine) Value(v graph.VertexID) any {
+func (e *state) Value(v graph.VertexID) any {
 	if int(v) >= len(e.values) || v < 0 {
 		return nil
 	}
@@ -371,22 +403,21 @@ func (e *Engine) Value(v graph.VertexID) any {
 // Aggregated returns the named aggregator's value from the most recent
 // superstep that contributed to it (aggregators are sticky; see
 // RunSuperstep).
-func (e *Engine) Aggregated(name string) float64 { return e.aggregated[name] }
+func (e *state) Aggregated(name string) float64 { return e.aggregated[name] }
 
 // History returns the stats of every executed superstep. The slice is the
 // caller's to keep: it is copied out of the engine.
-func (e *Engine) History() []SuperstepStats {
+func (e *state) History() []SuperstepStats {
 	return append([]SuperstepStats(nil), e.history...)
 }
 
 // ScheduleFailure makes the barrier of the given superstep simulate a
 // worker crash: the engine rolls back to its last checkpoint (Pregel-style
 // synchronous recovery). Requires CheckpointEvery > 0.
-func (e *Engine) ScheduleFailure(superstep int) { e.failAt[superstep] = true }
+func (e *state) ScheduleFailure(superstep int) { e.failAt[superstep] = true }
 
-// RunSuperstep executes one superstep (parallel compute, then barrier) and
-// returns its stats.
-func (e *Engine) RunSuperstep() SuperstepStats {
+// RunSuperstep implements runner.
+func (e *engine[M]) RunSuperstep() SuperstepStats {
 	t := e.superstep
 
 	// ---- Parallel compute phase ----
@@ -400,7 +431,7 @@ func (e *Engine) RunSuperstep() SuperstepStats {
 	}
 	for _, w := range e.workers {
 		e.wg.Add(1)
-		go func(w *worker) {
+		go func(w *worker[M]) {
 			defer e.wg.Done()
 			e.computeWorker(w, t)
 		}(w)
@@ -481,7 +512,7 @@ func (e *Engine) RunSuperstep() SuperstepStats {
 				}
 			}
 		}
-		delivered = e.deliver([][]outMsg{merged})
+		delivered = e.deliver([][]outMsg[M]{merged})
 		clear(merged)
 		e.mergedBuf = merged[:0]
 	}
@@ -520,7 +551,9 @@ func (e *Engine) RunSuperstep() SuperstepStats {
 	// consumes — and start migrations (deferred protocol: addressing
 	// changes now, the physical move completes next barrier). Costs are
 	// accumulated by partition, not by compute goroutine, so the simulated
-	// clock is invariant under the worker count.
+	// clock is invariant under the worker count. Step 1 completed every
+	// earlier migration, so pendingHome holds only the requests this Plan
+	// has granted: its check drops a repeated request for the same vertex.
 	if len(e.lastCosts) != e.k {
 		e.lastCosts = make([]float64, e.k)
 	}
@@ -540,7 +573,7 @@ func (e *Engine) RunSuperstep() SuperstepStats {
 		e.lastCosts[j] = c
 	}
 	if e.repart != nil {
-		reqs := e.repart.Plan(&View{e: e})
+		reqs := e.repart.Plan(&View{e: &e.state})
 		for _, r := range reqs {
 			if !e.g.Has(r.V) || r.To < 0 || int(r.To) >= e.k {
 				continue
@@ -549,7 +582,7 @@ func (e *Engine) RunSuperstep() SuperstepStats {
 				continue
 			}
 			if _, migrating := e.pendingHome[r.V]; migrating {
-				continue // already in the migration window
+				continue // requested twice in this Plan
 			}
 			e.addr.Assign(r.V, r.To)
 			e.pendingHome[r.V] = r.To
@@ -615,22 +648,21 @@ func (e *Engine) RunSuperstep() SuperstepStats {
 	return st
 }
 
-// deliver moves the deliverable messages of boxes into the flat inbox and
-// returns how many it delivered. Messages to vertices that are gone are
-// dropped. One counting pass sizes every destination's range, then a
-// second pass scatters, so each vertex receives its messages in the order
-// boxes lists them. The inbox must be empty on entry: every vertex that
-// received messages has computed since (or was removed), zeroing its
-// length.
-func (e *Engine) deliver(boxes [][]outMsg) int {
+// deliver moves the messages of boxes into the flat inbox and returns how
+// many it delivered. Every buffered message is deliverable: send dropped
+// those whose destination was unassigned, the graph has not changed since,
+// and a vertex is assigned exactly while it is live. One counting pass
+// sizes every destination's range, then a second pass scatters, so each
+// vertex receives its messages in the order boxes lists them. The inbox
+// must be empty on entry: every vertex that received messages has computed
+// since (or was removed), zeroing its length.
+func (e *engine[M]) deliver(boxes [][]outMsg[M]) int {
 	n := 0
 	for _, box := range boxes {
 		for _, m := range box {
-			if e.g.Has(m.dst) {
-				e.inboxLen[m.dst]++
-				n++
-			}
+			e.inboxLen[m.dst]++
 		}
+		n += len(box)
 	}
 	if n == 0 {
 		return 0
@@ -647,21 +679,19 @@ func (e *Engine) deliver(boxes [][]outMsg) int {
 			clear(e.inbox[n:old]) // drop stale references past the new end
 		}
 	} else {
-		e.inbox = slices.Grow([]any(nil), n)[:n]
+		e.inbox = slices.Grow([]M(nil), n)[:n]
 	}
 	for _, box := range boxes {
 		for _, m := range box {
-			if e.g.Has(m.dst) {
-				e.inbox[e.inboxOff[m.dst]+e.inboxLen[m.dst]] = m.msg
-				e.inboxLen[m.dst]++
-			}
+			e.inbox[e.inboxOff[m.dst]+e.inboxLen[m.dst]] = m.msg
+			e.inboxLen[m.dst]++
 		}
 	}
 	return n
 }
 
-func (e *Engine) computeWorker(w *worker, t int) {
-	ctx := VertexContext{engine: e, worker: w, superstep: t}
+func (e *engine[M]) computeWorker(w *worker[M], t int) {
+	ctx := VertexContext[M]{engine: e, worker: w, superstep: t}
 	for id := w.lo; id < w.hi; id++ {
 		hp := e.home[id]
 		if hp < 0 {
@@ -671,7 +701,7 @@ func (e *Engine) computeWorker(w *worker, t int) {
 		if n == 0 && e.halted[id] {
 			continue
 		}
-		var msgs []any
+		var msgs []M
 		if n > 0 {
 			off := e.inboxOff[id]
 			msgs = e.inbox[off : off+n : off+n]
@@ -692,7 +722,7 @@ func (e *Engine) computeWorker(w *worker, t int) {
 // removed vertex, which have no surviving edge back to the cause — is
 // reactivated and flagged with a topology-change notice for the next
 // compute phase.
-func (e *Engine) applyBatch(b graph.Batch) int {
+func (e *engine[M]) applyBatch(b graph.Batch) int {
 	if len(b) == 0 {
 		return 0
 	}
@@ -703,7 +733,7 @@ func (e *Engine) applyBatch(b graph.Batch) int {
 		return 0
 	}
 	e.grow()
-	ctx := &VertexContext{engine: e, superstep: e.superstep}
+	ctx := &VertexContext[M]{engine: e, superstep: e.superstep}
 	for _, mu := range b {
 		switch mu.Kind {
 		case graph.MutAddVertex:
@@ -738,7 +768,7 @@ func (e *Engine) applyBatch(b graph.Batch) int {
 
 // place assigns a partition to a vertex arriving from the stream and runs
 // the program's Init for it; existing vertices are left untouched.
-func (e *Engine) place(ctx *VertexContext, v graph.VertexID) {
+func (e *engine[M]) place(ctx *VertexContext[M], v graph.VertexID) {
 	if !e.g.Has(v) || e.addr.Of(v) != partition.None {
 		return
 	}
@@ -758,7 +788,7 @@ func (e *Engine) place(ctx *VertexContext, v graph.VertexID) {
 // Quiescent reports whether the computation has nothing left to do: no
 // active vertices, no undelivered messages, no pending migrations and an
 // exhausted (or absent) stream.
-func (e *Engine) Quiescent() bool {
+func (e *state) Quiescent() bool {
 	if e.msgsInFlight > 0 || len(e.pendingHome) > 0 {
 		return false
 	}
@@ -774,13 +804,9 @@ func (e *Engine) Quiescent() bool {
 	return quiet
 }
 
-// ResetComputation reinitialises every vertex value via Program.Init and
-// reactivates all vertices, keeping the graph, the partitioning and the
-// superstep clock intact. The mobile-network use case uses this to rerun
-// the clique computation over each buffered window of graph changes while
-// the adaptive partitioning persists across runs (paper Section 4.3).
-func (e *Engine) ResetComputation() {
-	ctx := &VertexContext{engine: e, superstep: e.superstep}
+// ResetComputation implements runner.
+func (e *engine[M]) ResetComputation() {
+	ctx := &VertexContext[M]{engine: e, superstep: e.superstep}
 	e.g.ForEachVertex(func(v graph.VertexID) {
 		ctx.id = v
 		e.values[v] = e.prog.Init(ctx)

@@ -15,9 +15,9 @@ type echoProgram struct {
 	rounds int
 }
 
-func (p *echoProgram) Init(ctx *VertexContext) any { return 0 }
+func (p *echoProgram) Init(ctx *VertexContext[int]) any { return 0 }
 
-func (p *echoProgram) Compute(ctx *VertexContext, msgs []any) {
+func (p *echoProgram) Compute(ctx *VertexContext[int], msgs []int) {
 	ctx.SetValue(ctx.Value().(int) + len(msgs))
 	if ctx.Superstep() < p.rounds {
 		ctx.SendToNeighbors(1)
@@ -33,7 +33,7 @@ func pairGraph() *graph.Graph {
 	return g
 }
 
-func newTestEngine(t *testing.T, g *graph.Graph, k int, prog Program, cfg Config) *Engine {
+func newTestEngine[M any](t *testing.T, g *graph.Graph, k int, prog Program[M], cfg Config) *Engine {
 	t.Helper()
 	cfg.Workers = k
 	asn := partition.Hash(g, k)
@@ -68,12 +68,12 @@ func TestEngineValidation(t *testing.T) {
 // PageRank-shaped workload that exercises cross-worker message folding.
 type sumCombineProgram struct{ rounds int }
 
-func (p *sumCombineProgram) Init(ctx *VertexContext) any { return 0.0 }
+func (p *sumCombineProgram) Init(ctx *VertexContext[float64]) any { return 0.0 }
 
-func (p *sumCombineProgram) Compute(ctx *VertexContext, msgs []any) {
+func (p *sumCombineProgram) Compute(ctx *VertexContext[float64], msgs []float64) {
 	total := ctx.Value().(float64)
 	for _, m := range msgs {
-		total += m.(float64)
+		total += m
 	}
 	ctx.SetValue(total)
 	if ctx.Superstep() < p.rounds {
@@ -83,7 +83,7 @@ func (p *sumCombineProgram) Compute(ctx *VertexContext, msgs []any) {
 	}
 }
 
-func (p *sumCombineProgram) CombineMessages(a, b any) any { return a.(float64) + b.(float64) }
+func (p *sumCombineProgram) CombineMessages(a, b float64) float64 { return a + b }
 
 // TestWorkerCountInvariance pins the worker/partition decoupling: the
 // simulated statistics (message locality, per-partition costs, superstep
@@ -439,8 +439,8 @@ func TestAggregators(t *testing.T) {
 
 type aggProgram struct{}
 
-func (p *aggProgram) Init(ctx *VertexContext) any { return nil }
-func (p *aggProgram) Compute(ctx *VertexContext, msgs []any) {
+func (p *aggProgram) Init(ctx *VertexContext[struct{}]) any { return nil }
+func (p *aggProgram) Compute(ctx *VertexContext[struct{}], msgs []struct{}) {
 	ctx.Aggregate("count", 1)
 	ctx.AggregateMax("maxid", float64(ctx.ID()))
 	ctx.VoteToHalt()

@@ -11,8 +11,9 @@ import (
 )
 
 // Pins for the flat inbox: per-destination arrival order, in-flight
-// messages to removed vertices, checkpoint replay with messages in flight,
-// allocation-free steady supersteps and the release of the buffer at idle.
+// messages to removed vertices, sends to unknown destinations, checkpoint
+// replay with messages in flight, allocation-free steady supersteps and the
+// release of the buffer at idle.
 
 // tag names one message: the sending vertex and its send sequence within
 // the sender's Compute call.
@@ -29,12 +30,12 @@ type recordProgram struct{ rounds int }
 
 type recordValue map[int][]tag
 
-func (p *recordProgram) Init(ctx *VertexContext) any { return recordValue{} }
+func (p *recordProgram) Init(ctx *VertexContext[[]tag]) any { return recordValue{} }
 
-func (p *recordProgram) Compute(ctx *VertexContext, msgs []any) {
+func (p *recordProgram) Compute(ctx *VertexContext[[]tag], msgs [][]tag) {
 	rec := ctx.Value().(recordValue)
 	for _, m := range msgs {
-		rec[ctx.Superstep()] = append(rec[ctx.Superstep()], m.([]tag)...)
+		rec[ctx.Superstep()] = append(rec[ctx.Superstep()], m...)
 	}
 	if ctx.Superstep() >= p.rounds {
 		ctx.VoteToHalt()
@@ -48,8 +49,8 @@ func (p *recordProgram) Compute(ctx *VertexContext, msgs []any) {
 
 type combiningRecord struct{ recordProgram }
 
-func (p *combiningRecord) CombineMessages(a, b any) any {
-	return append(slices.Clone(a.([]tag)), b.([]tag)...)
+func (p *combiningRecord) CombineMessages(a, b []tag) []tag {
+	return append(slices.Clone(a), b...)
 }
 
 // expectedArrivals returns the tags v receives in one sending superstep, in
@@ -99,7 +100,7 @@ func TestInboxArrivalOrder(t *testing.T) {
 				const rounds = 3
 				g := gen.BarabasiAlbert(120, 3, 4)
 				asn := partition.Hash(g, 3)
-				var prog Program = &recordProgram{rounds: rounds}
+				var prog Program[[]tag] = &recordProgram{rounds: rounds}
 				if combine {
 					prog = &combiningRecord{recordProgram{rounds: rounds}}
 				}
@@ -130,7 +131,7 @@ func TestInboxArrivalOrder(t *testing.T) {
 func TestInboxRemovedAndReaddedVertexLosesMessages(t *testing.T) {
 	for _, combine := range []bool{false, true} {
 		g := gen.BarabasiAlbert(40, 2, 3)
-		var prog Program = &recordProgram{rounds: 1}
+		var prog Program[[]tag] = &recordProgram{rounds: 1}
 		if combine {
 			prog = &combiningRecord{recordProgram{rounds: 1}}
 		}
@@ -158,17 +159,80 @@ func TestInboxRemovedAndReaddedVertexLosesMessages(t *testing.T) {
 	}
 }
 
+// TestInboxSendToUnknownDestinations pins that sends to a removed ID, an ID
+// past the slot table and a negative ID are dropped at the sender: nothing
+// is delivered, they are not counted as messages, and the one real message
+// each vertex sends still arrives.
+func TestInboxSendToUnknownDestinations(t *testing.T) {
+	for _, combine := range []bool{false, true} {
+		g := graph.NewUndirected(3)
+		a, b, c := g.AddVertex(), g.AddVertex(), g.AddVertex()
+		g.AddEdge(a, b)
+		g.AddEdge(b, c)
+		var prog Program[[]tag] = progFuncs[[]tag]{
+			init: func(ctx *VertexContext[[]tag]) any { return 0 },
+			compute: func(ctx *VertexContext[[]tag], msgs [][]tag) {
+				n := ctx.Value().(int)
+				for _, m := range msgs {
+					n += len(m)
+				}
+				ctx.SetValue(n)
+				if ctx.Superstep() != 1 {
+					if ctx.Superstep() > 1 {
+						ctx.VoteToHalt()
+					}
+					return
+				}
+				ctx.VoteToHalt()
+				for _, dst := range []graph.VertexID{c, 1000, -1} {
+					ctx.SendTo(dst, []tag{{from: ctx.ID()}})
+				}
+				ctx.SendTo(a+b-ctx.ID(), []tag{{from: ctx.ID()}}) // the other live vertex
+			},
+		}
+		if combine {
+			prog = struct {
+				progFuncs[[]tag]
+				combiningRecord
+			}{prog.(progFuncs[[]tag]), combiningRecord{}}
+		}
+		e, err := NewEngine(g, partition.Hash(g, 2), prog, Config{Workers: 2, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetStream(graph.NewSliceStream([]graph.Batch{{{Kind: graph.MutRemoveVertex, U: c}}}))
+		stats, done := e.RunUntilQuiescent(10)
+		if !done {
+			t.Fatal("no quiescence")
+		}
+		if len(stats) < 3 || stats[0].LocalMsgs+stats[0].RemoteMsgs != 0 {
+			t.Fatalf("combine=%v: stats %+v", combine, stats)
+		}
+		if st := stats[1]; st.LocalMsgs+st.RemoteMsgs != 2 {
+			t.Fatalf("combine=%v: superstep 1 counted %d local + %d remote messages, want 2 in all", combine, st.LocalMsgs, st.RemoteMsgs)
+		}
+		for _, v := range []graph.VertexID{a, b} {
+			if got := e.Value(v).(int); got != 1 {
+				t.Fatalf("combine=%v: vertex %d received %d messages, want 1", combine, v, got)
+			}
+		}
+		if slices.ContainsFunc(e.inboxLen, func(n int32) bool { return n != 0 }) {
+			t.Fatalf("combine=%v: messages left in the inbox: %v", combine, e.inboxLen)
+		}
+	}
+}
+
 // hashProgram folds every arrival into an order-sensitive hash and keeps
 // messages flowing for rounds supersteps, so a replay that loses, reorders
 // or duplicates one message changes the values.
 type hashProgram struct{ rounds int }
 
-func (p *hashProgram) Init(ctx *VertexContext) any { return uint64(ctx.ID()) }
+func (p *hashProgram) Init(ctx *VertexContext[uint64]) any { return uint64(ctx.ID()) }
 
-func (p *hashProgram) Compute(ctx *VertexContext, msgs []any) {
+func (p *hashProgram) Compute(ctx *VertexContext[uint64], msgs []uint64) {
 	h := ctx.Value().(uint64)
 	for _, m := range msgs {
-		h = h*1099511628211 + m.(uint64)
+		h = h*1099511628211 + m
 	}
 	ctx.SetValue(h)
 	if ctx.Superstep() >= p.rounds {
@@ -180,7 +244,7 @@ func (p *hashProgram) Compute(ctx *VertexContext, msgs []any) {
 
 type combiningHash struct{ hashProgram }
 
-func (p *combiningHash) CombineMessages(a, b any) any { return a.(uint64)*31 + b.(uint64) }
+func (p *combiningHash) CombineMessages(a, b uint64) uint64 { return a*31 + b }
 
 // TestInboxCheckpointReplay pins that a checkpoint taken with messages in
 // flight, rolled back to by a scheduled failure, replays to the same
@@ -189,7 +253,7 @@ func TestInboxCheckpointReplay(t *testing.T) {
 	for _, combine := range []bool{false, true} {
 		run := func(failAt int) (*Engine, []SuperstepStats) {
 			g := gen.BarabasiAlbert(150, 3, 8)
-			var prog Program = &hashProgram{rounds: 12}
+			var prog Program[uint64] = &hashProgram{rounds: 12}
 			if combine {
 				prog = &combiningHash{hashProgram{rounds: 12}}
 			}
@@ -226,21 +290,20 @@ func TestInboxCheckpointReplay(t *testing.T) {
 	}
 }
 
-// floodForever sends one pre-boxed message to every neighbour each
-// superstep and never halts: a steady message load with no allocation of
-// its own.
+// floodForever sends a struct message naming the sender and the superstep
+// to every neighbour each superstep and never halts: a steady message load
+// whose every send carries a different value.
 type floodForever struct{}
 
-var floodMsg any = struct{}{}
+func (floodForever) Init(ctx *VertexContext[tag]) any { return nil }
 
-func (floodForever) Init(ctx *VertexContext) any { return nil }
-
-func (floodForever) Compute(ctx *VertexContext, msgs []any) {
-	ctx.SendToNeighbors(floodMsg)
+func (floodForever) Compute(ctx *VertexContext[tag], msgs []tag) {
+	ctx.SendToNeighbors(tag{from: ctx.ID(), seq: ctx.Superstep()})
 }
 
 // TestInboxSteadySuperstepAllocs pins that a steady superstep's
-// allocations do not grow with the number of messages: the flat inbox and
+// allocations do not grow with the number of messages: a send copies its
+// struct message into the outbox without boxing it, and the flat inbox and
 // the outboxes are reused, so a graph with ten times the edges allocates
 // no more per superstep.
 func TestInboxSteadySuperstepAllocs(t *testing.T) {
@@ -274,7 +337,7 @@ func TestInboxSteadySuperstepAllocs(t *testing.T) {
 func TestInboxReleasedAtQuiescence(t *testing.T) {
 	for _, combine := range []bool{false, true} {
 		g := gen.BarabasiAlbert(300, 3, 6)
-		var prog Program = &hashProgram{rounds: 4}
+		var prog Program[uint64] = &hashProgram{rounds: 4}
 		if combine {
 			prog = &combiningHash{hashProgram{rounds: 4}}
 		}
@@ -283,17 +346,18 @@ func TestInboxReleasedAtQuiescence(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.RunSupersteps(3)
-		if cap(e.inbox) == 0 {
+		te := e.runner.(*engine[uint64])
+		if cap(te.inbox) == 0 {
 			t.Fatalf("combine=%v: test precondition: no inbox buffer mid-run", combine)
 		}
 		if _, done := e.RunUntilQuiescent(20); !done {
 			t.Fatal("no quiescence")
 		}
-		if e.inbox != nil || e.mergedBuf != nil {
+		if te.inbox != nil || te.mergedBuf != nil {
 			t.Fatalf("combine=%v: quiescent engine holds an inbox of cap %d and a merge buffer of cap %d",
-				combine, cap(e.inbox), cap(e.mergedBuf))
+				combine, cap(te.inbox), cap(te.mergedBuf))
 		}
-		for _, w := range e.workers {
+		for _, w := range te.workers {
 			for p, box := range w.outbox {
 				if box != nil {
 					t.Fatalf("combine=%v: worker %d keeps an outbox of cap %d for partition %d", combine, w.id, cap(box), p)

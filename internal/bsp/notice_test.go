@@ -25,9 +25,9 @@ func newNoticeProbe() *noticeProbe {
 	}
 }
 
-func (p *noticeProbe) Init(ctx *VertexContext) any { return nil }
+func (p *noticeProbe) Init(ctx *VertexContext[struct{}]) any { return nil }
 
-func (p *noticeProbe) Compute(ctx *VertexContext, msgs []any) {
+func (p *noticeProbe) Compute(ctx *VertexContext[struct{}], msgs []struct{}) {
 	p.mu.Lock()
 	p.computed[ctx.Superstep()] = append(p.computed[ctx.Superstep()], ctx.ID())
 	if ctx.TopologyChanged() {
@@ -115,9 +115,9 @@ func TestVertexContextTopology(t *testing.T) {
 		mu   sync.Mutex
 		last obs
 	)
-	prog := progFuncs{
-		init: func(ctx *VertexContext) any { return nil },
-		compute: func(ctx *VertexContext, msgs []any) {
+	prog := progFuncs[struct{}]{
+		init: func(ctx *VertexContext[struct{}]) any { return nil },
+		compute: func(ctx *VertexContext[struct{}], msgs []struct{}) {
 			if ctx.ID() == a {
 				mu.Lock()
 				nbrs := ctx.NeighborCursor()
@@ -145,10 +145,10 @@ func TestVertexContextTopology(t *testing.T) {
 }
 
 // progFuncs adapts two closures into a Program.
-type progFuncs struct {
-	init    func(ctx *VertexContext) any
-	compute func(ctx *VertexContext, msgs []any)
+type progFuncs[M any] struct {
+	init    func(ctx *VertexContext[M]) any
+	compute func(ctx *VertexContext[M], msgs []M)
 }
 
-func (p progFuncs) Init(ctx *VertexContext) any            { return p.init(ctx) }
-func (p progFuncs) Compute(ctx *VertexContext, msgs []any) { p.compute(ctx, msgs) }
+func (p progFuncs[M]) Init(ctx *VertexContext[M]) any          { return p.init(ctx) }
+func (p progFuncs[M]) Compute(ctx *VertexContext[M], msgs []M) { p.compute(ctx, msgs) }

@@ -11,12 +11,11 @@ import (
 // viewProbe is a Repartitioner that records what the View accessors report
 // at each barrier without ever requesting a migration.
 type viewProbe struct {
-	mu        sync.Mutex
-	k         int
-	workers   int
-	vertices  int
-	costLens  []int
-	migrating bool
+	mu       sync.Mutex
+	k        int
+	workers  int
+	vertices int
+	costLens []int
 }
 
 func (p *viewProbe) Plan(v *View) []MigrationRequest {
@@ -26,7 +25,6 @@ func (p *viewProbe) Plan(v *View) []MigrationRequest {
 	p.workers = v.Workers()
 	p.vertices = v.Graph().NumVertices()
 	p.costLens = append(p.costLens, len(v.WorkerCosts()))
-	p.migrating = p.migrating || v.Migrating(0)
 	if v.Addr().Of(0) >= partition.ID(v.K()) {
 		panic("assignment outside partition range")
 	}
@@ -35,7 +33,7 @@ func (p *viewProbe) Plan(v *View) []MigrationRequest {
 
 // TestViewAccessors pins the read-only system state a Repartitioner sees:
 // partition count, worker count, topology, addressing, per-partition costs
-// (absent before the first superstep completes) and the migration window.
+// (absent before the first superstep completes).
 func TestViewAccessors(t *testing.T) {
 	g := graph.NewUndirected(4)
 	a, b := g.AddVertex(), g.AddVertex()
@@ -43,9 +41,9 @@ func TestViewAccessors(t *testing.T) {
 	g.AddVertex()
 	g.AddEdge(a, b)
 	probe := &viewProbe{}
-	e, err := NewEngine(g, partition.Hash(g, 2), progFuncs{
-		init:    func(ctx *VertexContext) any { return nil },
-		compute: func(ctx *VertexContext, msgs []any) { ctx.VoteToHalt() },
+	e, err := NewEngine(g, partition.Hash(g, 2), progFuncs[struct{}]{
+		init:    func(ctx *VertexContext[struct{}]) any { return nil },
+		compute: func(ctx *VertexContext[struct{}], msgs []struct{}) { ctx.VoteToHalt() },
 	}, Config{Workers: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -54,9 +52,6 @@ func TestViewAccessors(t *testing.T) {
 	e.RunSupersteps(2)
 	if probe.k != 2 || probe.workers != 3 || probe.vertices != 4 {
 		t.Errorf("view reported k=%d workers=%d vertices=%d", probe.k, probe.workers, probe.vertices)
-	}
-	if probe.migrating {
-		t.Error("no migration was requested, yet a vertex is in the window")
 	}
 	// WorkerCosts is per partition once the first superstep has run.
 	if len(probe.costLens) != 2 || probe.costLens[len(probe.costLens)-1] != 2 {
@@ -81,9 +76,9 @@ func TestContextTopologyAccessorsAndAggregates(t *testing.T) {
 		aggSeen  float64
 		maxSeen  float64
 	)
-	prog := progFuncs{
-		init: func(ctx *VertexContext) any { return nil },
-		compute: func(ctx *VertexContext, msgs []any) {
+	prog := progFuncs[struct{}]{
+		init: func(ctx *VertexContext[struct{}]) any { return nil },
+		compute: func(ctx *VertexContext[struct{}], msgs []struct{}) {
 			ctx.Aggregate("mass", 1)
 			ctx.AggregateMax("peak", float64(ctx.ID()))
 			if ctx.ID() == a {

@@ -220,8 +220,8 @@ func runCoreCell(t *testing.T, r coreRow, incremental bool, shards int, cluster 
 // and the hot-spot extension sees the load.
 type selfProgram struct{}
 
-func (selfProgram) Init(*bsp.VertexContext) any { return nil }
-func (selfProgram) Compute(ctx *bsp.VertexContext, _ []any) {
+func (selfProgram) Init(*bsp.VertexContext[struct{}]) any { return nil }
+func (selfProgram) Compute(ctx *bsp.VertexContext[struct{}], _ []struct{}) {
 	ctx.SendTo(ctx.ID(), struct{}{})
 }
 

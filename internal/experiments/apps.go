@@ -47,13 +47,13 @@ func Apps(opt Options) (*Result, error) {
 	const k = 8
 
 	type appCase struct {
-		name string
-		prog func() bsp.Program
+		name  string
+		start appStarter
 	}
 	matrix := []appCase{
-		{"cc", func() bsp.Program { return apps.NewStreamingCC() }},
-		{"sssp", func() bsp.Program { return apps.NewStreamingSSSP(0) }},
-		{"pagerank", func() bsp.Program { return apps.NewStreamingPageRank() }},
+		{"cc", startApp(apps.NewStreamingCC)},
+		{"sssp", startApp(func() *apps.StreamingSSSP { return apps.NewStreamingSSSP(0) })},
+		{"pagerank", startApp(apps.NewStreamingPageRank)},
 	}
 	if opt.App != "" {
 		kept := matrix[:0]
@@ -76,8 +76,7 @@ func Apps(opt Options) (*Result, error) {
 	// totals of the churn window (stream start → quiescence or cap).
 	runCell := func(c appCase, churn []graph.Batch, adapt bool) (bsp.RunTotals, error) {
 		g := gen.BarabasiAlbert(n, 3, opt.Seed)
-		prog := c.prog()
-		e, err := bsp.NewEngine(g, partition.Hash(g, k), prog, bsp.Config{
+		e, prog, err := c.start(g, partition.Hash(g, k), bsp.Config{
 			Workers: opt.bspWorkers(k), Seed: opt.Seed,
 		})
 		if err != nil {
@@ -150,6 +149,20 @@ func Apps(opt Options) (*Result, error) {
 	res.addNote("every cell oracle-checked against a from-scratch recompute after the measurement window — zero divergence")
 	res.addNote("BA(%d, 3), k=%d, %d churn batches per rate (edge rewires at 0.2%% and 1%% of edges per batch)", n, k, batches)
 	return res, nil
+}
+
+// appStarter builds an engine over g running a fresh program and returns
+// the program too, for the oracle check.
+type appStarter func(g *graph.Graph, asn *partition.Assignment, cfg bsp.Config) (*bsp.Engine, any, error)
+
+// startApp returns the appStarter of the programs mk makes, whatever their
+// message type.
+func startApp[P bsp.Program[M], M any](mk func() P) appStarter {
+	return func(g *graph.Graph, asn *partition.Assignment, cfg bsp.Config) (*bsp.Engine, any, error) {
+		prog := mk()
+		e, err := bsp.NewEngine[M](g, asn, prog, cfg)
+		return e, prog, err
+	}
 }
 
 // churnEdgeBatches pre-generates nBatches of edge churn against an evolving
