@@ -98,8 +98,9 @@ func (c *VertexContext[M]) NeighborCursor() graph.Cursor { return c.engine.g.Nei
 func (c *VertexContext[M]) InNeighbors() []graph.VertexID { return c.engine.g.InNeighbors(c.id) }
 
 // SendTo sends a message to the given vertex, for delivery next superstep.
-// Messages to vertices that no longer exist at delivery time are dropped,
-// matching Pregel semantics for concurrent removals.
+// A message to an ID that is not live now is dropped here and not counted;
+// one to a vertex the next barrier removes dies with it, matching Pregel
+// semantics for concurrent removals.
 func (c *VertexContext[M]) SendTo(dst graph.VertexID, msg M) {
 	c.worker.send(c.engine, dst, msg)
 }
