@@ -29,13 +29,10 @@ go test -run='^$' -bench 'BenchmarkStepConvergedChurn/n=10000' \
 # Repository-level micro-benchmarks of the heuristic iteration.
 go test -run='^$' -bench 'BenchmarkCoreIteration' \
   -benchtime="$BENCHTIME" -count="$COUNT" .
-# Serving plane: placement read throughput while adaptation is actively
-# migrating — locked (pre-serving-plane) vs routing-snapshot paths, and
-# the batch lookup. Tracked in the baseline for the benchstat report but
-# NOT gated by cmd/benchgate: contention benchmarks are too
-# runner-sensitive for a hard ratio gate (the ≥5× snapshot-vs-locked
-# acceptance property is asserted by its ~350× measured margin, not a
-# CI threshold).
+# Serving plane: routing-snapshot placement reads and the batch lookup
+# while adaptation is actively migrating. Tracked in the baseline for the
+# benchstat report but NOT gated by cmd/benchgate: contention benchmarks
+# are too runner-sensitive for a hard ratio gate.
 go test -run='^$' -bench 'BenchmarkPlacementUnderAdaptation|BenchmarkBatchLookupUnderAdaptation' \
   -benchtime="$BENCHTIME" -count="$COUNT" ./internal/server
 # Read-path heat guard: what workload-heat sampling adds to a single

@@ -80,6 +80,7 @@ type options struct {
 	binaryAddr        string
 	clusterAddr       string
 	peers             []string
+	shard, shards     int // cluster geometry, handed to the transport
 	restore           string
 	drainTicks        int
 	readHeaderTimeout time.Duration
@@ -149,8 +150,6 @@ func parseFlags(args []string) (*options, error) {
 	cfg.HeatRecord = *heatRecord
 	var peerList []string
 	if *clusterAddr != "" {
-		cfg.ClusterShard = *shardID
-		cfg.ClusterShards = *shardN
 		if *peers == "" {
 			return nil, fmt.Errorf("-cluster-addr requires -peers")
 		}
@@ -169,6 +168,8 @@ func parseFlags(args []string) (*options, error) {
 		binaryAddr:        *binaryAddr,
 		clusterAddr:       *clusterAddr,
 		peers:             peerList,
+		shard:             *shardID,
+		shards:            *shardN,
 		restore:           *restore,
 		drainTicks:        *drainTicks,
 		readHeaderTimeout: *readHdrTO,
@@ -205,11 +206,11 @@ func buildServer(opts *options, snap *snapshot.Snapshot) (*server.Server, error)
 // replicated state machine depends on. Peers exchange it in the
 // handshake and refuse to mesh on a mismatch — a shard with a different
 // seed or step budget would silently diverge instead of failing fast.
-func clusterConfigHash(cfg server.Config) uint64 {
+func clusterConfigHash(cfg server.Config, shards int) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "k=%d seed=%d s=%g cap=%g incremental=%v window=%d steps=%d shards=%d",
 		cfg.K, cfg.Seed, cfg.S, cfg.CapacityFactor, cfg.Incremental,
-		cfg.ConvergenceWindow, cfg.MaxStepsPerTick, cfg.ClusterShards)
+		cfg.ConvergenceWindow, cfg.MaxStepsPerTick, shards)
 	return h.Sum64()
 }
 
@@ -237,13 +238,13 @@ func setupCluster(opts *options, snap *snapshot.Snapshot) (*cluster.TCP, error) 
 		return nil, fmt.Errorf("cluster listener: %w", err)
 	}
 	log.Printf("cluster shard %d/%d meshing on %s (peers %v, watermark %d)",
-		opts.cfg.ClusterShard, opts.cfg.ClusterShards, ln.Addr(), opts.peers, watermark)
+		opts.shard, opts.shards, ln.Addr(), opts.peers, watermark)
 	ex, err := cluster.NewTCP(cluster.TCPConfig{
-		Shard:      opts.cfg.ClusterShard,
-		Shards:     opts.cfg.ClusterShards,
+		Shard:      opts.shard,
+		Shards:     opts.shards,
 		Listener:   ln,
 		Peers:      opts.peers,
-		ConfigHash: clusterConfigHash(hashCfg),
+		ConfigHash: clusterConfigHash(hashCfg, opts.shards),
 		Watermark:  watermark,
 		Logf:       log.Printf,
 	})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -127,6 +128,47 @@ func TestMemExchangeClose(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Round still blocked after Close")
+	}
+}
+
+// TestExchangeGeometryChecks pins that both transports refuse a cluster
+// of fewer than 2 shards and a shard outside [0, Shards): the server
+// takes its geometry from the Exchange, so these are the only checks.
+func TestExchangeGeometryChecks(t *testing.T) {
+	if _, err := NewMemCluster(1, 0); err == nil {
+		t.Fatal("NewMemCluster accepted a 1-shard cluster")
+	}
+	c, err := NewMemCluster(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, i := range []int{-1, 2} {
+		if _, err := c.Shard(i); err == nil {
+			t.Fatalf("MemCluster.Shard(%d) accepted in a 2-shard cluster", i)
+		}
+	}
+	if h, err := c.Shard(1); err != nil || h.Shard() != 1 || h.Shards() != 2 {
+		t.Fatalf("MemCluster.Shard(1): %v, err %v", h, err)
+	}
+
+	// The listener is left nil, so a refusal for any reason other than
+	// the geometry would name the listener instead.
+	two := []string{"127.0.0.1:1", "127.0.0.1:2"}
+	for _, tc := range []struct {
+		cfg  TCPConfig
+		want string
+	}{
+		{TCPConfig{Shard: 0, Shards: 1, Peers: two[:1]}, "at least 2 shards"},
+		{TCPConfig{Shard: 5, Shards: 2, Peers: two}, "out of range"},
+		{TCPConfig{Shard: -1, Shards: 2, Peers: two}, "out of range"},
+		{TCPConfig{Shard: 0, Shards: 3, Peers: two}, "2 peer addresses for 3 shards"},
+	} {
+		_, err := NewTCP(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("NewTCP(shard %d of %d, %d peers): error %v, want %q",
+				tc.cfg.Shard, tc.cfg.Shards, len(tc.cfg.Peers), err, tc.want)
+		}
 	}
 }
 

@@ -508,23 +508,9 @@ func (p *Partitioner) apply(decisions []*ShardDecision) IterationStats {
 }
 
 // Run iterates until convergence (ConvergenceWindow quiet iterations) or
-// MaxIterations, whichever comes first, and returns the run summary.
+// MaxIterations: RunDynamic over a stream that has already ended.
 func (p *Partitioner) Run() Result {
-	var res Result
-	for p.iter < p.cfg.MaxIterations && !p.Converged() {
-		st := p.Step()
-		res.History = append(res.History, st)
-		res.TotalMigrations += st.Migrations
-	}
-	res.Iterations = p.iter
-	res.Converged = p.Converged()
-	if res.Converged {
-		res.ConvergedAt = p.lastMigration + 1
-	} else {
-		res.ConvergedAt = p.iter
-	}
-	res.FinalCutRatio = partition.CutRatio(p.g, p.asn)
-	return res
+	return p.RunDynamic(graph.NewSliceStream(nil))
 }
 
 // RunDynamic interleaves the heuristic with a mutation stream: each

@@ -173,11 +173,11 @@ func AppendBatchFrame(dst []byte, b Batch) ([]byte, error) {
 		if mu.Kind < MutAddVertex || mu.Kind > MutRemoveEdge {
 			return dst, fmt.Errorf("graph wire: mutation %d has invalid kind %d", i, mu.Kind)
 		}
-		if err := checkWireVertex(mu.U); err != nil {
+		if err := CheckVertexID(int64(mu.U)); err != nil {
 			return dst, fmt.Errorf("graph wire: mutation %d u: %w", i, err)
 		}
 		if mu.Kind == MutAddEdge || mu.Kind == MutRemoveEdge {
-			if err := checkWireVertex(mu.V); err != nil {
+			if err := CheckVertexID(int64(mu.V)); err != nil {
 				return dst, fmt.Errorf("graph wire: mutation %d v: %w", i, err)
 			}
 		}
@@ -291,13 +291,13 @@ func readBatchPayload(r io.Reader, payload int) (Frame, error) {
 		}
 		u := int32(leU32(mbuf[1:5]))
 		v := int32(leU32(mbuf[5:9]))
-		if err := checkWireVertex(VertexID(u)); err != nil {
+		if err := CheckVertexID(int64(u)); err != nil {
 			return Frame{}, fmt.Errorf("graph wire: mutation %d u: %w", i, err)
 		}
 		mu := Mutation{Kind: kind, U: VertexID(u)}
 		switch kind {
 		case MutAddEdge, MutRemoveEdge:
-			if err := checkWireVertex(VertexID(v)); err != nil {
+			if err := CheckVertexID(int64(v)); err != nil {
 				return Frame{}, fmt.Errorf("graph wire: mutation %d v: %w", i, err)
 			}
 			mu.V = VertexID(v)
@@ -311,14 +311,15 @@ func readBatchPayload(r io.Reader, payload int) (Frame, error) {
 	return Frame{Type: FrameBatch, Batch: b}, nil
 }
 
-// checkWireVertex enforces the same ID bounds as every other ingest
-// surface (the dense vertex table must never be sized by a hostile ID).
-func checkWireVertex(v VertexID) error {
-	if v < 0 {
-		return fmt.Errorf("vertex id %d is negative", int64(v))
+// CheckVertexID enforces the ID bounds [0, MaxReadVertexID] that every
+// ingest and read surface shares with the file parsers: the vertex table
+// is dense, so it must never be sized by a hostile ID.
+func CheckVertexID(id int64) error {
+	if id < 0 {
+		return fmt.Errorf("vertex id %d is negative", id)
 	}
-	if v > MaxReadVertexID {
-		return fmt.Errorf("vertex id %d exceeds the supported maximum %d", int64(v), int64(MaxReadVertexID))
+	if id > MaxReadVertexID {
+		return fmt.Errorf("vertex id %d exceeds the supported maximum %d", id, MaxReadVertexID)
 	}
 	return nil
 }

@@ -12,7 +12,6 @@ package replica
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -64,8 +63,8 @@ func (r *Replica) handlePlacement(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("vertex %q: %w", raw, err))
 		return
 	}
-	if id < 0 || id > math.MaxInt32 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("vertex %d outside the valid ID range [0, %d]", id, math.MaxInt32))
+	if err := graph.CheckVertexID(id); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	t := r.cur.Load()
@@ -121,6 +120,12 @@ func (r *Replica) handleBatchPlacements(w http.ResponseWriter, req *http.Request
 			fmt.Errorf("%d vertices exceeds the per-request maximum %d; shard the lookup", len(body.Vertices), maxBatchVertices))
 		return
 	}
+	for i, raw := range body.Vertices {
+		if err := graph.CheckVertexID(raw); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("vertex %d: %w", i, err))
+			return
+		}
+	}
 	t := r.cur.Load()
 	if !t.servable() {
 		r.notServing(w)
@@ -130,11 +135,7 @@ func (r *Replica) handleBatchPlacements(w http.ResponseWriter, req *http.Request
 	// pinned above: mutually consistent at a single epoch.
 	placements := make([]batchPlacement, len(body.Vertices))
 	for i, raw := range body.Vertices {
-		p := int64(-1)
-		if raw >= 0 && raw <= math.MaxInt32 {
-			p = int64(t.frozen.Of(graph.VertexID(raw)))
-		}
-		placements[i] = batchPlacement{Vertex: raw, Partition: p}
+		placements[i] = batchPlacement{Vertex: raw, Partition: int64(t.frozen.Of(graph.VertexID(raw)))}
 	}
 	r.reads.Add(uint64(len(placements)))
 	writeJSON(w, http.StatusOK, map[string]any{

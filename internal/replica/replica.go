@@ -180,7 +180,6 @@ type Replica struct {
 	// the tail loop (lastEventUnixNano).
 	upstreamEpoch     atomic.Uint64
 	upstreamInstance  atomic.Pointer[string]
-	upstreamPolledUnx atomic.Int64 // UnixNano of the last successful poll
 	lastEventUnixNano atomic.Int64
 
 	// Monotonic counters, exported by /metrics (apartr_*).
@@ -661,7 +660,6 @@ func (r *Replica) pollUpstream(ctx context.Context) (epoch uint64, ok bool) {
 	}
 	r.upstreamEpoch.Store(st.RoutingEpoch)
 	r.upstreamInstance.Store(&st.Instance)
-	r.upstreamPolledUnx.Store(time.Now().UnixNano())
 	return st.RoutingEpoch, true
 }
 

@@ -424,9 +424,33 @@ func TestReplicaHTTPBeforeAndAfterServing(t *testing.T) {
 		}
 	}
 
-	// Batch lookups work; the bootstrap-page form is refused.
+	// IDs outside [0, graph.MaxReadVertexID] are a 400 on the replica
+	// exactly as on the primary; the maximum itself is only unplaced.
+	for path, want := range map[string]int{
+		"/v1/placement/-1":       400,
+		"/v1/placement/16777217": 400,
+		"/v1/placement/16777216": 404,
+	} {
+		for _, base := range []string{ts.URL, rts.URL} {
+			resp, err := http.Get(base + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Fatalf("%s%s: status %d, want %d", base, path, resp.StatusCode, want)
+			}
+		}
+	}
+
+	// Batch lookups work; the bootstrap-page form and out-of-range IDs
+	// are refused.
 	for body, want := range map[string]int{
 		`{"vertices":[0,1,2,99999]}`: 200,
+		`{"vertices":[0,16777216]}`:  200,
+		`{"vertices":[0,-1]}`:        400,
+		`{"vertices":[16777217,1]}`:  400,
 		`{"cursor":0,"limit":10}`:    400,
 		`{"vertices":[1],"extra":1}`: 400,
 	} {

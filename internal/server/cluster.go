@@ -18,13 +18,14 @@ import (
 // The design is a deterministic replicated state machine, not a
 // partitioned store: every shard holds the full graph and the full
 // assignment, so every shard serves any read locally, and losing a
-// shard loses no data — only its share of decide throughput. Each tick
-// costs one batch round (merging every shard's drained mutations, in
-// shard order) plus one step round per heuristic iteration (merging
-// every shard's core.ShardDecision). All rounds are barriers; replicas
-// that restart behind the cluster replay journaled rounds through the
-// exact same code path, so the round counter in a checkpoint is all the
-// resume state a shard needs beyond the snapshot itself.
+// shard loses no data — only its share of decide throughput. A tick
+// runs TickNow's one body; cluster mode supplies only its batch (one
+// batch round merging every shard's drained mutations, in shard order)
+// and each iteration (one step round merging every shard's
+// core.ShardDecision). All rounds are barriers; replicas that restart
+// behind the cluster replay journaled rounds through the same code, so
+// the round counter in a checkpoint is all the resume state a shard
+// needs beyond the snapshot itself.
 //
 // Divergence is a bug, never a tolerated state: every batch round
 // carries an FNV-1a hash of the sender's assignment, and any mismatch
@@ -32,14 +33,12 @@ import (
 // hash-disagreeing replicas keep answering reads differently.
 
 // restoreClusterIdentity checks a snapshot's cluster section against
-// the restoring configuration, for what the journal replay needs. A
-// cluster shard resumes only from a clustered checkpoint, since the
-// replay starts at its round watermark, and only as the same shard of
-// the same geometry: the watermark indexes that cluster's journal, and
-// the checkpoint's shard-local parts (ingest counters, read heat) belong
-// to that slot. The replicated state itself is the same on every shard
-// and carries no generator state, so a single process may resume from
-// any shard's checkpoint.
+// the restoring Exchange. A cluster shard resumes only from a clustered
+// checkpoint (the replay starts at its round watermark) of the same
+// shard and geometry: the watermark indexes that cluster's journal, and
+// the shard-local parts (ingest counters, read heat) belong to that
+// slot. The replicated state carries no generator state, so a single
+// process may resume from any shard's checkpoint.
 func restoreClusterIdentity(cfg *Config, snap *snapshot.Snapshot) error {
 	ci := snap.Cluster
 	if cfg.Exchange == nil {
@@ -48,9 +47,9 @@ func restoreClusterIdentity(cfg *Config, snap *snapshot.Snapshot) error {
 	if ci == nil {
 		return fmt.Errorf("server: snapshot carries no cluster identity; cluster mode resumes only from cluster-mode checkpoints")
 	}
-	if int(ci.ShardID) != cfg.ClusterShard || int(ci.NumShards) != cfg.ClusterShards {
+	if shard, n := cfg.Exchange.Shard(), cfg.Exchange.Shards(); int(ci.ShardID) != shard || int(ci.NumShards) != n {
 		return fmt.Errorf("server: snapshot identity is shard %d of %d, configured as shard %d of %d",
-			ci.ShardID, ci.NumShards, cfg.ClusterShard, cfg.ClusterShards)
+			ci.ShardID, ci.NumShards, shard, n)
 	}
 	return nil
 }
@@ -101,7 +100,7 @@ func (s *Server) assignmentHashLocked() uint64 {
 // is where an operator looks for the heuristic activity behind a
 // placement.
 func (s *Server) ownerShard(v graph.VertexID) int {
-	n := s.cfg.ClusterShards
+	n := s.cfg.Exchange.Shards()
 	slots := s.routing.Load().Table.Slots()
 	per := (slots + n - 1) / n
 	if per == 0 || int(v) >= slots {
@@ -110,25 +109,15 @@ func (s *Server) ownerShard(v graph.VertexID) int {
 	return int(v) / per
 }
 
-// tickCluster is TickNow's body in cluster mode: one batch round, then
-// one step round per heuristic iteration until convergence or the step
-// budget. Caller holds tickMu. When the next round number is at or below
-// the Exchange's replay watermark the tick re-executes a journaled
-// round: the local ingest queue is left untouched (its mutations belong
-// to post-replay ticks), the decide phase still runs (its payload is
-// what the pre-crash process sent), and the journaled payloads — not the
-// freshly computed ones — are what every replica applies.
-func (s *Server) tickCluster() TickResult {
-	var res TickResult
-	ex := s.cfg.Exchange
-	if s.ClusterError() != nil {
-		return res
-	}
-
+// clusterBatch is the batch seam in cluster mode: one batch round that
+// checks every shard's assignment hash and merges their drained queues
+// in shard order. A round at or below the Exchange's replay watermark
+// re-executes a journaled round: the local queue is left for post-replay
+// ticks, and the journaled payloads are what every replica applies.
+func (s *Server) clusterBatch() (graph.Batch, bool, error) {
 	round := s.clusterRounds.Load() + 1
-	replaying := round <= ex.Completed()
 	var batch graph.Batch
-	if !replaying {
+	if round > s.cfg.Exchange.Completed() {
 		batch = s.drainPending()
 	} else {
 		s.clusterReplayed.Add(1)
@@ -146,13 +135,11 @@ func (s *Server) tickCluster() TickResult {
 		Batch:       batch,
 	})
 	if err != nil {
-		s.failCluster(fmt.Errorf("encode batch round %d: %w", round, err))
-		return res
+		return nil, false, fmt.Errorf("encode batch round %d: %w", round, err)
 	}
 	returned, err := s.runRound(round, payload)
 	if err != nil {
-		s.failCluster(fmt.Errorf("batch round %d: %w", round, err))
-		return res
+		return nil, false, fmt.Errorf("batch round %d: %w", round, err)
 	}
 
 	var merged graph.Batch
@@ -160,100 +147,55 @@ func (s *Server) tickCluster() TickResult {
 	for i, enc := range returned {
 		p, err := cluster.DecodeBatchPayload(enc)
 		if err != nil {
-			s.failCluster(fmt.Errorf("batch round %d: shard %d payload: %w", round, i, err))
-			return res
+			return nil, false, fmt.Errorf("batch round %d: shard %d payload: %w", round, i, err)
 		}
 		if p.StateHash != hash {
-			s.failCluster(fmt.Errorf(
+			return nil, false, fmt.Errorf(
 				"cluster diverged at round %d: shard %d assignment hash %016x, local %016x",
-				round, i, p.StateHash, hash))
-			return res
+				round, i, p.StateHash, hash)
 		}
 		morePending = morePending || p.MorePending
 		merged = append(merged, p.Batch...)
 	}
+	return merged, morePending, nil
+}
 
-	res.BatchSize = len(merged) // the global tick batch, all shards merged
-	res.MorePending = morePending
-	s.lastBatch.Store(int64(len(merged)))
-
+// clusterStep is the step seam in cluster mode: decide this shard's
+// slice, exchange it in one step round, and apply every shard's
+// decisions in shard order (the journaled ones during replay).
+func (s *Server) clusterStep() (core.IterationStats, bool, error) {
+	ex := s.cfg.Exchange
+	round := s.clusterRounds.Load() + 1
+	if round <= ex.Completed() {
+		s.clusterReplayed.Add(1)
+	}
 	s.mu.Lock()
-	if len(merged) > 0 {
-		res.Applied = s.part.ApplyBatch(merged)
-		s.applied.Add(uint64(res.Applied))
-		s.publishRouting()
-	}
-	// Heat stays shard-local observability in cluster mode (the
-	// workload objective is rejected at validate time), so folding here
-	// never touches what the replicated state machine computes.
-	s.foldHeatLocked()
-	converged := s.part.Converged()
+	d, err := s.part.StepClusterDecide(ex.Shard(), ex.Shards())
 	s.mu.Unlock()
-
-	for !converged && res.Steps < s.cfg.MaxStepsPerTick {
-		round = s.clusterRounds.Load() + 1
-		if round <= ex.Completed() {
-			s.clusterReplayed.Add(1)
-		}
-		s.mu.Lock()
-		d, err := s.part.StepClusterDecide(s.cfg.ClusterShard, s.cfg.ClusterShards)
-		s.mu.Unlock()
-		if err != nil {
-			s.failCluster(fmt.Errorf("step round %d decide: %w", round, err))
-			return res
-		}
-		enc, err := cluster.AppendStepPayload(nil, d)
-		if err != nil {
-			s.failCluster(fmt.Errorf("encode step round %d: %w", round, err))
-			return res
-		}
-		returned, err := s.runRound(round, enc)
-		if err != nil {
-			s.failCluster(fmt.Errorf("step round %d: %w", round, err))
-			return res
-		}
-		decisions := make([]*core.ShardDecision, len(returned))
-		for i, e := range returned {
-			if decisions[i], err = cluster.DecodeStepPayload(e); err != nil {
-				s.failCluster(fmt.Errorf("step round %d: shard %d payload: %w", round, i, err))
-				return res
-			}
-		}
-		s.mu.Lock()
-		st, err := s.part.StepClusterApply(decisions)
-		if err == nil {
-			converged = s.part.Converged()
-		}
-		s.mu.Unlock()
-		if err != nil {
-			s.failCluster(fmt.Errorf("step round %d apply: %w", round, err))
-			return res
-		}
-		s.iterations.Add(1)
-		s.migrations.Add(uint64(st.Migrations))
-		s.examined.Add(uint64(st.Examined))
-		res.Steps++
-		res.Migrations += st.Migrations
-		res.Examined += st.Examined
+	if err != nil {
+		return core.IterationStats{}, false, fmt.Errorf("step round %d decide: %w", round, err)
 	}
-	res.Converged = converged
-
+	enc, err := cluster.AppendStepPayload(nil, d)
+	if err != nil {
+		return core.IterationStats{}, false, fmt.Errorf("encode step round %d: %w", round, err)
+	}
+	returned, err := s.runRound(round, enc)
+	if err != nil {
+		return core.IterationStats{}, false, fmt.Errorf("step round %d: %w", round, err)
+	}
+	decisions := make([]*core.ShardDecision, len(returned))
+	for i, e := range returned {
+		if decisions[i], err = cluster.DecodeStepPayload(e); err != nil {
+			return core.IterationStats{}, false, fmt.Errorf("step round %d: shard %d payload: %w", round, i, err)
+		}
+	}
 	s.mu.Lock()
-	s.publishRouting()
-	if s.part.Graph().MaybeCompact() {
-		res.Compacted = true
+	defer s.mu.Unlock()
+	st, err := s.part.StepClusterApply(decisions)
+	if err != nil {
+		return core.IterationStats{}, false, fmt.Errorf("step round %d apply: %w", round, err)
 	}
-	s.mu.Unlock()
-
-	tick := s.ticks.Add(1)
-	if s.cfg.CheckpointEvery > 0 && tick%uint64(s.cfg.CheckpointEvery) == 0 {
-		if _, err := s.checkpoint(s.cfg.CheckpointPath); err == nil {
-			res.Checkpoint = true
-		} else {
-			s.ckptFailures.Add(1)
-		}
-	}
-	return res
+	return st, s.part.Converged(), nil
 }
 
 // runRound submits one round to the Exchange, accounting barrier wait
@@ -301,10 +243,11 @@ func (s *Server) clusterStats() *ClusterStats {
 	s.mu.RLock()
 	slots := s.part.Graph().NumSlots()
 	s.mu.RUnlock()
-	lo, hi := graph.ShardRange(s.cfg.ClusterShard, s.cfg.ClusterShards, slots)
+	shard, n := s.cfg.Exchange.Shard(), s.cfg.Exchange.Shards()
+	lo, hi := graph.ShardRange(shard, n, slots)
 	cs := &ClusterStats{
-		Shard:     s.cfg.ClusterShard,
-		Shards:    s.cfg.ClusterShards,
+		Shard:     shard,
+		Shards:    n,
 		OwnedLo:   lo,
 		OwnedHi:   hi,
 		Rounds:    s.clusterRounds.Load(),

@@ -1,8 +1,13 @@
 package server
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -54,8 +59,6 @@ func newClusterServers(t *testing.T, n int, mutate func(i int, c *Config)) ([]*S
 		cfg := DefaultConfig(5, 21)
 		cfg.TickEvery = 0 // manual tick mode
 		cfg.Exchange = ex
-		cfg.ClusterShard = i
-		cfg.ClusterShards = n
 		if mutate != nil {
 			mutate(i, &cfg)
 		}
@@ -239,8 +242,6 @@ func TestClusterServerShardLossAndRejoin(t *testing.T) {
 	cfg := DefaultConfig(5, 21)
 	cfg.TickEvery = 0
 	cfg.Exchange = ex
-	cfg.ClusterShard = 2
-	cfg.ClusterShards = n
 	reborn, err := Restore(cfg, snap)
 	if err != nil {
 		t.Fatal(err)
@@ -270,6 +271,107 @@ func TestClusterServerShardLossAndRejoin(t *testing.T) {
 	}
 }
 
+// flakyExchange fails Round at round failAt without delivering
+// anything; every other call goes to the wrapped handle.
+type flakyExchange struct {
+	cluster.Exchange
+	failAt uint64
+}
+
+func (f *flakyExchange) Round(round uint64, payload []byte) ([][]byte, error) {
+	if round == f.failAt {
+		return nil, errors.New("injected transport failure")
+	}
+	return f.Exchange.Round(round, payload)
+}
+
+// TestClusterPoisonUntilRestart pins what one failed round does: the
+// shard's cluster mode stays poisoned until the process restarts. Ticks
+// become no-ops that leave the ingest queue alone, POST /v1/tick answers
+// 500 and the health gauge reads 0, reads keep serving the last published
+// snapshot, and Drain stops at once but still writes its checkpoint.
+func TestClusterPoisonUntilRestart(t *testing.T) {
+	ckptPath := filepath.Join(t.TempDir(), "shard0.snap")
+	flaky := &flakyExchange{}
+	srvs, _ := newClusterServers(t, 2, func(i int, c *Config) {
+		if i == 0 {
+			flaky.Exchange = c.Exchange
+			c.Exchange = flaky
+			c.CheckpointPath = ckptPath
+		}
+	})
+	s := srvs[0]
+	for tick := 0; tick < 3; tick++ {
+		if _, ok := s.EnqueueShard(synthBatch(tick, 60), 0); !ok {
+			t.Fatalf("tick %d: enqueue rejected", tick)
+		}
+		tickAll(t, srvs)
+	}
+	var placed graph.VertexID
+	for !func() bool { _, ok := s.Placement(placed); return ok }() {
+		placed++
+	}
+	before, _ := s.Placement(placed)
+
+	// Shard 0's next batch round fails; shard 1 never ticks again, so no
+	// barrier is left waiting on it.
+	flaky.failAt = s.clusterRounds.Load() + 1
+	if res := s.TickNow(); res != (TickResult{}) {
+		t.Fatalf("failed tick returned %+v", res)
+	}
+	if s.ClusterError() == nil {
+		t.Fatal("a failed round did not poison cluster mode")
+	}
+
+	if _, ok := s.EnqueueShard(synthBatch(3, 60), 0); !ok {
+		t.Fatal("enqueue rejected")
+	}
+	pending, _ := s.PendingMutations()
+	ticks := s.Stats().Ticks
+	for i := 0; i < 3; i++ {
+		if res := s.TickNow(); res != (TickResult{}) {
+			t.Fatalf("poisoned tick %d returned %+v", i, res)
+		}
+	}
+	if got, _ := s.PendingMutations(); got != pending || pending == 0 {
+		t.Fatalf("poisoned ticks drained the queue: %d pending, had %d", got, pending)
+	}
+	if got := s.Stats().Ticks; got != ticks {
+		t.Fatalf("poisoned ticks counted: %d ticks, had %d", got, ticks)
+	}
+
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tick", nil))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("POST /v1/tick on a poisoned shard: status %d, want 500", rec.Code)
+	}
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/placement/%d", placed), nil))
+	var got map[string]int64
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); rec.Code != http.StatusOK || err != nil ||
+		got["partition"] != int64(before) {
+		t.Fatalf("placement of %d after poisoning: status %d body %s, want partition %d",
+			placed, rec.Code, rec.Body.Bytes(), before)
+	}
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if !strings.Contains(rec.Body.String(), "\napartd_cluster_healthy 0\n") {
+		t.Fatal("apartd_cluster_healthy is not 0 on a poisoned shard")
+	}
+
+	n, err := s.Drain(10)
+	if n != 0 || err != nil {
+		t.Fatalf("Drain on a poisoned shard: %d ticks, error %v; want 0, nil", n, err)
+	}
+	snap, err := snapshot.Load(ckptPath)
+	if err != nil {
+		t.Fatalf("Drain wrote no checkpoint: %v", err)
+	}
+	if snap.Meta.Ticks != ticks || snap.Cluster == nil || snap.Cluster.ShardID != 0 || snap.Cluster.NumShards != 2 {
+		t.Fatalf("drain checkpoint: ticks %d (want %d), cluster identity %+v", snap.Meta.Ticks, ticks, snap.Cluster)
+	}
+}
+
 // TestClusterConfigValidation pins the misconfiguration guardrails.
 func TestClusterConfigValidation(t *testing.T) {
 	mem, err := cluster.NewMemCluster(2, 0)
@@ -280,18 +382,13 @@ func TestClusterConfigValidation(t *testing.T) {
 	ex, _ := mem.Shard(0)
 
 	bad := []func(c *Config){
-		func(c *Config) { c.Exchange = nil; c.ClusterShards = 2 },            // cluster fields without exchange
-		func(c *Config) { c.ClusterShards = 1; c.ClusterShard = 0 },          // too few shards
-		func(c *Config) { c.ClusterShard = 5 },                               // shard out of range
-		func(c *Config) { c.WorkloadWeight = 0.5 },                           // workload objective forbidden
-		func(c *Config) { c.MaxPending = graph.MaxWireBatch + 1 },            // batch cannot fit a round
-		func(c *Config) { c.K = 1; c.ClusterShard = 0; c.ClusterShards = 2 }, // k too small
+		func(c *Config) { c.WorkloadWeight = 0.5 },                // workload objective forbidden
+		func(c *Config) { c.MaxPending = graph.MaxWireBatch + 1 }, // batch cannot fit a round
+		func(c *Config) { c.K = 1 },                               // k too small
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig(5, 3)
 		cfg.Exchange = ex
-		cfg.ClusterShard = 0
-		cfg.ClusterShards = 2
 		mutate(&cfg)
 		if _, err := New(cfg); err == nil {
 			t.Fatalf("case %d: invalid cluster config accepted", i)
@@ -305,7 +402,7 @@ func TestClusterConfigValidation(t *testing.T) {
 	if err := restoreClusterIdentity(&Config{}, snap); err != nil {
 		t.Fatalf("clustered snapshot refused for single-process restore: %v", err)
 	}
-	cfg := Config{Exchange: ex, ClusterShard: 0, ClusterShards: 2}
+	cfg := Config{Exchange: ex}
 	if err := restoreClusterIdentity(&cfg, snap); err == nil {
 		t.Fatal("snapshot restored under the wrong shard identity")
 	}

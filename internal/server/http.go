@@ -62,30 +62,17 @@ func (m MutationJSON) ToMutation() (graph.Mutation, error) {
 	default:
 		return graph.Mutation{}, fmt.Errorf("unknown op %q", m.Op)
 	}
-	if err := checkWireID(m.U); err != nil {
+	if err := graph.CheckVertexID(m.U); err != nil {
 		return graph.Mutation{}, fmt.Errorf("u: %w", err)
 	}
 	mu := graph.Mutation{Kind: kind, U: graph.VertexID(m.U)}
 	if needV {
-		if err := checkWireID(m.V); err != nil {
+		if err := graph.CheckVertexID(m.V); err != nil {
 			return graph.Mutation{}, fmt.Errorf("v: %w", err)
 		}
 		mu.V = graph.VertexID(m.V)
 	}
 	return mu, nil
-}
-
-// checkWireID enforces the same ID bounds as the file parsers: the
-// vertex table is dense, so one huge ID would materialise every slot
-// below it.
-func checkWireID(id int64) error {
-	if id < 0 {
-		return fmt.Errorf("vertex id %d is negative", id)
-	}
-	if id > graph.MaxReadVertexID {
-		return fmt.Errorf("vertex id %d exceeds the supported maximum %d", id, graph.MaxReadVertexID)
-	}
-	return nil
 }
 
 // routes builds the daemon's endpoint table.
@@ -164,7 +151,7 @@ func (s *Server) handlePlacement(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("vertex %q: %w", raw, err))
 		return
 	}
-	if err := checkWireID(id); err != nil {
+	if err := graph.CheckVertexID(id); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -335,7 +322,7 @@ func (s *Server) handleBatchPlacements(w http.ResponseWriter, r *http.Request) {
 	}
 	ids := make([]graph.VertexID, len(req.Vertices))
 	for i, raw := range req.Vertices {
-		if err := checkWireID(raw); err != nil {
+		if err := graph.CheckVertexID(raw); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("vertex %d: %w", i, err))
 			return
 		}

@@ -71,8 +71,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// (float64 gauges cannot carry 64 bits exactly) — enough for an
 	// operator to diff across shards, with the full hash on /v1/stats.
 	if s.cfg.Exchange != nil {
-		gauge("apartd_cluster_shard", "This replica's shard index.", float64(s.cfg.ClusterShard))
-		gauge("apartd_cluster_shards", "Fixed cluster size.", float64(s.cfg.ClusterShards))
+		gauge("apartd_cluster_shard", "This replica's shard index.", float64(s.cfg.Exchange.Shard()))
+		gauge("apartd_cluster_shards", "Fixed cluster size.", float64(s.cfg.Exchange.Shards()))
 		gauge("apartd_cluster_healthy", "1 while cluster mode is healthy, 0 once poisoned by divergence or a transport failure.", s.clusterHealthGauge())
 		counter("apartd_cluster_rounds_total", "Exchange rounds completed (batch and step rounds).", s.clusterRounds.Load())
 		counter("apartd_cluster_replayed_rounds_total", "Rounds re-executed from peer journals after a restart.", s.clusterReplayed.Load())

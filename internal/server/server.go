@@ -123,21 +123,16 @@ type Config struct {
 	// stay byte-identical with it on or off.
 	HeatRecord bool
 	// Exchange, when non-nil, puts the daemon in cluster mode: it is
-	// shard ClusterShard of ClusterShards replicas of one deterministic
-	// state machine, and every tick runs through barrier rounds on this
-	// exchange (see internal/cluster and cluster.go). The daemon never
-	// closes the Exchange — the caller that built it owns its lifetime,
-	// and must keep it open across Drain so the final rounds complete.
-	// Cluster mode rejects WorkloadWeight > 0 (read heat is shard-local,
-	// so a workload term would diverge the replicas). Parallelism stays
-	// free: it sets how many goroutines decide this shard's slice.
+	// shard Exchange.Shard() of Exchange.Shards() replicas of one
+	// deterministic state machine, and each tick takes its batch and
+	// every iteration's decisions from barrier rounds on this exchange
+	// (see internal/cluster and cluster.go). The daemon never closes the
+	// Exchange — its caller owns it, and must keep it open across Drain
+	// so the final rounds complete. Cluster mode rejects WorkloadWeight
+	// > 0 (read heat is shard-local, so a workload term would diverge the
+	// replicas). Parallelism stays free: it sets how many goroutines
+	// decide this shard's slice.
 	Exchange cluster.Exchange
-	// ClusterShard is this replica's shard index in [0, ClusterShards).
-	ClusterShard int
-	// ClusterShards is the fixed cluster size (≥ 2). Changing it — or
-	// the seed, or K — requires a fresh cluster: the geometry is part of
-	// the deterministic contract.
-	ClusterShards int
 }
 
 // DefaultMaxPending is the ingest-queue cap used when Config.MaxPending
@@ -214,16 +209,7 @@ func (c Config) validate() error {
 		return fmt.Errorf("server: HeatSample must be ≥ 0, got %d", c.HeatSample)
 	}
 	if c.Exchange == nil {
-		if c.ClusterShards != 0 || c.ClusterShard != 0 {
-			return fmt.Errorf("server: ClusterShard/ClusterShards require an Exchange")
-		}
 		return nil
-	}
-	if c.ClusterShards < 2 {
-		return fmt.Errorf("server: cluster mode needs ClusterShards ≥ 2, got %d", c.ClusterShards)
-	}
-	if c.ClusterShard < 0 || c.ClusterShard >= c.ClusterShards {
-		return fmt.Errorf("server: ClusterShard %d outside [0, %d)", c.ClusterShard, c.ClusterShards)
 	}
 	if c.K < 2 {
 		return fmt.Errorf("server: cluster mode needs K ≥ 2, got %d", c.K)
@@ -611,27 +597,30 @@ type TickResult struct {
 	MorePending bool `json:"more_pending"` // cluster mode: mutations still queued on some shard
 }
 
-// TickNow runs one coalescing tick synchronously: swap out the pending
-// batch, apply it, and run heuristic iterations until convergence or the
+// TickNow runs one coalescing tick synchronously: take the tick's batch,
+// apply it, and run heuristic iterations until convergence or the
 // per-tick budget. The background loop calls it on every TickEvery; tests,
 // the drain path and POST /v1/tick (manual mode) call it directly. Ticks
 // are serialized by tickMu: in cluster mode a tick is a sequence of
-// barrier rounds that must not interleave with another tick's.
+// barrier rounds that must not interleave with another tick's. Its two
+// seams, tickBatch and step, are all that cluster mode changes; a seam
+// error poisons cluster mode, and a poisoned cluster's ticks are no-ops.
 func (s *Server) TickNow() TickResult {
 	s.tickMu.Lock()
 	defer s.tickMu.Unlock()
-	if s.cfg.Exchange != nil {
-		return s.tickCluster()
-	}
-	batch := s.drainPending()
-
 	var res TickResult
+	if s.ClusterError() != nil {
+		return res
+	}
+	batch, morePending, err := s.tickBatch()
+	if err != nil {
+		s.failCluster(err)
+		return res
+	}
 	res.BatchSize = len(batch)
+	res.MorePending = morePending
 	s.lastBatch.Store(int64(len(batch)))
 
-	// Counter updates happen inside the same critical section as the
-	// state change they describe, so a concurrent Checkpoint (read
-	// lock) always captures Meta counters consistent with the graph.
 	s.mu.Lock()
 	if len(batch) > 0 {
 		res.Applied = s.part.ApplyBatch(batch)
@@ -646,20 +635,22 @@ func (s *Server) TickNow() TickResult {
 	// With WorkloadWeight > 0 fresh samples re-open convergence — hot
 	// neighbourhoods re-decide against the new heat; with the objective
 	// off the fold only maintains the observability accumulator.
-	s.foldHeatLocked()
+	s.foldHeatLocked(s.heatDecay)
 	converged := s.part.Converged()
 	s.mu.Unlock()
 
 	// A converged partitioner with nothing new to absorb: an idle tick
 	// costs two mutex operations and no iterations.
 	for !converged && res.Steps < s.cfg.MaxStepsPerTick {
-		s.mu.Lock()
-		st := s.part.Step()
-		converged = s.part.Converged()
+		st, done, err := s.step()
+		if err != nil {
+			s.failCluster(err)
+			return res
+		}
+		converged = done
 		s.iterations.Add(1)
 		s.migrations.Add(uint64(st.Migrations))
 		s.examined.Add(uint64(st.Examined))
-		s.mu.Unlock()
 		res.Steps++
 		res.Migrations += st.Migrations
 		res.Examined += st.Examined
@@ -698,39 +689,41 @@ func (s *Server) TickNow() TickResult {
 	return res
 }
 
-// foldHeatLocked drains the heat table and folds the samples into the
-// partitioner. Caller holds mu. A no-op until recording is enabled; once
-// it is, every tick folds (decay advances even through read-silent
-// ticks, so heat cools when traffic stops).
-func (s *Server) foldHeatLocked() {
-	if !s.heatTable.Recording() {
-		return
+// tickBatch returns the tick's mutations and whether more are queued:
+// the local ingest queue, or in cluster mode the batch round's merge.
+func (s *Server) tickBatch() (graph.Batch, bool, error) {
+	if s.cfg.Exchange != nil {
+		return s.clusterBatch()
 	}
-	s.heatBuf = s.heatTable.Drain(s.heatBuf[:0])
-	max, hot := s.part.FoldHeat(s.heatDecay, s.heatBuf, float64(s.heatTable.Sample()))
-	s.heatFolds.Add(1)
-	s.heatSamples.Add(uint64(len(s.heatBuf)))
-	s.heatMaxBits.Store(math.Float64bits(max))
-	s.heatHot.Store(int64(hot))
+	return s.drainPending(), false, nil
 }
 
-// foldHeatPendingLocked folds samples still sitting in the heat rings
-// into the partitioner's accumulator at full weight WITHOUT advancing
-// the decay clock (decay factor 1.0) — heat decays once per tick, and a
-// checkpoint between ticks must not insert an extra decay step. Without
-// this fold a checkpoint would silently discard every read sampled since
-// the last tick boundary: Drain on the heat table is destructive, so the
-// rings' contents exist nowhere else, yet the snapshot format persists
-// heat. Caller holds mu (write).
-func (s *Server) foldHeatPendingLocked() {
+// step runs one heuristic iteration and reports convergence after it;
+// in cluster mode the decisions come from a step round.
+func (s *Server) step() (core.IterationStats, bool, error) {
+	if s.cfg.Exchange != nil {
+		return s.clusterStep()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.part.Step(), s.part.Converged(), nil
+}
+
+// foldHeatLocked drains the heat table and folds the samples into the
+// partitioner. Caller holds mu (write). A no-op until recording is
+// enabled; once it is, every tick folds with the per-tick decay (heat
+// cools through read-silent ticks). A checkpoint folds with decay 1, so
+// it inserts no extra decay step yet loses no read sampled since the
+// last tick (Drain is destructive); with no samples that fold is skipped.
+func (s *Server) foldHeatLocked(decay float64) {
 	if !s.heatTable.Recording() {
 		return
 	}
 	s.heatBuf = s.heatTable.Drain(s.heatBuf[:0])
-	if len(s.heatBuf) == 0 {
+	if decay == 1 && len(s.heatBuf) == 0 {
 		return
 	}
-	max, hot := s.part.FoldHeat(1.0, s.heatBuf, float64(s.heatTable.Sample()))
+	max, hot := s.part.FoldHeat(decay, s.heatBuf, float64(s.heatTable.Sample()))
 	s.heatFolds.Add(1)
 	s.heatSamples.Add(uint64(len(s.heatBuf)))
 	s.heatMaxBits.Store(math.Float64bits(max))
@@ -767,7 +760,7 @@ func (s *Server) checkpoint(path string) (*snapshot.Snapshot, error) {
 		return nil, fmt.Errorf("server: no checkpoint path configured")
 	}
 	s.mu.Lock()
-	s.foldHeatPendingLocked()
+	s.foldHeatLocked(1)
 	// Counters are read under the same lock that freezes the partitioner,
 	// so the snapshot's Meta always agrees with its captured graph (tick
 	// mutations update both inside the write-lock window).
@@ -786,8 +779,8 @@ func (s *Server) checkpoint(path string) (*snapshot.Snapshot, error) {
 		// The replay watermark is consistent with the captured state:
 		// tickMu guarantees no round completed since the capture above.
 		snap.Cluster = &snapshot.ClusterIdentity{
-			ShardID:         uint32(s.cfg.ClusterShard),
-			NumShards:       uint32(s.cfg.ClusterShards),
+			ShardID:         uint32(s.cfg.Exchange.Shard()),
+			NumShards:       uint32(s.cfg.Exchange.Shards()),
 			RoundsCompleted: s.clusterRounds.Load(),
 		}
 	}
@@ -856,21 +849,13 @@ func (s *Server) Drain(maxTicks int) (int, error) {
 	n := 0
 	for ; n < maxTicks; n++ {
 		res := s.TickNow()
-		pending, _ := s.PendingMutations()
-		if s.cfg.Exchange != nil {
-			// Draining is cluster-wide: keep ticking while any shard
-			// reports queued mutations. A poisoned cluster cannot make
-			// progress — stop burning no-op ticks and checkpoint as-is.
-			if s.ClusterError() != nil {
-				break
-			}
-			if !res.MorePending && pending == 0 && res.Converged {
-				n++
-				break
-			}
-			continue
+		// A poisoned cluster cannot progress: checkpoint as-is. Otherwise
+		// drain cluster-wide (MorePending: mutations queued on any shard).
+		if s.ClusterError() != nil {
+			break
 		}
-		if pending == 0 && res.Converged {
+		pending, _ := s.PendingMutations()
+		if !res.MorePending && pending == 0 && res.Converged {
 			n++
 			break
 		}
@@ -978,20 +963,6 @@ func (s *Server) Stats() Stats {
 func (s *Server) Placement(v graph.VertexID) (partition.ID, bool) {
 	p := s.routing.Load().Table.Of(v)
 	s.heatTable.Record(v)
-	return p, p != partition.None
-}
-
-// placementLocked is the pre-serving-plane read path — the live
-// assignment under the state lock. Kept (unexported) as the benchmark
-// baseline the routing snapshot is measured against; not used by any
-// endpoint.
-func (s *Server) placementLocked(v graph.VertexID) (partition.ID, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if !s.part.Graph().Has(v) {
-		return partition.None, false
-	}
-	p := s.part.Assignment().Of(v)
 	return p, p != partition.None
 }
 
