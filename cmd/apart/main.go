@@ -39,7 +39,7 @@ func run(args []string) error {
 		format    = fs.String("format", "edges", "input format: edges (SNAP edge list) or metis (.graph)")
 		directed  = fs.Bool("directed", false, "treat -input as a directed graph (edges format only)")
 		list      = fs.Bool("list", false, "list available datasets and exit")
-		k         = fs.Int("k", 9, "number of partitions")
+		k         = fs.Int("k", 9, "number of partitions (1–255)")
 		initial   = fs.String("initial", "HSH", "initial strategy: HSH, RND, DGR or MNN")
 		iterative = fs.Bool("iterative", true, "run the adaptive iterative heuristic")
 		useMetis  = fs.Bool("metis", false, "also run the centralised multilevel baseline")

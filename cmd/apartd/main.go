@@ -94,7 +94,7 @@ func parseFlags(args []string) (*options, error) {
 	var (
 		addr        = fs.String("addr", "127.0.0.1:8080", "listen address")
 		binaryAddr  = fs.String("binary-addr", "", "binary ingest plane listen address (empty = disabled); see docs/API.md for the frame protocol")
-		k           = fs.Int("k", 9, "number of partitions")
+		k           = fs.Int("k", 9, "number of partitions (1–255)")
 		seed        = fs.Int64("seed", 1, "random seed (with the stream, determines every placement)")
 		s           = fs.Float64("s", 0.5, "willingness to move (0,1]")
 		capFactor   = fs.Float64("capacity", 1.10, "capacity factor over balanced load")

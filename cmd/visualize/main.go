@@ -33,7 +33,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("visualize", flag.ContinueOnError)
 	var (
 		side   = fs.Int("side", 40, "mesh side length (side³ vertices)")
-		k      = fs.Int("k", 9, "number of partitions")
+		k      = fs.Int("k", 9, "number of partitions (1–255)")
 		frames = fs.Int("frames", 30, "number of frames to emit")
 		every  = fs.Int("every", 2, "iterations between frames")
 		scale  = fs.Int("scale", 8, "pixels per vertex")
@@ -48,7 +48,11 @@ func run(args []string) error {
 	}
 
 	g := gen.Cube3D(*side)
-	p, err := core.New(g, partition.Hash(g, *k), core.DefaultConfig(*k, *seed))
+	asn, err := partition.Initial(partition.HSH, g, *k, 0, *seed)
+	if err != nil {
+		return err
+	}
+	p, err := core.New(g, asn, core.DefaultConfig(*k, *seed))
 	if err != nil {
 		return err
 	}

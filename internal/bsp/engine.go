@@ -306,8 +306,8 @@ func NewEngine[M any](g *graph.Graph, asn *partition.Assignment, prog Program[M]
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if asn.K() < 1 {
-		return nil, fmt.Errorf("bsp: assignment must have k ≥ 1, got %d", asn.K())
+	if asn.K() < 1 || asn.K() > partition.MaxK {
+		return nil, fmt.Errorf("bsp: assignment must have k in [1, %d], got %d", partition.MaxK, asn.K())
 	}
 	if err := asn.Validate(g); err != nil {
 		return nil, fmt.Errorf("bsp: invalid assignment: %w", err)

@@ -117,8 +117,8 @@ func DefaultConfig(k int, seed int64) Config {
 }
 
 func (c *Config) validate() error {
-	if c.K < 1 {
-		return fmt.Errorf("core: K must be ≥ 1, got %d", c.K)
+	if c.K < 1 || c.K > partition.MaxK {
+		return fmt.Errorf("core: K must be in [1, %d], got %d", partition.MaxK, c.K)
 	}
 	// The float checks are written to fail on NaN, and the open-ended
 	// ones also reject +Inf: a non-finite weight or factor would turn

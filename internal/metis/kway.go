@@ -37,8 +37,8 @@ func DefaultOptions(seed int64) Options {
 // PartitionKWay computes a balanced k-way partitioning of g by multilevel
 // recursive bisection and returns it as an assignment table.
 func PartitionKWay(g *graph.Graph, k int, opts Options) (*partition.Assignment, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("metis: k must be ≥ 1, got %d", k)
+	if k < 1 || k > partition.MaxK {
+		return nil, fmt.Errorf("metis: k must be in [1, %d], got %d", partition.MaxK, k)
 	}
 	if opts.Imbalance < 1.0 {
 		return nil, fmt.Errorf("metis: imbalance factor must be ≥ 1.0, got %g", opts.Imbalance)

@@ -1,16 +1,20 @@
 package partition
 
-import "xdgp/internal/graph"
+import (
+	"fmt"
+
+	"xdgp/internal/graph"
+)
 
 // Frozen is an immutable point-in-time copy of an Assignment: a compact
-// slot-indexed vertex→partition table (4 bytes per slot) with no size
+// slot-indexed vertex→partition table (1 byte per slot) with no size
 // counters and no mutators. Once built it is never written again, so any
 // number of goroutines may read it concurrently without synchronization —
 // this is the routing-table representation the daemon's serving plane
 // publishes through an atomic pointer, one epoch per adaptation step
 // (see internal/server).
 type Frozen struct {
-	of       []ID
+	of       []cell
 	k        int
 	assigned int
 }
@@ -25,7 +29,7 @@ type Frozen struct {
 // from a live Assignment.)
 func (a *Assignment) Freeze() *Frozen {
 	return &Frozen{
-		of:       append([]ID(nil), a.of...),
+		of:       append([]cell(nil), a.of...),
 		k:        a.k,
 		assigned: a.Assigned(),
 	}
@@ -38,7 +42,7 @@ func (f *Frozen) Of(v graph.VertexID) ID {
 	if v < 0 || int(v) >= len(f.of) {
 		return None
 	}
-	return f.of[v]
+	return f.of[v].id()
 }
 
 // K returns the number of partitions the table was frozen with.
@@ -65,8 +69,8 @@ func (f *Frozen) Scan(from, to int, fn func(v graph.VertexID, p ID)) {
 		to = len(f.of)
 	}
 	for i := from; i < to; i++ {
-		if p := f.of[i]; p != None {
-			fn(graph.VertexID(i), p)
+		if c := f.of[i]; c != cellOf(None) {
+			fn(graph.VertexID(i), c.id())
 		}
 	}
 }
@@ -85,8 +89,13 @@ type Change struct {
 // NewFrozen returns an empty frozen table for k partitions: no slots, no
 // assignments. It is the seed state a replica applies bootstrap pages
 // onto; the primary's serving plane never needs it (tables there come
-// from Assignment.Freeze).
-func NewFrozen(k int) *Frozen { return &Frozen{k: k} }
+// from Assignment.Freeze). It panics when k exceeds MaxK.
+func NewFrozen(k int) *Frozen {
+	if k > MaxK {
+		panic(fmt.Sprintf("partition: k=%d exceeds MaxK=%d", k, MaxK))
+	}
+	return &Frozen{k: k}
+}
 
 // Apply returns a new Frozen with the changes applied on top of f, in
 // order (later changes to the same vertex win). The receiver is not
@@ -94,35 +103,35 @@ func NewFrozen(k int) *Frozen { return &Frozen{k: k} }
 // table grows to cover the highest changed vertex ID. Cost is
 // O(slots + changes): replicas pay one table copy per epoch diff, which
 // keeps their read path identical to the primary's (one atomic load, one
-// array read, no locks).
+// array read, no locks). It panics when a change's To is neither None nor
+// below K; a replica checks decoded changes before they get here.
 func (f *Frozen) Apply(changes []Change) *Frozen {
 	slots := len(f.of)
 	for _, c := range changes {
+		if c.To < None || int(c.To) >= f.k {
+			panic(fmt.Sprintf("partition: change of vertex %d to %d outside k=%d", c.Vertex, c.To, f.k))
+		}
 		if int(c.Vertex) >= slots {
 			slots = int(c.Vertex) + 1
 		}
 	}
 	nf := &Frozen{
-		of:       make([]ID, slots),
+		of:       make([]cell, slots),
 		k:        f.k,
 		assigned: f.assigned,
 	}
 	copy(nf.of, f.of)
-	for i := len(f.of); i < slots; i++ {
-		nf.of[i] = None
-	}
 	for _, c := range changes {
 		if c.Vertex < 0 {
 			continue // defensive: wire-validated inputs never carry these
 		}
-		old := nf.of[c.Vertex]
-		if old != None {
+		if nf.of[c.Vertex] != cellOf(None) {
 			nf.assigned--
 		}
 		if c.To != None {
 			nf.assigned++
 		}
-		nf.of[c.Vertex] = c.To
+		nf.of[c.Vertex] = cellOf(c.To)
 	}
 	return nf
 }

@@ -36,8 +36,8 @@ func AllStrategies() []Strategy { return []Strategy{DGR, HSH, MNN, RND, UDG, EDG
 // and RND is balanced by construction. seed drives the pseudorandom
 // choices (RND shuffling, streaming tie-breaks).
 func Initial(strategy Strategy, g *graph.Graph, k int, capFactor float64, seed int64) (*Assignment, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("partition: k must be ≥ 1, got %d", k)
+	if k < 1 || k > MaxK {
+		return nil, fmt.Errorf("partition: k must be in [1, %d], got %d", MaxK, k)
 	}
 	switch strategy {
 	case HSH:

@@ -20,8 +20,8 @@ func (a *Assignment) Save(w io.Writer) error {
 	if _, err := fmt.Fprintf(bw, "%d %d\n", a.k, len(a.of)); err != nil {
 		return err
 	}
-	for _, p := range a.of {
-		if _, err := fmt.Fprintln(bw, int(p)); err != nil {
+	for _, c := range a.of {
+		if _, err := fmt.Fprintln(bw, int(c.id())); err != nil {
 			return err
 		}
 	}
@@ -43,7 +43,7 @@ func Load(r io.Reader) (*Assignment, error) {
 		return nil, fmt.Errorf("partition: header %q needs 'k slots'", sc.Text())
 	}
 	k, err := strconv.Atoi(header[0])
-	if err != nil || k < 1 {
+	if err != nil || k < 1 || k > MaxK {
 		return nil, fmt.Errorf("partition: bad k %q", header[0])
 	}
 	slots, err := strconv.Atoi(header[1])

@@ -20,6 +20,23 @@ type ID int32
 // None is the assignment of a vertex that has not been placed yet.
 const None ID = -1
 
+// MaxK is the largest partition count a placement table can hold. Both
+// tables (Assignment and Frozen) store one byte per vertex slot, so every
+// entry point that takes k refuses k > MaxK with an error.
+const MaxK = 255
+
+// cell is one slot of a placement table: p+1 for partition p, 0 for None.
+// Tables are read once per neighbour in every vote tally and copied once
+// per published epoch, so the one-byte width keeps them small next to the
+// graph. Writers check p against K before encoding, so no value wraps.
+type cell uint8
+
+// cellOf encodes None or a partition below MaxK.
+func cellOf(p ID) cell { return cell(p + 1) }
+
+// id decodes a cell.
+func (c cell) id() ID { return ID(c) - 1 }
+
 // Assignment maps every live vertex to a partition and tracks partition
 // sizes. It is indexed by dense VertexID, so lookups are array accesses.
 // An Assignment is NOT safe for concurrent use: readers and writers must
@@ -27,23 +44,24 @@ const None ID = -1
 // take an immutable Freeze copy and drop the lock entirely — that is the
 // serving plane's approach.
 type Assignment struct {
-	of    []ID
+	of    []cell
 	sizes []int
 	k     int
 }
 
 // NewAssignment creates an assignment table for the given number of vertex
-// slots and k partitions, with every vertex unassigned.
+// slots and k partitions, with every vertex unassigned. It panics when k
+// exceeds MaxK; the entry points that take k from a user or a file refuse
+// that with an error first.
 func NewAssignment(slots, k int) *Assignment {
-	a := &Assignment{
-		of:    make([]ID, slots),
+	if k > MaxK {
+		panic(fmt.Sprintf("partition: k=%d exceeds MaxK=%d", k, MaxK))
+	}
+	return &Assignment{
+		of:    make([]cell, slots),
 		sizes: make([]int, k),
 		k:     k,
 	}
-	for i := range a.of {
-		a.of[i] = None
-	}
-	return a
 }
 
 // K returns the number of partitions.
@@ -54,8 +72,8 @@ func (a *Assignment) Slots() int { return len(a.of) }
 
 // Grow extends the table to cover at least slots vertex IDs.
 func (a *Assignment) Grow(slots int) {
-	for len(a.of) < slots {
-		a.of = append(a.of, None)
+	if n := slots - len(a.of); n > 0 {
+		a.of = append(a.of, make([]cell, n)...)
 	}
 }
 
@@ -65,14 +83,18 @@ func (a *Assignment) Of(v graph.VertexID) ID {
 	if int(v) >= len(a.of) || v < 0 {
 		return None
 	}
-	return a.of[v]
+	return a.of[v].id()
 }
 
 // Assign places v in partition p, updating size counters. Assigning to the
-// current partition is a no-op; assigning None removes the vertex.
+// current partition is a no-op; assigning None removes the vertex. It
+// panics when p is neither None nor below K.
 func (a *Assignment) Assign(v graph.VertexID, p ID) {
+	if p < None || int(p) >= a.k {
+		panic(fmt.Sprintf("partition: Assign(%d, %d) outside k=%d", v, p, a.k))
+	}
 	a.Grow(int(v) + 1)
-	old := a.of[v]
+	old := a.of[v].id()
 	if old == p {
 		return
 	}
@@ -82,7 +104,7 @@ func (a *Assignment) Assign(v graph.VertexID, p ID) {
 	if p != None {
 		a.sizes[p]++
 	}
-	a.of[v] = p
+	a.of[v] = cellOf(p)
 }
 
 // Unassign removes v from its partition.
@@ -106,7 +128,7 @@ func (a *Assignment) Assigned() int {
 // Clone returns a deep copy of the assignment.
 func (a *Assignment) Clone() *Assignment {
 	return &Assignment{
-		of:    append([]ID(nil), a.of...),
+		of:    append([]cell(nil), a.of...),
 		sizes: append([]int(nil), a.sizes...),
 		k:     a.k,
 	}
@@ -116,28 +138,34 @@ func (a *Assignment) Clone() *Assignment {
 // (None for unassigned slots). It is the serialization form used by the
 // snapshot path; the copy keeps internal state unaliased.
 func (a *Assignment) Table() []ID {
-	return append([]ID(nil), a.of...)
+	table := make([]ID, len(a.of))
+	for i, c := range a.of {
+		table[i] = c.id()
+	}
+	return table
 }
 
 // FromTable reconstructs an assignment from a slot-indexed table as
-// produced by Table, re-deriving the per-partition size counters. Entries
-// outside [0,k) other than None are rejected.
+// produced by Table, re-deriving the per-partition size counters. A k
+// outside [1, MaxK] and entries outside [0,k) other than None are
+// rejected.
 func FromTable(table []ID, k int) (*Assignment, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("partition: k must be ≥ 1, got %d", k)
+	if k < 1 || k > MaxK {
+		return nil, fmt.Errorf("partition: k must be in [1, %d], got %d", MaxK, k)
 	}
 	a := &Assignment{
-		of:    append([]ID(nil), table...),
+		of:    make([]cell, len(table)),
 		sizes: make([]int, k),
 		k:     k,
 	}
-	for slot, p := range a.of {
+	for slot, p := range table {
 		if p == None {
 			continue
 		}
 		if p < 0 || int(p) >= k {
 			return nil, fmt.Errorf("partition: slot %d has invalid partition %d (k=%d)", slot, p, k)
 		}
+		a.of[slot] = cellOf(p)
 		a.sizes[p]++
 	}
 	return a, nil
@@ -163,9 +191,9 @@ func (a *Assignment) Validate(g *graph.Graph) error {
 	if err != nil {
 		return err
 	}
-	for i := range a.of {
-		if a.of[i] != None && !g.Has(graph.VertexID(i)) {
-			return fmt.Errorf("dead vertex %d still assigned to %d", i, a.of[i])
+	for i, c := range a.of {
+		if c != cellOf(None) && !g.Has(graph.VertexID(i)) {
+			return fmt.Errorf("dead vertex %d still assigned to %d", i, c.id())
 		}
 	}
 	for p, c := range counts {

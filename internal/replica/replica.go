@@ -456,6 +456,9 @@ restart:
 		}
 		cursor = page.nextCursor
 	}
+	if err := checkChanges(entries, k); err != nil {
+		return nil, fmt.Errorf("bootstrap: %w", err)
+	}
 	return &table{
 		frozen:   partition.NewFrozen(k).Apply(entries),
 		epoch:    lo,
@@ -500,7 +503,7 @@ func (r *Replica) fetchPage(ctx context.Context, cursor int64, entries []partiti
 	if err != nil {
 		return pageHeader{}, entries, fmt.Errorf("page cursor=%d: %w", cursor, err)
 	}
-	if page.instance == "" || page.k < 1 {
+	if page.instance == "" || page.k < 1 || page.k > partition.MaxK {
 		return pageHeader{}, entries, fmt.Errorf("page cursor=%d: malformed header (instance=%q k=%d)", cursor, page.instance, page.k)
 	}
 	return page, out, nil
@@ -563,6 +566,9 @@ func (r *Replica) tail(ctx context.Context) tailOutcome {
 		ev, fast, err := decodeWatchLine(line)
 		if !fast {
 			r.fallbacks.Add(1)
+		}
+		if err == nil {
+			err = checkChanges(ev.changes, t.frozen.K())
 		}
 		if err != nil {
 			return tailDisconnect

@@ -3,6 +3,7 @@ package replica
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"slices"
 	"unicode/utf8"
@@ -20,7 +21,10 @@ import (
 // json.Unmarshal, so the replica accepts whatever JSON the documented
 // schema allows. The scanner accepts only inputs json.Unmarshal accepts
 // too, with the same result; FuzzWatchLine and FuzzPageBody check that.
-// The decoders keep no state or buffers between calls.
+// The decoders keep no state or buffers between calls. Both refuse a
+// partition outside [None, partition.MaxK) before converting it, so a
+// large number never wraps into a valid ID; the table's own k is
+// checked where the changes are applied (checkChanges).
 
 // watchLine is one decoded line of the primary's GET /v1/watch feed: an
 // epoch diff, or a resync instruction.
@@ -93,6 +97,9 @@ func unmarshalWatchLine(line []byte) (watchLine, error) {
 	}
 	cs := make([]partition.Change, 0, len(ev.Changes))
 	for _, c := range ev.Changes {
+		if !placeable(c.To) {
+			return watchLine{}, fmt.Errorf("vertex %d: partition %d out of range", c.Vertex, c.To)
+		}
 		cs = append(cs, partition.Change{Vertex: graph.VertexID(c.Vertex), To: partition.ID(c.To)})
 	}
 	return watchLine{resync: ev.Resync, epoch: ev.Epoch, changes: cs}, nil
@@ -104,6 +111,9 @@ func unmarshalPage(body []byte, entries []partition.Change) (pageHeader, []parti
 		return pageHeader{}, entries, err
 	}
 	for _, p := range page.Placements {
+		if !placeable(p.Partition) {
+			return pageHeader{}, entries, fmt.Errorf("vertex %d: partition %d out of range", p.Vertex, p.Partition)
+		}
 		entries = append(entries, partition.Change{Vertex: graph.VertexID(p.Vertex), To: partition.ID(p.Partition)})
 	}
 	return pageHeader{epoch: page.Epoch, instance: page.Instance, k: page.K, nextCursor: page.NextCursor}, entries, nil
@@ -130,6 +140,7 @@ func scanWatchLine(line []byte) (ev watchLine, ok bool) {
 			s.int()
 			s.lit(`,"to":`)
 			to := s.int()
+			s.ok = s.ok && placeable(to)
 			s.lit(`}`)
 			ev.changes = append(ev.changes, partition.Change{Vertex: graph.VertexID(v), To: partition.ID(to)})
 		}
@@ -164,6 +175,7 @@ func scanPage(body []byte, entries []partition.Change) (h pageHeader, out []part
 			v := s.int()
 			s.lit(",\n      \"partition\": ")
 			p := s.int()
+			s.ok = s.ok && placeable(p)
 			s.lit("\n    }")
 			out = append(out, partition.Change{Vertex: graph.VertexID(v), To: partition.ID(p)})
 			if !s.skip(`,`) {
@@ -178,6 +190,21 @@ func scanPage(body []byte, entries []partition.Change) (h pageHeader, out []part
 		return pageHeader{}, entries, false
 	}
 	return h, out, true
+}
+
+// placeable reports whether a decoded partition fits a placement table
+// at all: None, or below partition.MaxK.
+func placeable(p int64) bool { return p >= int64(partition.None) && p < partition.MaxK }
+
+// checkChanges refuses a change whose partition is neither None nor
+// below k, before it reaches Frozen.Apply.
+func checkChanges(cs []partition.Change, k int) error {
+	for _, c := range cs {
+		if c.To < partition.None || int(c.To) >= k {
+			return fmt.Errorf("vertex %d: partition %d out of range (k=%d)", c.Vertex, c.To, k)
+		}
+	}
+	return nil
 }
 
 // scanner is a strict cursor over canonical encoding/json output. A

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -321,6 +322,61 @@ func TestReplicaResyncsOnOversizedWatchLine(t *testing.T) {
 	waitConverged(t, r, s)
 	if st := r.Stats(); st.Resyncs != 1 || st.EventsApplied == 0 {
 		t.Fatalf("resyncs %d, events %d after a small epoch; want 1 and >0", st.Resyncs, st.EventsApplied)
+	}
+}
+
+// TestReplicaRefusesOutOfRangePartitions serves a replica k=4 pages and
+// watch lines naming partitions it cannot hold: at or above k, at or
+// above partition.MaxK, and one that would wrap to a valid ID in 32 bits.
+// Each is refused (no table, or no applied epoch), never stored wrapped,
+// and a well-formed line afterwards still applies.
+func TestReplicaRefusesOutOfRangePartitions(t *testing.T) {
+	var pagePart, pageReqs atomic.Int64
+	var line atomic.Value
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		switch req.URL.Path {
+		case "/v1/placements":
+			pageReqs.Add(1)
+			w.Write(canonicalPage(t, server.PageResponse{Epoch: 1, Instance: "i", K: 4, Slots: 2, NextCursor: -1,
+				Placements: []server.BatchPlacement{{Vertex: 0, Partition: 1}, {Vertex: 1, Partition: pagePart.Load()}}}))
+		case "/v1/watch":
+			fmt.Fprintln(w, line.Load())
+		default:
+			http.NotFound(w, req)
+		}
+	}))
+	t.Cleanup(ts.Close)
+
+	for _, bad := range []int64{4, 255, 256, 1<<32 + 2} {
+		pagePart.Store(bad)
+		pageReqs.Store(0)
+		r := testReplica(t, ts.URL, nil)
+		r.Start()
+		waitFor(t, 5*time.Second, func() bool { return pageReqs.Load() >= 3 }, "three bootstrap attempts")
+		if _, _, ok := r.Snapshot(); ok || r.Stats().Bootstraps != 0 {
+			t.Fatalf("page partition %d: replica bootstrapped (bootstraps %d)", bad, r.Stats().Bootstraps)
+		}
+		r.Stop()
+	}
+
+	pagePart.Store(2)
+	line.Store(`{"epoch":1}`)
+	r := testReplica(t, ts.URL, nil)
+	r.Start()
+	waitFor(t, 5*time.Second, func() bool { _, _, ok := r.Snapshot(); return ok }, "bootstrap")
+	for _, bad := range []int64{4, 255, 256, 257, 1<<32 + 2} {
+		line.Store(fmt.Sprintf(`{"epoch":2,"changes":[{"vertex":0,"from":1,"to":%d}]}`, bad))
+		before := r.Stats().Reconnects
+		waitFor(t, 5*time.Second, func() bool { return r.Stats().Reconnects >= before+2 }, "two refused watch lines")
+		f, epoch, _ := r.Snapshot()
+		if epoch != 1 || f.Of(0) != 1 || r.Stats().EventsApplied != 0 {
+			t.Fatalf("to=%d: epoch %d, Of(0)=%d, events %d; want the line refused", bad, epoch, f.Of(0), r.Stats().EventsApplied)
+		}
+	}
+	line.Store(`{"epoch":2,"changes":[{"vertex":0,"from":1,"to":3}]}`)
+	waitFor(t, 5*time.Second, func() bool { _, epoch, _ := r.Snapshot(); return epoch == 2 }, "the valid line")
+	if f, _, _ := r.Snapshot(); f.Of(0) != 3 || f.Of(1) != 2 {
+		t.Fatalf("after the valid line: Of(0)=%d Of(1)=%d, want 3 and 2", f.Of(0), f.Of(1))
 	}
 }
 

@@ -178,13 +178,18 @@ func (s *Server) serveBinaryConn(conn net.Conn) {
 			continue
 		}
 		queued, ok := s.EnqueueShard(f.Batch, shard)
-		if !ok {
+		switch {
+		case !ok && s.ClusterError() != nil:
+			// Poisoned until restart: like a drain, the producer
+			// should resend elsewhere or after the restart.
+			reply = graph.AppendNakFrame(reply[:0], graph.Nak{Code: graph.NakShutdown})
+		case !ok:
 			hint := s.RetryAfterHint()
 			reply = graph.AppendNakFrame(reply[:0], graph.Nak{
 				Code:             graph.NakBackpressure,
 				RetryAfterMillis: uint32(min(hint.Milliseconds(), math.MaxUint32)),
 			})
-		} else {
+		default:
 			s.binaryFrames.Add(1)
 			reply = graph.AppendAckFrame(reply[:0], graph.Ack{
 				Accepted: uint32(len(f.Batch)),

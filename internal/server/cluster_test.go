@@ -286,9 +286,9 @@ func (f *flakyExchange) Round(round uint64, payload []byte) ([][]byte, error) {
 }
 
 // TestClusterPoisonUntilRestart pins what one failed round does: the
-// shard's cluster mode stays poisoned until the process restarts. Ticks
-// become no-ops that leave the ingest queue alone, POST /v1/tick answers
-// 500 and the health gauge reads 0, reads keep serving the last published
+// shard's cluster mode stays poisoned until the process restarts. Ingest
+// is refused (JSON 503, binary shutdown NAK) and counts nothing, ticks
+// become no-ops, POST /v1/tick answers 500 and the health gauge reads 0, reads keep serving the last published
 // snapshot, and Drain stops at once but still writes its checkpoint.
 func TestClusterPoisonUntilRestart(t *testing.T) {
 	ckptPath := filepath.Join(t.TempDir(), "shard0.snap")
@@ -323,24 +323,36 @@ func TestClusterPoisonUntilRestart(t *testing.T) {
 		t.Fatal("a failed round did not poison cluster mode")
 	}
 
-	if _, ok := s.EnqueueShard(synthBatch(3, 60), 0); !ok {
-		t.Fatal("enqueue rejected")
-	}
+	// A poisoned shard acknowledges nothing: no tick would apply it.
 	pending, _ := s.PendingMutations()
+	ingested := s.Stats().Ingested
+	if _, ok := s.EnqueueShard(synthBatch(3, 60), 0); ok {
+		t.Fatal("a poisoned shard accepted a batch")
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/mutations",
+		strings.NewReader(`{"mutations":[{"op":"add-edge","u":1,"v":2}]}`)))
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "injected transport failure") {
+		t.Fatalf("POST /v1/mutations on a poisoned shard: status %d body %s, want 503 with the cluster error", rec.Code, rec.Body.Bytes())
+	}
+	if f := dialBinary(t, startBinary(t, s)).send(t, synthBatch(4, 10)); f.Type != graph.FrameNak || f.Nak.Code != graph.NakShutdown {
+		t.Fatalf("binary frame on a poisoned shard: reply %+v, want a shutdown NAK", f)
+	}
+	if got, _ := s.PendingMutations(); got != pending || s.Stats().Ingested != ingested {
+		t.Fatalf("refused ingest was counted: %d pending (had %d), %d ingested (had %d)",
+			got, pending, s.Stats().Ingested, ingested)
+	}
 	ticks := s.Stats().Ticks
 	for i := 0; i < 3; i++ {
 		if res := s.TickNow(); res != (TickResult{}) {
 			t.Fatalf("poisoned tick %d returned %+v", i, res)
 		}
 	}
-	if got, _ := s.PendingMutations(); got != pending || pending == 0 {
-		t.Fatalf("poisoned ticks drained the queue: %d pending, had %d", got, pending)
-	}
 	if got := s.Stats().Ticks; got != ticks {
 		t.Fatalf("poisoned ticks counted: %d ticks, had %d", got, ticks)
 	}
 
-	rec := httptest.NewRecorder()
+	rec = httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tick", nil))
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("POST /v1/tick on a poisoned shard: status %d, want 500", rec.Code)

@@ -174,8 +174,8 @@ func DefaultConfig(k int, seed int64) Config {
 }
 
 func (c Config) validate() error {
-	if c.K < 1 {
-		return fmt.Errorf("server: K must be ≥ 1, got %d", c.K)
+	if c.K < 1 || c.K > partition.MaxK {
+		return fmt.Errorf("server: K must be in [1, %d], got %d", partition.MaxK, c.K)
 	}
 	if c.MaxStepsPerTick < 1 {
 		return fmt.Errorf("server: MaxStepsPerTick must be ≥ 1, got %d", c.MaxStepsPerTick)
@@ -488,9 +488,10 @@ type ingestShard struct {
 // Enqueue appends mutations to the pending queue consumed by the next
 // tick, picking a shard round-robin. It never blocks on adaptation.
 // Returns the total queue length after the append and whether the batch
-// was accepted: ok=false means the MaxPending cap would be exceeded and
-// NOTHING was enqueued — the producer should back off one tick and
-// retry the same batch.
+// was accepted: ok=false means NOTHING was enqueued, either because the
+// MaxPending cap would be exceeded — the producer should back off one
+// tick and retry the same batch — or because a cluster fault poisoned
+// this shard (ClusterError), whose ticks apply nothing until restart.
 func (s *Server) Enqueue(b graph.Batch) (queued int, ok bool) {
 	return s.EnqueueShard(b, s.enqueueRR.Add(1)-1)
 }
@@ -502,6 +503,9 @@ func (s *Server) Enqueue(b graph.Batch) (queued int, ok bool) {
 // producers is unspecified, exactly as it already was under concurrent
 // HTTP ingest.
 func (s *Server) EnqueueShard(b graph.Batch, shard uint32) (queued int, ok bool) {
+	if s.clusterErr.Load() != nil {
+		return int(s.pendingN.Load()), false
+	}
 	if len(b) == 0 {
 		return int(s.pendingN.Load()), true
 	}
