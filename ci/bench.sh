@@ -58,6 +58,11 @@ go test -run='^$' -bench 'BenchmarkCompactGrowth' -benchmem \
   -benchtime="$BENCHTIME" -count="$COUNT" ./internal/graph
 go test -run='^$' -bench 'BenchmarkPrepareFrontier' -benchmem \
   -benchtime="$BENCHTIME" -count="$COUNT" ./internal/activeset
+# Per-epoch table copies (internal/partition): the primary's Freeze and a
+# replica's Frozen.Apply of one epoch diff, sized like steady-churn (300k
+# slots, k=9, 170 changes). Reported with allocations; not gated.
+go test -run='^$' -bench 'BenchmarkFreeze|BenchmarkFrozenApply' -benchmem \
+  -benchtime="$BENCHTIME" -count="$COUNT" ./internal/partition
 # Replication plane (internal/server, internal/replica): encoding one
 # 2k-change watch line, and decoding one 2k-change watch line and one
 # 100k-placement bootstrap page on the canonical fast path. Reported

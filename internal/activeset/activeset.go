@@ -190,40 +190,15 @@ func mergeTail(ids []graph.VertexID, n int, scratch []graph.VertexID) []graph.Ve
 // without sorting; any other order is still correct, just sorted there.
 // Every kept vertex must come from the prepared frontier.
 func (s *Set) Rebuild(keeps ...[]graph.VertexID) {
-	s.next = s.next[:0]
-	for _, keep := range keeps {
-		s.next = append(s.next, keep...)
-	}
-	if !s.settleMerged(s.next) {
-		for _, v := range s.frontier {
-			s.dirty[v] = false
-		}
-		for _, v := range s.next {
-			s.dirty[v] = true
-		}
-	}
-	s.frontier, s.next = s.next, s.frontier[:0]
-}
-
-// settleMerged settles every frontier vertex missing from kept in one
-// merge walk, writing no kept vertex's bit. The walk needs the frontier
-// strictly ascending (Prepare leaves it so) and kept a subsequence of it
-// (keeps from ascending shard ranges are). It reports false otherwise,
-// and Rebuild then settles the general way, which overwrites every bit
-// this walk wrote.
-func (s *Set) settleMerged(kept []graph.VertexID) bool {
-	j := 0
-	prev := graph.VertexID(-1)
 	for _, v := range s.frontier {
-		if v <= prev {
-			return false
-		}
-		prev = v
-		if j < len(kept) && kept[j] == v {
-			j++
-			continue
-		}
 		s.dirty[v] = false
 	}
-	return j == len(kept)
+	s.next = s.next[:0]
+	for _, keep := range keeps {
+		for _, v := range keep {
+			s.dirty[v] = true
+		}
+		s.next = append(s.next, keep...)
+	}
+	s.frontier, s.next = s.next, s.frontier[:0]
 }

@@ -288,8 +288,9 @@ func (f *flakyExchange) Round(round uint64, payload []byte) ([][]byte, error) {
 // TestClusterPoisonUntilRestart pins what one failed round does: the
 // shard's cluster mode stays poisoned until the process restarts. Ingest
 // is refused (JSON 503, binary shutdown NAK) and counts nothing, ticks
-// become no-ops, POST /v1/tick answers 500 and the health gauge reads 0, reads keep serving the last published
-// snapshot, and Drain stops at once but still writes its checkpoint.
+// become no-ops, POST /v1/tick answers 500 and the health gauge reads 0,
+// reads keep serving the last published snapshot, and Drain stops at
+// once but still writes its checkpoint.
 func TestClusterPoisonUntilRestart(t *testing.T) {
 	ckptPath := filepath.Join(t.TempDir(), "shard0.snap")
 	flaky := &flakyExchange{}

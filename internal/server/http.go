@@ -121,11 +121,11 @@ func (s *Server) handleMutations(w http.ResponseWriter, r *http.Request) {
 	// A client keeps talking to the same shard (keyed by remote address),
 	// so its own mutation order survives the sharded queue drain.
 	queued, ok := s.EnqueueShard(batch, shardKey(r.RemoteAddr))
-	if err := s.ClusterError(); !ok && err != nil {
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("cluster fault, mutations refused until restart: %w", err))
-		return
-	}
 	if !ok {
+		if err := s.ClusterError(); err != nil {
+			writeError(w, http.StatusServiceUnavailable, fmt.Errorf("cluster fault, mutations refused until restart: %w", err))
+			return
+		}
 		hint := s.RetryAfterHint()
 		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(hint.Seconds()))))
 		writeError(w, http.StatusTooManyRequests,
