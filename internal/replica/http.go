@@ -1,38 +1,25 @@
 package replica
 
-// This file is the replica's HTTP read surface: the same read endpoints
-// as the primary (GET /v1/placement/{vertex}, POST /v1/placements batch
-// lookups, /v1/stats, /healthz, /metrics) answered from the replica's
-// own table, so a client or load balancer can point at either process
-// without caring which. What a replica deliberately does NOT serve:
-// mutations, checkpoints, the watch feed, and bootstrap pages — replicas
-// replicate from the primary, never from each other (docs/REPLICATION.md
-// explains why chained replication is out of scope).
+// This file is the replica's HTTP surface: the placement reads of
+// internal/readplane, the primary's own code, answered from the
+// replica's table, plus its own /v1/stats, /healthz and /metrics. It
+// serves no mutations, checkpoints, watch feed or bootstrap pages:
+// replicas replicate from the primary, never from each other
+// (docs/REPLICATION.md explains why).
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
-	"xdgp/internal/graph"
+	"xdgp/internal/partition"
+	"xdgp/internal/readplane"
 )
-
-// maxBatchVertices mirrors the primary's per-request batch-lookup cap so
-// a client sharding strategy works unchanged against either tier.
-const maxBatchVertices = 100_000
-
-// maxBatchBody bounds the batch-lookup request body, same as the
-// primary's (IDs are ≤20 bytes of JSON each).
-const maxBatchBody = 4 << 20
 
 // routes builds the replica's endpoint table.
 func (r *Replica) routes() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/placement/{vertex}", r.handlePlacement)
-	mux.HandleFunc("POST /v1/placements", r.handleBatchPlacements)
+	r.plane.Register(mux)
 	mux.HandleFunc("GET /v1/stats", r.handleStats)
 	mux.HandleFunc("GET /metrics", r.handleMetrics)
 	mux.HandleFunc("GET /healthz", r.handleHealthz)
@@ -45,103 +32,15 @@ func (r *Replica) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	r.mux.ServeHTTP(w, req)
 }
 
-// notServing answers a read that arrived before the replica has a
-// servable table (bootstrapping, or a bootstrap seam not yet healed).
-// 503 with Retry-After tells load balancers and clients this is a
-// warming replica, not a missing vertex.
-func (r *Replica) notServing(w http.ResponseWriter) {
-	r.notReady.Add(1)
-	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable,
-		fmt.Errorf("replica is not serving yet (%s); retry shortly or read the primary", r.State()))
-}
-
-func (r *Replica) handlePlacement(w http.ResponseWriter, req *http.Request) {
-	raw := req.PathValue("vertex")
-	id, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("vertex %q: %w", raw, err))
-		return
+// load is the read plane's Load: the published table while it is
+// servable, else the error the plane answers 503 with (bootstrapping,
+// or a bootstrap seam not yet healed).
+func (r *Replica) load() (uint64, *partition.Frozen, error) {
+	frozen, epoch, ok := r.Snapshot()
+	if !ok {
+		return 0, nil, fmt.Errorf("replica is not serving yet (%s); retry shortly or read the primary", r.State())
 	}
-	if err := graph.CheckVertexID(id); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	t := r.cur.Load()
-	if !t.servable() {
-		r.notServing(w)
-		return
-	}
-	r.reads.Add(1)
-	p := t.frozen.Of(graph.VertexID(id))
-	if p < 0 {
-		writeError(w, http.StatusNotFound,
-			fmt.Errorf("vertex %d is not placed at epoch %d (unknown, removed, or newer than this replica)", id, t.epoch))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]int64{
-		"vertex":    id,
-		"partition": int64(p),
-	})
-}
-
-// batchRequest is the replica's view of the POST /v1/placements body.
-// Cursor/limit (the primary's bootstrap-page form) is recognised only to
-// be refused: replicas are leaves of the replication topology.
-type batchRequest struct {
-	Vertices []int64 `json:"vertices"`
-	Cursor   *int64  `json:"cursor,omitempty"`
-	Limit    int64   `json:"limit,omitempty"`
-}
-
-// batchPlacement is one entry of a batch-lookup response, wire-identical
-// to the primary's.
-type batchPlacement struct {
-	Vertex    int64 `json:"vertex"`
-	Partition int64 `json:"partition"`
-}
-
-func (r *Replica) handleBatchPlacements(w http.ResponseWriter, req *http.Request) {
-	req.Body = http.MaxBytesReader(w, req.Body, maxBatchBody)
-	var body batchRequest
-	dec := json.NewDecoder(req.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
-		return
-	}
-	if body.Cursor != nil || body.Limit != 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf(
-			"replicas do not serve bootstrap pages; page the primary instead (replicas replicate from the primary, not from each other)"))
-		return
-	}
-	if len(body.Vertices) > maxBatchVertices {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("%d vertices exceeds the per-request maximum %d; shard the lookup", len(body.Vertices), maxBatchVertices))
-		return
-	}
-	for i, raw := range body.Vertices {
-		if err := graph.CheckVertexID(raw); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("vertex %d: %w", i, err))
-			return
-		}
-	}
-	t := r.cur.Load()
-	if !t.servable() {
-		r.notServing(w)
-		return
-	}
-	// Like the primary, the whole response is answered from the one table
-	// pinned above: mutually consistent at a single epoch.
-	placements := make([]batchPlacement, len(body.Vertices))
-	for i, raw := range body.Vertices {
-		placements[i] = batchPlacement{Vertex: raw, Partition: int64(t.frozen.Of(graph.VertexID(raw)))}
-	}
-	r.reads.Add(uint64(len(placements)))
-	writeJSON(w, http.StatusOK, map[string]any{
-		"epoch":      t.epoch,
-		"placements": placements,
-	})
+	return epoch, frozen, nil
 }
 
 // Stats is the body of the replica's GET /v1/stats — the replica-side
@@ -207,8 +106,8 @@ func (r *Replica) Stats() Stats {
 		EventsApplied:    r.events.Load(),
 		ChangesApplied:   r.changes.Load(),
 		UpstreamPollFail: r.pollFailures.Load(),
-		ReadsServed:      r.reads.Load(),
-		ReadsNotReady:    r.notReady.Load(),
+		ReadsServed:      r.plane.Reads.Load(),
+		ReadsNotReady:    r.plane.NotReady.Load(),
 	}
 	if inst := r.upstreamInstance.Load(); inst != nil {
 		st.UpstreamInstance = *inst
@@ -227,18 +126,15 @@ func (r *Replica) Stats() Stats {
 }
 
 func (r *Replica) handleStats(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, r.Stats())
+	readplane.WriteJSON(w, http.StatusOK, r.Stats())
 }
 
 func (r *Replica) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	if healthy, reason := r.Healthy(); !healthy {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-			"status": "unhealthy",
-			"reason": reason,
-		})
+		readplane.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "unhealthy", "reason": reason})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	readplane.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleMetrics renders GET /metrics in the Prometheus text exposition
@@ -246,15 +142,7 @@ func (r *Replica) handleHealthz(w http.ResponseWriter, req *http.Request) {
 // dependency-free. Everything here is O(1): atomics and table header
 // fields off one pointer load.
 func (r *Replica) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	var b strings.Builder
-
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-
+	var m readplane.Metrics
 	st := r.Stats()
 
 	stateV := 0.0
@@ -264,41 +152,26 @@ func (r *Replica) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	case StateServing:
 		stateV = 2
 	}
-	gauge("apartr_state", "Replication state: 0 bootstrapping, 1 syncing, 2 serving.", stateV)
+	m.Gauge("apartr_state", "Replication state: 0 bootstrapping, 1 syncing, 2 serving.", stateV)
 	healthyV := 0.0
 	if st.Healthy {
 		healthyV = 1
 	}
-	gauge("apartr_healthy", "1 when /healthz reports healthy (serving and within the lag gate).", healthyV)
-	gauge("apartr_epoch", "Epoch the served table is exact at.", float64(st.Epoch))
-	gauge("apartr_upstream_epoch", "Primary routing epoch at the last successful poll.", float64(st.UpstreamEpoch))
-	gauge("apartr_lag_epochs", "Epochs the served table trails the polled primary epoch (⚠ above the -max-lag-epochs gate).", float64(st.LagEpochs))
-	gauge("apartr_vertices", "Vertices placed in the served table.", float64(st.Vertices))
-	gauge("apartr_last_event_age_seconds", "Age of the most recently applied watch diff (-1 before any; high is normal on an idle primary).", st.LastEventAgeSeconds)
+	m.Gauge("apartr_healthy", "1 when /healthz reports healthy (serving and within the lag gate).", healthyV)
+	m.Gauge("apartr_epoch", "Epoch the served table is exact at.", float64(st.Epoch))
+	m.Gauge("apartr_upstream_epoch", "Primary routing epoch at the last successful poll.", float64(st.UpstreamEpoch))
+	m.Gauge("apartr_lag_epochs", "Epochs the served table trails the polled primary epoch (⚠ above the -max-lag-epochs gate).", float64(st.LagEpochs))
+	m.Gauge("apartr_vertices", "Vertices placed in the served table.", float64(st.Vertices))
+	m.Gauge("apartr_last_event_age_seconds", "Age of the most recently applied watch diff (-1 before any; high is normal on an idle primary).", st.LastEventAgeSeconds)
 
-	counter("apartr_bootstraps_total", "Completed table bootstraps (first sync plus every resync).", st.Bootstraps)
-	counter("apartr_bootstrap_pages_total", "Bootstrap pages fetched from the primary.", st.BootstrapPages)
-	counter("apartr_resyncs_total", "Full re-bootstraps forced by ring eviction, primary restart, or epoch regression (⚠ if growing steadily).", st.Resyncs)
-	counter("apartr_reconnects_total", "Watch stream reconnect attempts after a transport drop.", st.Reconnects)
-	counter("apartr_watch_events_total", "Epoch diffs applied from the watch stream.", st.EventsApplied)
-	counter("apartr_changes_applied_total", "Individual placement changes applied from diffs.", st.ChangesApplied)
-	counter("apartr_upstream_poll_failures_total", "Failed polls of the primary's /v1/stats.", st.UpstreamPollFail)
-	counter("apartr_reads_total", "Placement lookups served (single and batch entries).", st.ReadsServed)
-	counter("apartr_not_ready_total", "Reads refused with 503 because no servable table was published yet.", st.ReadsNotReady)
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprint(w, b.String())
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // best-effort: headers already sent
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	m.Counter("apartr_bootstraps_total", "Completed table bootstraps (first sync plus every resync).", st.Bootstraps)
+	m.Counter("apartr_bootstrap_pages_total", "Bootstrap pages fetched from the primary.", st.BootstrapPages)
+	m.Counter("apartr_resyncs_total", "Full re-bootstraps forced by ring eviction, primary restart, or epoch regression (⚠ if growing steadily).", st.Resyncs)
+	m.Counter("apartr_reconnects_total", "Watch stream reconnect attempts after a transport drop.", st.Reconnects)
+	m.Counter("apartr_watch_events_total", "Epoch diffs applied from the watch stream.", st.EventsApplied)
+	m.Counter("apartr_changes_applied_total", "Individual placement changes applied from diffs.", st.ChangesApplied)
+	m.Counter("apartr_upstream_poll_failures_total", "Failed polls of the primary's /v1/stats.", st.UpstreamPollFail)
+	m.Counter("apartr_reads_total", "Placement lookups served (single and batch entries).", st.ReadsServed)
+	m.Counter("apartr_not_ready_total", "Reads refused with 503 because no servable table was published yet.", st.ReadsNotReady)
+	m.Serve(w)
 }

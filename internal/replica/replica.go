@@ -16,8 +16,9 @@
 //     immutable partition.Frozen copy swapped in via atomic.Pointer.
 //   - Resync: on a {"resync":true} event (diff ring eviction), an
 //     instance-token change, an epoch regression or gap (primary
-//     restart), or a watch line over maxWatchLine, throw the table away
-//     and re-bootstrap. Counted in apartr_resyncs_total.
+//     restart), a watch line over maxWatchLine, or a watch line naming
+//     a partition ≥ k, throw the table away and re-bootstrap. Counted in
+//     apartr_resyncs_total.
 //
 // Consistency contract, in one sentence: a replica serves some exact
 // past epoch of its primary (never a torn mixture), with bounded
@@ -41,6 +42,7 @@ import (
 
 	"xdgp/internal/graph"
 	"xdgp/internal/partition"
+	"xdgp/internal/readplane"
 )
 
 // Config parameterises a replica. The zero value is invalid; set
@@ -190,8 +192,6 @@ type Replica struct {
 	events       atomic.Uint64 // watch diff events applied
 	changes      atomic.Uint64 // placement changes applied
 	pollFailures atomic.Uint64 // upstream stat-poll failures
-	reads        atomic.Uint64 // placement lookups served
-	notReady     atomic.Uint64 // reads refused with 503 (no servable table)
 
 	// fallbacks counts watch lines and bootstrap pages the canonical
 	// scanner did not recognise and encoding/json decoded instead
@@ -199,6 +199,7 @@ type Replica struct {
 	// primary, so an encoder change cannot silently fall back.
 	fallbacks atomic.Uint64
 
+	plane    *readplane.Plane // placement reads off cur; counts them
 	mux      *http.ServeMux
 	started  atomic.Bool
 	stopOnce sync.Once
@@ -247,6 +248,7 @@ func New(cfg Config) (*Replica, error) {
 		pollDone: make(chan struct{}),
 	}
 	r.state.Store(int32(StateBootstrapping))
+	r.plane = &readplane.Plane{Load: r.load}
 	r.mux = r.routes()
 	return r, nil
 }
@@ -378,8 +380,8 @@ func (r *Replica) run(ctx context.Context) {
 			switch outcome {
 			case tailResync:
 				// Ring eviction, instance change, epoch regression or
-				// gap, or an unreadably long line: the incremental feed
-				// cannot reconstruct our table.
+				// gap, or an unreadably long or out-of-range line: the
+				// incremental feed cannot reconstruct our table.
 			case tailDisconnect:
 				// Transport failure: reconnect the stream and resume
 				// from our current epoch — no data was lost.
@@ -570,7 +572,16 @@ func (r *Replica) tail(ctx context.Context) tailOutcome {
 		if err == nil {
 			err = checkChanges(ev.changes, t.frozen.K())
 		}
-		if err != nil {
+		switch {
+		case errors.Is(err, errPartitionRange):
+			// A well-formed line naming a partition this table cannot
+			// hold would come back unchanged on every reconnect at this
+			// epoch, forever on an idle primary, like an oversized line.
+			// Re-bootstrap past it instead.
+			return tailResync
+		case err != nil:
+			// A stream cut mid-line ends in an undecodable fragment:
+			// reconnect and resume at the same epoch.
 			return tailDisconnect
 		}
 		if ev.resync {

@@ -3,6 +3,7 @@ package replica
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -98,7 +99,7 @@ func unmarshalWatchLine(line []byte) (watchLine, error) {
 	cs := make([]partition.Change, 0, len(ev.Changes))
 	for _, c := range ev.Changes {
 		if !placeable(c.To) {
-			return watchLine{}, fmt.Errorf("vertex %d: partition %d out of range", c.Vertex, c.To)
+			return watchLine{}, fmt.Errorf("vertex %d: partition %d: %w", c.Vertex, c.To, errPartitionRange)
 		}
 		cs = append(cs, partition.Change{Vertex: graph.VertexID(c.Vertex), To: partition.ID(c.To)})
 	}
@@ -112,7 +113,7 @@ func unmarshalPage(body []byte, entries []partition.Change) (pageHeader, []parti
 	}
 	for _, p := range page.Placements {
 		if !placeable(p.Partition) {
-			return pageHeader{}, entries, fmt.Errorf("vertex %d: partition %d out of range", p.Vertex, p.Partition)
+			return pageHeader{}, entries, fmt.Errorf("vertex %d: partition %d: %w", p.Vertex, p.Partition, errPartitionRange)
 		}
 		entries = append(entries, partition.Change{Vertex: graph.VertexID(p.Vertex), To: partition.ID(p.Partition)})
 	}
@@ -192,6 +193,10 @@ func scanPage(body []byte, entries []partition.Change) (h pageHeader, out []part
 	return h, out, true
 }
 
+// errPartitionRange marks a well-formed page or watch line refused for
+// naming a partition its table cannot hold.
+var errPartitionRange = errors.New("partition out of range")
+
 // placeable reports whether a decoded partition fits a placement table
 // at all: None, or below partition.MaxK.
 func placeable(p int64) bool { return p >= int64(partition.None) && p < partition.MaxK }
@@ -201,7 +206,7 @@ func placeable(p int64) bool { return p >= int64(partition.None) && p < partitio
 func checkChanges(cs []partition.Change, k int) error {
 	for _, c := range cs {
 		if c.To < partition.None || int(c.To) >= k {
-			return fmt.Errorf("vertex %d: partition %d out of range (k=%d)", c.Vertex, c.To, k)
+			return fmt.Errorf("vertex %d: partition %d (k=%d): %w", c.Vertex, c.To, k, errPartitionRange)
 		}
 	}
 	return nil

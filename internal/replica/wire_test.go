@@ -15,6 +15,7 @@ import (
 
 	"xdgp/internal/graph"
 	"xdgp/internal/partition"
+	"xdgp/internal/readplane"
 	"xdgp/internal/server"
 )
 
@@ -81,7 +82,7 @@ func realWire(tb testing.TB) (lines, pages [][]byte) {
 	return lines, pages
 }
 
-// canonicalPage renders a page the way the primary does (writeJSON's
+// canonicalPage renders a page the way the primary does (readplane.WriteJSON's
 // indent), from the exported wire struct.
 func canonicalPage(tb testing.TB, p server.PageResponse) []byte {
 	tb.Helper()
@@ -160,7 +161,7 @@ func TestDecodeFallsBackOnNonCanonicalJSON(t *testing.T) {
 	}
 
 	page := server.PageResponse{Epoch: 9, Instance: "a<b", K: 2, Slots: 4, NextCursor: -1,
-		Placements: []server.BatchPlacement{{Vertex: 3, Partition: 1}}}
+		Placements: []readplane.BatchPlacement{{Vertex: 3, Partition: 1}}}
 	body := canonicalPage(t, page) // json escapes "<": fallback
 	pre := []partition.Change{{Vertex: 0, To: 0}}
 	h, out, fast, err := decodePage(body, pre)
@@ -226,7 +227,7 @@ func FuzzPageBody(f *testing.F) {
 	for _, inst := range []string{"ü", `q"q`, `a\b`, "<&>", "\x7f", ""} {
 		f.Add(canonicalPage(f, server.PageResponse{Epoch: math.MaxUint64, Instance: inst, K: math.MaxInt64,
 			Slots: math.MinInt64, NextCursor: math.MaxInt64,
-			Placements: []server.BatchPlacement{{Vertex: math.MinInt64, Partition: math.MaxInt64}}}))
+			Placements: []readplane.BatchPlacement{{Vertex: math.MinInt64, Partition: math.MaxInt64}}}))
 	}
 	pre := []partition.Change{{Vertex: 7, To: 1}}
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -329,7 +330,9 @@ func TestReplicaResyncsOnOversizedWatchLine(t *testing.T) {
 // watch lines naming partitions it cannot hold: at or above k, at or
 // above partition.MaxK, and one that would wrap to a valid ID in 32 bits.
 // Each is refused (no table, or no applied epoch), never stored wrapped,
-// and a well-formed line afterwards still applies.
+// and a well-formed line afterwards still applies. A refused watch line
+// forces a resync, not a reconnect: reconnecting at the same epoch would
+// meet the same line again.
 func TestReplicaRefusesOutOfRangePartitions(t *testing.T) {
 	var pagePart, pageReqs atomic.Int64
 	var line atomic.Value
@@ -338,7 +341,7 @@ func TestReplicaRefusesOutOfRangePartitions(t *testing.T) {
 		case "/v1/placements":
 			pageReqs.Add(1)
 			w.Write(canonicalPage(t, server.PageResponse{Epoch: 1, Instance: "i", K: 4, Slots: 2, NextCursor: -1,
-				Placements: []server.BatchPlacement{{Vertex: 0, Partition: 1}, {Vertex: 1, Partition: pagePart.Load()}}}))
+				Placements: []readplane.BatchPlacement{{Vertex: 0, Partition: 1}, {Vertex: 1, Partition: pagePart.Load()}}}))
 		case "/v1/watch":
 			fmt.Fprintln(w, line.Load())
 		default:
@@ -366,12 +369,20 @@ func TestReplicaRefusesOutOfRangePartitions(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { _, _, ok := r.Snapshot(); return ok }, "bootstrap")
 	for _, bad := range []int64{4, 255, 256, 257, 1<<32 + 2} {
 		line.Store(fmt.Sprintf(`{"epoch":2,"changes":[{"vertex":0,"from":1,"to":%d}]}`, bad))
-		before := r.Stats().Reconnects
-		waitFor(t, 5*time.Second, func() bool { return r.Stats().Reconnects >= before+2 }, "two refused watch lines")
-		f, epoch, _ := r.Snapshot()
-		if epoch != 1 || f.Of(0) != 1 || r.Stats().EventsApplied != 0 {
-			t.Fatalf("to=%d: epoch %d, Of(0)=%d, events %d; want the line refused", bad, epoch, f.Of(0), r.Stats().EventsApplied)
+		before := r.Stats().Resyncs
+		waitFor(t, 5*time.Second, func() bool { return r.Stats().Resyncs >= before+2 }, "two refused watch lines")
+		f, epoch, ok := r.Snapshot()
+		if !ok || epoch != 1 || f.Of(0) != 1 || r.Stats().EventsApplied != 0 {
+			t.Fatalf("to=%d: serving %v at epoch %d, events %d; want the line refused and the table kept at epoch 1",
+				bad, ok, epoch, r.Stats().EventsApplied)
 		}
+	}
+	// A line cut mid-way is a transport drop: reconnect, no resync.
+	line.Store(`{"epoch":2,"changes":[{"vertex":0,"fr`)
+	before, resyncs := r.Stats().Reconnects, r.Stats().Resyncs
+	waitFor(t, 5*time.Second, func() bool { return r.Stats().Reconnects >= before+2 }, "two reconnects on a cut line")
+	if st := r.Stats(); st.Resyncs > resyncs+1 || st.EventsApplied != 0 {
+		t.Fatalf("cut line: resyncs %d → %d, events %d; want reconnects only", resyncs, st.Resyncs, st.EventsApplied)
 	}
 	line.Store(`{"epoch":2,"changes":[{"vertex":0,"from":1,"to":3}]}`)
 	waitFor(t, 5*time.Second, func() bool { _, epoch, _ := r.Snapshot(); return epoch == 2 }, "the valid line")
@@ -400,7 +411,7 @@ func BenchmarkWatchDecode(b *testing.B) {
 func BenchmarkPageDecode(b *testing.B) {
 	p := server.PageResponse{Epoch: 42, Instance: "5f0c3a9e1b2d4c6f", K: 8, Slots: 300_000, NextCursor: 100_000}
 	for v := range 100_000 {
-		p.Placements = append(p.Placements, server.BatchPlacement{Vertex: int64(v), Partition: int64(v % 8)})
+		p.Placements = append(p.Placements, readplane.BatchPlacement{Vertex: int64(v), Partition: int64(v % 8)})
 	}
 	body := canonicalPage(b, p)
 	b.ReportAllocs()

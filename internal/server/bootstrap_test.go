@@ -13,6 +13,7 @@ import (
 
 	"xdgp/internal/graph"
 	"xdgp/internal/partition"
+	"xdgp/internal/readplane"
 )
 
 // pagePlacements posts one paged placement request and decodes the page.
@@ -130,7 +131,7 @@ func TestBatchPlacementsPagingValidation(t *testing.T) {
 		"zero limit":      map[string]any{"cursor": 0, "limit": 0},
 		"negative limit":  map[string]any{"cursor": 0, "limit": -3},
 		"negative cursor": map[string]any{"cursor": -1, "limit": 5},
-		"oversized limit": map[string]any{"cursor": 0, "limit": maxBatchVertices + 1},
+		"oversized limit": map[string]any{"cursor": 0, "limit": readplane.MaxBatchVertices + 1},
 		"unknown field":   map[string]any{"cursor": 0, "limit": 5, "epoch": 3},
 	} {
 		resp, respBody := postJSON(t, ts, "/v1/placements", body)

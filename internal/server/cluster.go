@@ -95,13 +95,12 @@ func (s *Server) assignmentHashLocked() uint64 {
 }
 
 // ownerShard returns the shard whose contiguous decide range covers v in
-// the current routing snapshot. Ownership is about who *decides* v's
-// migrations — every shard serves reads for every vertex — so the owner
-// is where an operator looks for the heuristic activity behind a
-// placement.
-func (s *Server) ownerShard(v graph.VertexID) int {
+// a routing snapshot of the given slot count: the read plane's Owner in
+// cluster mode. Ownership is about who *decides* v's migrations — every
+// shard serves reads for every vertex — so the owner is where an
+// operator looks for the heuristic activity behind a placement.
+func (s *Server) ownerShard(v graph.VertexID, slots int) int {
 	n := s.cfg.Exchange.Shards()
-	slots := s.routing.Load().Table.Slots()
 	per := (slots + n - 1) / n
 	if per == 0 || int(v) >= slots {
 		return 0

@@ -423,3 +423,56 @@ func TestClusterConfigValidation(t *testing.T) {
 		t.Fatal("single-process snapshot accepted as a cluster shard seed")
 	}
 }
+
+// TestClusterOwnerShard checks the owner_shard field and the
+// X-Apartd-Owner-Shard header of GET /v1/placement on 2- and 3-shard
+// clusters: every shard answers with the shard whose contiguous decide
+// range covers the vertex's slot — ceil(slots/n) slots per shard — at
+// the first slot, on both sides of a range boundary and at the last
+// slot. A single-process reply carries neither.
+func TestClusterOwnerShard(t *testing.T) {
+	const vertices = 100
+	for _, n := range []int{2, 3} {
+		srvs, _ := newClusterServers(t, n, nil)
+		if _, ok := srvs[0].EnqueueShard(ringBatch(vertices), 0); !ok {
+			t.Fatal("enqueue rejected")
+		}
+		tickAll(t, srvs)
+		slots := srvs[0].Routing().Table.Slots()
+		if slots != vertices {
+			t.Fatalf("n=%d: routing table has %d slots, want %d", n, slots, vertices)
+		}
+		per := (slots + n - 1) / n
+		for i, s := range srvs {
+			ts := httptest.NewServer(s)
+			for _, v := range []int{0, per - 1, per, slots - 1} {
+				var body map[string]int64
+				resp := getJSON(t, ts, fmt.Sprintf("/v1/placement/%d", v), &body)
+				want := v / per
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("n=%d shard %d vertex %d: status %d", n, i, v, resp.StatusCode)
+				}
+				got, ok := body["owner_shard"]
+				if !ok || got != int64(want) || resp.Header.Get("X-Apartd-Owner-Shard") != fmt.Sprint(want) {
+					t.Fatalf("n=%d shard %d vertex %d: owner_shard %d (present %v), header %q; want %d",
+						n, i, v, got, ok, resp.Header.Get("X-Apartd-Owner-Shard"), want)
+				}
+			}
+			ts.Close()
+		}
+	}
+
+	single := testServer(t, nil)
+	if _, ok := single.Enqueue(ringBatch(vertices)); !ok {
+		t.Fatal("enqueue rejected")
+	}
+	single.TickNow()
+	ts := httptest.NewServer(single)
+	defer ts.Close()
+	var body map[string]int64
+	resp := getJSON(t, ts, "/v1/placement/0", &body)
+	if _, ok := body["owner_shard"]; ok || resp.StatusCode != http.StatusOK || resp.Header.Get("X-Apartd-Owner-Shard") != "" {
+		t.Fatalf("single process: status %d, body %v, header %q; want 200 with no owner shard",
+			resp.StatusCode, body, resp.Header.Get("X-Apartd-Owner-Shard"))
+	}
+}

@@ -11,6 +11,7 @@ import (
 
 	"xdgp/internal/graph"
 	"xdgp/internal/partition"
+	"xdgp/internal/readplane"
 )
 
 // Byte-identity pins for the hand-written encoders in encode.go: for
@@ -120,7 +121,7 @@ func referencePage(instance string, epoch uint64, table *partition.Frozen, curso
 	slots := int64(table.Slots())
 	resp := PageResponse{
 		Epoch: epoch, Instance: instance, K: table.K(), Slots: slots,
-		NextCursor: -1, Placements: []BatchPlacement{},
+		NextCursor: -1, Placements: []readplane.BatchPlacement{},
 	}
 	end := slots
 	if cursor+limit < slots {
@@ -128,7 +129,7 @@ func referencePage(instance string, epoch uint64, table *partition.Frozen, curso
 		resp.NextCursor = end
 	}
 	table.Scan(int(cursor), int(end), func(v graph.VertexID, p partition.ID) {
-		resp.Placements = append(resp.Placements, BatchPlacement{Vertex: int64(v), Partition: int64(p)})
+		resp.Placements = append(resp.Placements, readplane.BatchPlacement{Vertex: int64(v), Partition: int64(p)})
 	})
 	return resp
 }
@@ -147,7 +148,7 @@ func TestPageEncodeMatchesJSON(t *testing.T) {
 		}
 		table := partition.NewFrozen(k).Apply(changes)
 		cursor := rng.Int64N(int64(slots) + 50)
-		limit := 1 + rng.Int64N(maxBatchVertices)
+		limit := 1 + rng.Int64N(readplane.MaxBatchVertices)
 		if rng.IntN(2) == 0 {
 			limit = 1 + rng.Int64N(200)
 		}
@@ -155,7 +156,7 @@ func TestPageEncodeMatchesJSON(t *testing.T) {
 		epoch := randomEpoch(rng)
 
 		want := httptest.NewRecorder()
-		writeJSON(want, 200, referencePage(instance, epoch, table, cursor, limit))
+		readplane.WriteJSON(want, 200, referencePage(instance, epoch, table, cursor, limit))
 		var got countingWriter
 		var visited []graph.VertexID
 		n, err := writePage(&got, instance, epoch, table, cursor, limit, func(v graph.VertexID) {
@@ -182,7 +183,7 @@ func TestPageEncodeMatchesJSON(t *testing.T) {
 func TestPageCursorNearMaxInt64(t *testing.T) {
 	table := partition.NewFrozen(2).Apply([]partition.Change{{Vertex: 3, To: 1}})
 	var got bytes.Buffer
-	n, err := writePage(&got, "i", 5, table, math.MaxInt64, maxBatchVertices, func(graph.VertexID) {})
+	n, err := writePage(&got, "i", 5, table, math.MaxInt64, readplane.MaxBatchVertices, func(graph.VertexID) {})
 	if err != nil || n != 0 {
 		t.Fatalf("n=%d err=%v", n, err)
 	}

@@ -9,6 +9,7 @@ import (
 	"xdgp/internal/gen"
 	"xdgp/internal/graph"
 	"xdgp/internal/partition"
+	"xdgp/internal/readplane"
 )
 
 // Flash-crowd scenario: the read hotset of a converged daemon jumps to
@@ -53,7 +54,7 @@ func readBall(g *graph.Graph, center graph.VertexID, max int) []graph.VertexID {
 
 // crossReads counts the batch's reads that leave its modal partition —
 // the per-batch fan-out a scatter-gather client pays.
-func crossReads(resp BatchResponse) int {
+func crossReads(resp readplane.BatchResponse) int {
 	counts := make(map[int64]int)
 	for _, p := range resp.Placements {
 		counts[p.Partition]++

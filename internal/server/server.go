@@ -37,6 +37,7 @@ import (
 	"xdgp/internal/graph"
 	"xdgp/internal/heat"
 	"xdgp/internal/partition"
+	"xdgp/internal/readplane"
 	"xdgp/internal/snapshot"
 )
 
@@ -287,18 +288,18 @@ type Server struct {
 	// The serving plane: routing holds the current epoch snapshot (all
 	// read endpoints load it with one atomic pointer read and never take
 	// mu), hub fans epoch diffs out to /v1/watch consumers. Both are
-	// written only by publishRouting, under mu.
+	// written only by publishRouting, under mu. plane serves the
+	// placement reads off routing and counts them.
 	routing atomic.Pointer[RoutingSnapshot]
 	hub     *watchHub
+	plane   *readplane.Plane
 
 	// Serving-plane counters, atomically updated, exported by /metrics.
-	publishes     atomic.Uint64 // routing snapshots published
-	watchers      atomic.Int64  // currently connected watch streams
-	watchEvents   atomic.Uint64 // diff lines written across all watchers
-	watchResyncs  atomic.Uint64 // resync events sent to lagging watchers
-	watchDropped  atomic.Uint64 // watch subscribers dropped on a write-deadline miss
-	batchRequests atomic.Uint64 // POST /v1/placements requests served
-	batchLookups  atomic.Uint64 // vertex lookups served by those requests
+	publishes    atomic.Uint64 // routing snapshots published
+	watchers     atomic.Int64  // currently connected watch streams
+	watchEvents  atomic.Uint64 // diff lines written across all watchers
+	watchResyncs atomic.Uint64 // resync events sent to lagging watchers
+	watchDropped atomic.Uint64 // watch subscribers dropped on a write-deadline miss
 
 	// The binary ingest plane (binary.go): live connections tracked for
 	// teardown, plus its own counters. binDraining flips once DrainBinary
@@ -430,6 +431,10 @@ func newServer(cfg Config, coreCfg core.Config, p *core.Partitioner) *Server {
 	}
 	s.heatTable.SetRecording(cfg.WorkloadWeight > 0 || cfg.HeatRecord)
 	s.publishInitialRouting()
+	s.plane = &readplane.Plane{Load: s.loadRouting, Read: s.heatTable.Record, Page: s.servePage}
+	if cfg.Exchange != nil {
+		s.plane.Owner = s.ownerShard
+	}
 	s.mux = s.routes()
 	return s
 }
@@ -733,12 +738,6 @@ func (s *Server) foldHeatLocked(decay float64) {
 	s.heatMaxBits.Store(math.Float64bits(max))
 	s.heatHot.Store(int64(hot))
 }
-
-// RecordRead notes one serving-plane read of v in the heat table. It is
-// called on every placement answered — single, batch and replica page
-// lookups — and is wait-free (one atomic add when recording, one atomic
-// load when not), preserving the lock-free read path's latency.
-func (s *Server) RecordRead(v graph.VertexID) { s.heatTable.Record(v) }
 
 // Checkpoint captures the full daemon state and atomically writes it to
 // path (cfg.CheckpointPath when path is empty). Safe to call while

@@ -18,6 +18,7 @@ import (
 
 	"xdgp/internal/graph"
 	"xdgp/internal/partition"
+	"xdgp/internal/readplane"
 )
 
 // --- batch lookups ---------------------------------------------------------
@@ -29,13 +30,13 @@ func TestBatchPlacements(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	resp, raw := postJSON(t, ts, "/v1/placements", BatchRequest{
+	resp, raw := postJSON(t, ts, "/v1/placements", readplane.BatchRequest{
 		Vertices: []int64{0, 7, 39, 1000}, // 1000 was never streamed
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status %d: %s", resp.StatusCode, raw)
 	}
-	var br BatchResponse
+	var br readplane.BatchResponse
 	if err := json.Unmarshal(raw, &br); err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +87,8 @@ func TestBatchPlacementsValidation(t *testing.T) {
 		}
 	}
 	// Oversized vertex lists are rejected before any lookup work.
-	ids := make([]int64, maxBatchVertices+1)
-	resp, raw := postJSON(t, ts, "/v1/placements", BatchRequest{Vertices: ids})
+	ids := make([]int64, readplane.MaxBatchVertices+1)
+	resp, raw := postJSON(t, ts, "/v1/placements", readplane.BatchRequest{Vertices: ids})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized batch: status %d: %.120s", resp.StatusCode, raw)
 	}
@@ -151,8 +152,8 @@ func TestEpochDiffsReconstructEveryTable(t *testing.T) {
 				for i := range ids {
 					ids[i] = int64(i)
 				}
-				var br BatchResponse
-				resp, raw := postJSON(t, ts, "/v1/placements", BatchRequest{Vertices: ids})
+				var br readplane.BatchResponse
+				resp, raw := postJSON(t, ts, "/v1/placements", readplane.BatchRequest{Vertices: ids})
 				if resp.StatusCode != http.StatusOK {
 					t.Fatalf("batch: %d %s", resp.StatusCode, raw)
 				}
@@ -521,7 +522,7 @@ func TestReadsDoNotBlockOnStateLock(t *testing.T) {
 		}
 		// Batch lookup.
 		var buf bytes.Buffer
-		json.NewEncoder(&buf).Encode(BatchRequest{Vertices: []int64{0, 1, 2}}) //nolint:errcheck
+		json.NewEncoder(&buf).Encode(readplane.BatchRequest{Vertices: []int64{0, 1, 2}}) //nolint:errcheck
 		resp, err = http.Post(ts.URL+"/v1/placements", "application/json", &buf)
 		if err != nil {
 			done <- err
@@ -631,12 +632,12 @@ func TestServingPlaneConcurrency(t *testing.T) {
 				ids[j] = int64((i*2000 + j) % 400)
 			}
 			var buf bytes.Buffer
-			json.NewEncoder(&buf).Encode(BatchRequest{Vertices: ids}) //nolint:errcheck
+			json.NewEncoder(&buf).Encode(readplane.BatchRequest{Vertices: ids}) //nolint:errcheck
 			resp, err := http.Post(ts.URL+"/v1/placements", "application/json", &buf)
 			if err != nil {
 				return
 			}
-			var br BatchResponse
+			var br readplane.BatchResponse
 			err = json.NewDecoder(resp.Body).Decode(&br)
 			resp.Body.Close()
 			if err != nil || resp.StatusCode != http.StatusOK {

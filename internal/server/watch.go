@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"xdgp/internal/readplane"
 )
 
 // This file is the change feed: GET /v1/watch streams per-epoch routing
@@ -141,7 +143,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	if raw := r.URL.Query().Get("from"); raw != "" {
 		v, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("from %q: %w", raw, err))
+			readplane.WriteError(w, http.StatusBadRequest, fmt.Errorf("from %q: %w", raw, err))
 			return
 		}
 		from = v
@@ -153,7 +155,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		// is nanoseconds inside one publish; clients that see this 400
 		// should confirm against /v1/stats routing_epoch + instance
 		// before concluding the daemon restarted (the replica does).
-		writeError(w, http.StatusBadRequest, fmt.Errorf(
+		readplane.WriteError(w, http.StatusBadRequest, fmt.Errorf(
 			"from=%d is ahead of this daemon's next epoch %d; epochs are per-process, so the daemon has likely restarted — re-bootstrap from POST /v1/placements and resume from the epoch it returns", from, next))
 		return
 	}
@@ -168,7 +170,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported by connection"))
+		readplane.WriteError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported by connection"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
