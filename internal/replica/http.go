@@ -8,11 +8,9 @@ package replica
 // (docs/REPLICATION.md explains why).
 
 import (
-	"fmt"
 	"net/http"
 	"time"
 
-	"xdgp/internal/partition"
 	"xdgp/internal/readplane"
 )
 
@@ -30,17 +28,6 @@ func (r *Replica) routes() *http.ServeMux {
 // http.Handler, so it mounts under any router or test server.
 func (r *Replica) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	r.mux.ServeHTTP(w, req)
-}
-
-// load is the read plane's Load: the published table while it is
-// servable, else the error the plane answers 503 with (bootstrapping,
-// or a bootstrap seam not yet healed).
-func (r *Replica) load() (uint64, *partition.Frozen, error) {
-	frozen, epoch, ok := r.Snapshot()
-	if !ok {
-		return 0, nil, fmt.Errorf("replica is not serving yet (%s); retry shortly or read the primary", r.State())
-	}
-	return epoch, frozen, nil
 }
 
 // Stats is the body of the replica's GET /v1/stats — the replica-side

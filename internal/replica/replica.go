@@ -284,16 +284,24 @@ func (r *Replica) Stop() {
 // State returns the replica's current replication state.
 func (r *Replica) State() State { return State(r.state.Load()) }
 
+// load is the read plane's Load: the published table while it is
+// servable, else the error the plane answers 503 with (bootstrapping,
+// or a bootstrap seam not yet healed).
+func (r *Replica) load() (uint64, *partition.Frozen, error) {
+	t := r.cur.Load()
+	if !t.servable() {
+		return 0, nil, fmt.Errorf("replica is not serving yet (%s); retry shortly or read the primary", r.State())
+	}
+	return t.epoch, t.frozen, nil
+}
+
 // Snapshot returns the currently served table and its epoch, with
 // ok=false while no servable table is published (bootstrapping, or a
 // bootstrap seam not yet healed). The Frozen is immutable; callers may
 // read it indefinitely without synchronization.
 func (r *Replica) Snapshot() (frozen *partition.Frozen, epoch uint64, ok bool) {
-	t := r.cur.Load()
-	if !t.servable() {
-		return nil, 0, false
-	}
-	return t.frozen, t.epoch, true
+	epoch, frozen, err := r.load()
+	return frozen, epoch, err == nil
 }
 
 // Placement returns the partition of v in the replica's current table —
@@ -302,11 +310,11 @@ func (r *Replica) Snapshot() (frozen *partition.Frozen, epoch uint64, ok bool) {
 // HTTP callers can distinguish the two (404 vs 503), in-process callers
 // should check Snapshot first when it matters.
 func (r *Replica) Placement(v int64) (p int64, ok bool) {
-	t := r.cur.Load()
-	if !t.servable() {
+	_, frozen, err := r.load()
+	if err != nil {
 		return int64(partition.None), false
 	}
-	id := t.frozen.Of(graph.VertexID(v))
+	id := frozen.Of(graph.VertexID(v))
 	return int64(id), id != partition.None
 }
 

@@ -193,8 +193,7 @@ func scanPage(body []byte, entries []partition.Change) (h pageHeader, out []part
 	return h, out, true
 }
 
-// errPartitionRange marks a well-formed page or watch line refused for
-// naming a partition its table cannot hold.
+// errPartitionRange refuses a partition its table cannot hold.
 var errPartitionRange = errors.New("partition out of range")
 
 // placeable reports whether a decoded partition fits a placement table

@@ -82,8 +82,8 @@ func realWire(tb testing.TB) (lines, pages [][]byte) {
 	return lines, pages
 }
 
-// canonicalPage renders a page the way the primary does (readplane.WriteJSON's
-// indent), from the exported wire struct.
+// canonicalPage renders a page the way the primary does
+// (readplane.WriteJSON's indent), from the exported wire struct.
 func canonicalPage(tb testing.TB, p server.PageResponse) []byte {
 	tb.Helper()
 	raw, err := json.MarshalIndent(p, "", "  ")

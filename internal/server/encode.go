@@ -12,10 +12,10 @@ import (
 // This file holds the hand-written encoders of the two replication hot
 // paths: GET /v1/watch lines and paged POST /v1/placements replies. Both
 // write exactly the bytes encoding/json writes for the same value —
-// json.Encoder for a watch line, readplane.WriteJSON's two-space indent for a page
-// (encode_test.go pins both) — without reflection, and hand them to the
-// connection in wireChunk-sized writes, so the buffer stays bounded
-// however large an epoch or page is.
+// json.Encoder for a watch line, readplane.WriteJSON's two-space indent
+// for a page (encode_test.go pins both) — without reflection, and hand
+// them to the connection in wireChunk-sized writes, so the buffer stays
+// bounded however large an epoch or page is.
 
 // wireChunk is the write size of the hand-written encoders.
 const wireChunk = 16 << 10
@@ -85,9 +85,9 @@ func (c *chunkWriter) watchEvent(ev watchEvent) error {
 
 // writePage writes the paged POST /v1/placements reply (PageResponse)
 // for the slots [cursor, cursor+limit) of table, straight from
-// Frozen.Scan, byte-identical to readplane.WriteJSON's rendering of the same
-// PageResponse. visit sees every vertex written. It returns the number of
-// placements written.
+// Frozen.Scan, byte-identical to readplane.WriteJSON's rendering of the
+// same PageResponse. visit sees every vertex written. It returns the
+// number of placements written.
 func writePage(w io.Writer, instance string, epoch uint64, table *partition.Frozen,
 	cursor, limit int64, visit func(graph.VertexID)) (int, error) {
 	slots := int64(table.Slots())
