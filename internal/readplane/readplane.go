@@ -1,12 +1,14 @@
 // Package readplane is the placement read API of both serving tiers,
 // GET /v1/placement/{vertex} and the lookup form of POST /v1/placements,
 // written once: the primary (internal/server) and the read replica
-// (internal/replica) each register one Plane, so a client gets the same
-// statuses, error shapes and success bytes from either process. A Plane
-// is wired with only what differs between them: where the table comes
-// from, what else a read does, and whether pages and owner shards are
-// served. The package also holds the JSON and Prometheus text helpers
-// both daemons share. docs/API.md is the endpoint reference.
+// (internal/replica) each publish their table into one Plane, so a
+// client gets the same statuses, error shapes and success bytes from
+// either process, and the daemons' in-process Placement calls read
+// through the same code as GET /v1/placement. A Plane is wired with only
+// what differs between the tiers: why no table is published yet,
+// whether reads feed a heat table, and whether pages and owner shards
+// are served. The package also holds the JSON and Prometheus text
+// helpers both daemons share. docs/API.md is the endpoint reference.
 package readplane
 
 import (
@@ -19,6 +21,7 @@ import (
 	"sync/atomic"
 
 	"xdgp/internal/graph"
+	"xdgp/internal/heat"
 	"xdgp/internal/partition"
 )
 
@@ -62,18 +65,21 @@ type BatchResponse struct {
 	Placements []BatchPlacement `json:"placements"`
 }
 
-// Plane serves the placement read API. Set Load (and whichever of the
-// optional hooks apply) before the first request and never change them
-// afterwards; every method is then safe for concurrent use and none
-// takes a lock.
+// Plane serves the placement read API from the table last given to
+// Publish. Set whichever of the optional fields apply before the first
+// Publish and never change them afterwards; every method is then safe
+// for concurrent use and none takes a lock. A Plane must not be copied
+// after first use.
 type Plane struct {
-	// Load returns the table to answer from and its epoch, with one
-	// atomic load and no lock. An error means no table is servable yet:
-	// the read is refused with 503, Retry-After: 1 and the error's text.
-	Load func() (uint64, *partition.Frozen, error)
-	// Read, when set, is called exactly once per vertex read (single
-	// lookups, and every entry of a batch lookup).
-	Read func(graph.VertexID)
+	// NotServing is the error a read gets while no table is published:
+	// it is refused with 503, Retry-After: 1 and the error's text. Only
+	// the replica, which may have no table, needs to set it; the primary
+	// publishes before it serves and never withdraws.
+	NotServing func() error
+	// Heat, when set, records every vertex read exactly once: single
+	// lookups and every entry of a batch lookup. It is the table itself
+	// rather than a hook so that a single lookup makes no indirect call.
+	Heat *heat.Table
 	// Page, when set, writes one bootstrap page of table — the
 	// cursor+limit form, already validated — and returns the entries it
 	// wrote. When nil the page form is refused with 400.
@@ -83,18 +89,73 @@ type Plane struct {
 	// owner_shard field and the X-Apartd-Owner-Shard header.
 	Owner func(v graph.VertexID, slots int) int
 
+	// Reads, when set, counts every entry read: single lookups (placed
+	// or not), batch and page entries. The replica sets it. The primary
+	// leaves it nil: its heat table already counts every read, so a
+	// second shared counter would only add a contended write to the
+	// lock-free single read.
+	Reads *atomic.Uint64
+
 	// Read counters. Batches counts POST /v1/placements lookups and
 	// pages served, in-process Lookup calls included, and BatchEntries
-	// the entries they answered. Reads counts every entry read: single
-	// lookups (placed or not), batch and page entries. NotReady counts
-	// reads refused with 503.
-	Batches, BatchEntries, Reads, NotReady atomic.Uint64
+	// the entries they answered. NotReady counts reads refused with 503.
+	Batches, BatchEntries, NotReady atomic.Uint64
+
+	cur atomic.Pointer[table] // nil until Publish, or after a withdrawal
+}
+
+// table is one published table and the epoch it is exact at.
+type table struct {
+	epoch  uint64
+	frozen *partition.Frozen
+}
+
+// Publish makes frozen, exact at epoch, the table every later read
+// answers from. A nil frozen withdraws the table: reads are refused
+// until the next Publish.
+func (p *Plane) Publish(epoch uint64, frozen *partition.Frozen) {
+	if frozen == nil {
+		p.cur.Store(nil)
+		return
+	}
+	p.cur.Store(&table{epoch: epoch, frozen: frozen})
+}
+
+// Load returns the published table and its epoch, with one atomic load
+// and no lock, or NotServing's error when none is published.
+func (p *Plane) Load() (uint64, *partition.Frozen, error) {
+	t := p.cur.Load()
+	if t == nil {
+		return 0, nil, p.NotServing()
+	}
+	return t.epoch, t.frozen, nil
 }
 
 // Register mounts the plane's two endpoints on mux.
 func (p *Plane) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/placement/{vertex}", p.servePlacement)
 	mux.HandleFunc("POST /v1/placements", p.serveBatch)
+}
+
+// One answers one placement lookup from the current table: its epoch,
+// v's partition in it (partition.None when v is not placed there) and
+// its slot count, with ok=false when no table is published. GET
+// /v1/placement/{vertex} and the daemons' in-process Placement calls all
+// read through it. It calls nothing that is not inlined, so it runs
+// without a stack frame.
+func (p *Plane) One(v graph.VertexID) (epoch uint64, part partition.ID, slots int, ok bool) {
+	t := p.cur.Load()
+	if t == nil {
+		return 0, partition.None, 0, false
+	}
+	// Read the table before the counters: their atomic adds would hold
+	// back the loads that follow them.
+	epoch, part, slots = t.epoch, t.frozen.Of(v), t.frozen.Slots()
+	if p.Reads != nil {
+		p.Reads.Add(1)
+	}
+	p.Heat.Record(v)
+	return epoch, part, slots, true
 }
 
 // Lookup answers a batch of placement lookups from one table: the whole
@@ -108,9 +169,7 @@ func (p *Plane) Lookup(ids []graph.VertexID) (BatchResponse, error) {
 	resp := BatchResponse{Epoch: epoch, Placements: make([]BatchPlacement, len(ids))}
 	for i, v := range ids {
 		resp.Placements[i] = BatchPlacement{Vertex: int64(v), Partition: int64(table.Of(v))}
-		if p.Read != nil {
-			p.Read(v)
-		}
+		p.Heat.Record(v)
 	}
 	p.counted(len(ids))
 	return resp, nil
@@ -120,7 +179,9 @@ func (p *Plane) Lookup(ids []graph.VertexID) (BatchResponse, error) {
 func (p *Plane) counted(n int) {
 	p.Batches.Add(1)
 	p.BatchEntries.Add(uint64(n))
-	p.Reads.Add(uint64(n))
+	if p.Reads != nil {
+		p.Reads.Add(uint64(n))
+	}
 }
 
 // notServing refuses a read that arrived before a servable table: 503
@@ -143,16 +204,10 @@ func (p *Plane) servePlacement(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	epoch, table, err := p.Load()
-	if err != nil {
-		p.notServing(w, err)
+	epoch, part, slots, ok := p.One(graph.VertexID(id))
+	if !ok {
+		p.notServing(w, p.NotServing())
 		return
-	}
-	v := graph.VertexID(id)
-	part := table.Of(v)
-	p.Reads.Add(1)
-	if p.Read != nil {
-		p.Read(v)
 	}
 	if part == partition.None {
 		WriteError(w, http.StatusNotFound,
@@ -161,7 +216,7 @@ func (p *Plane) servePlacement(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := map[string]int64{"vertex": id, "partition": int64(part)}
 	if p.Owner != nil {
-		owner := p.Owner(v, table.Slots())
+		owner := p.Owner(graph.VertexID(id), slots)
 		w.Header().Set("X-Apartd-Owner-Shard", strconv.Itoa(owner))
 		resp["owner_shard"] = int64(owner)
 	}

@@ -6,32 +6,43 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"xdgp/internal/graph"
+	"xdgp/internal/heat"
 	"xdgp/internal/partition"
 )
 
-// testPlane serves a k=4 table placing vertices 0..3 in partition v%4 at
-// epoch 7, recording every Read hook call; servable gates Load. Requests
-// run synchronously through the returned mux.
-func testPlane(servable *bool, reads *[]graph.VertexID) (*Plane, *http.ServeMux) {
-	table := partition.NewFrozen(4).Apply([]partition.Change{
-		{Vertex: 0, To: 0}, {Vertex: 1, To: 1}, {Vertex: 2, To: 2}, {Vertex: 3, To: 3},
-	})
+// testTable places vertices 0..3 in partition v%4 of a k=4 table.
+var testTable = partition.NewFrozen(4).Apply([]partition.Change{
+	{Vertex: 0, To: 0}, {Vertex: 1, To: 1}, {Vertex: 2, To: 2}, {Vertex: 3, To: 3},
+})
+
+// testPlane returns a plane with no table published yet, recording
+// every read in a heat table that samples each one and counting reads in
+// its Reads counter; Publish(7, testTable) makes it serve. Requests run
+// synchronously through the returned mux.
+func testPlane() (*Plane, *http.ServeMux) {
 	p := &Plane{
-		Load: func() (uint64, *partition.Frozen, error) {
-			if !*servable {
-				return 0, nil, errors.New("not serving yet")
-			}
-			return 7, table, nil
-		},
-		Read: func(v graph.VertexID) { *reads = append(*reads, v) },
+		NotServing: func() error { return errors.New("not serving yet") },
+		Heat:       heat.New(1),
+		Reads:      new(atomic.Uint64),
 	}
+	p.Heat.SetRecording(true)
 	mux := http.NewServeMux()
 	p.Register(mux)
 	return p, mux
+}
+
+// heatReads returns the vertices recorded since the last call, sorted
+// (the heat table's shards do not keep the read order).
+func heatReads(p *Plane) string {
+	reads := p.Heat.Drain(nil)
+	slices.Sort(reads)
+	return fmt.Sprint(reads)
 }
 
 // do sends a GET (empty body) or a POST and returns the recorded reply.
@@ -46,9 +57,7 @@ func do(mux *http.ServeMux, path, body string) (*httptest.ResponseRecorder, stri
 }
 
 func TestPlaneAnswersAndCounts(t *testing.T) {
-	servable := false
-	var reads []graph.VertexID
-	p, mux := testPlane(&servable, &reads)
+	p, mux := testPlane()
 
 	resp, body := do(mux, "/v1/placement/1", "")
 	if resp.Code != http.StatusServiceUnavailable || resp.Header().Get("Retry-After") != "1" ||
@@ -59,7 +68,7 @@ func TestPlaneAnswersAndCounts(t *testing.T) {
 		t.Fatalf("batch before serving: %d", resp.Code)
 	}
 
-	servable = true
+	p.Publish(7, testTable)
 	for _, c := range []struct {
 		path, body string
 		status     int
@@ -85,8 +94,8 @@ func TestPlaneAnswersAndCounts(t *testing.T) {
 			t.Fatalf("%s: owner header without an Owner hook", c.path)
 		}
 	}
-	if fmt.Sprint(reads) != "[2 9 3 9]" {
-		t.Fatalf("Read hook saw %v, want [2 9 3 9]", reads)
+	if got := heatReads(p); got != "[2 3 9 9]" {
+		t.Fatalf("heat recorded %s, want [2 3 9 9]", got)
 	}
 	if b, e, r, n := p.Batches.Load(), p.BatchEntries.Load(), p.Reads.Load(), p.NotReady.Load(); b != 1 || e != 2 || r != 4 || n != 2 {
 		t.Fatalf("counters batches %d entries %d reads %d not-ready %d, want 1 2 4 2", b, e, r, n)
@@ -94,9 +103,8 @@ func TestPlaneAnswersAndCounts(t *testing.T) {
 }
 
 func TestPlanePagesAndOwner(t *testing.T) {
-	servable := true
-	var reads []graph.VertexID
-	p, mux := testPlane(&servable, &reads)
+	p, mux := testPlane()
+	p.Publish(7, testTable)
 	p.Page = func(w io.Writer, epoch uint64, table *partition.Frozen, cursor, limit int64) int {
 		fmt.Fprintf(w, "page epoch=%d k=%d cursor=%d limit=%d", epoch, table.K(), cursor, limit)
 		return 3
@@ -127,6 +135,37 @@ func TestPlanePagesAndOwner(t *testing.T) {
 	lookup, err := p.Lookup([]graph.VertexID{0, 2})
 	if err != nil || lookup.Epoch != 7 || len(lookup.Placements) != 2 || lookup.Placements[1] != (BatchPlacement{2, 2}) {
 		t.Fatalf("Lookup: %+v, %v", lookup, err)
+	}
+}
+
+// TestPlaneOne pins the single lookup the daemons' in-process Placement
+// calls: what it answers, that it counts and records exactly one read,
+// that a withdrawn table refuses it, and that a plane with only a table
+// (the primary's shape, minus heat) serves.
+func TestPlaneOne(t *testing.T) {
+	p, _ := testPlane()
+	if _, part, _, ok := p.One(1); ok || part != partition.None || p.Reads.Load() != 0 {
+		t.Fatalf("One before Publish: %d, %v", part, ok)
+	}
+	p.Publish(7, testTable)
+	if epoch, part, slots, ok := p.One(2); !ok || epoch != 7 || part != 2 || slots != testTable.Slots() {
+		t.Fatalf("One(2) = %d %d %d %v, want 7 2 %d", epoch, part, slots, ok, testTable.Slots())
+	}
+	if _, part, _, _ := p.One(9); part != partition.None || heatReads(p) != "[2 9]" || p.Reads.Load() != 2 {
+		t.Fatalf("One(9) = %d; counter %d", part, p.Reads.Load())
+	}
+	p.Publish(0, nil)
+	if _, _, err := p.Load(); err == nil {
+		t.Fatal("Load after withdrawal succeeded")
+	}
+
+	bare := &Plane{}
+	bare.Publish(3, testTable)
+	if epoch, part, _, ok := bare.One(3); !ok || epoch != 3 || part != 3 {
+		t.Fatalf("bare plane One(3) = %d %d %v", epoch, part, ok)
+	}
+	if resp, err := bare.Lookup([]graph.VertexID{1}); err != nil || bare.Batches.Load() != 1 || resp.Placements[0].Partition != 1 {
+		t.Fatalf("bare plane Lookup: %+v %v", resp, err)
 	}
 }
 

@@ -93,7 +93,7 @@ func (r *Replica) Stats() Stats {
 		EventsApplied:    r.events.Load(),
 		ChangesApplied:   r.changes.Load(),
 		UpstreamPollFail: r.pollFailures.Load(),
-		ReadsServed:      r.plane.Reads.Load(),
+		ReadsServed:      r.reads.Load(),
 		ReadsNotReady:    r.plane.NotReady.Load(),
 	}
 	if inst := r.upstreamInstance.Load(); inst != nil {
@@ -118,7 +118,10 @@ func (r *Replica) handleStats(w http.ResponseWriter, req *http.Request) {
 
 func (r *Replica) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	if healthy, reason := r.Healthy(); !healthy {
-		readplane.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "unhealthy", "reason": reason})
+		readplane.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{
+			"status": "unhealthy",
+			"reason": reason,
+		})
 		return
 	}
 	readplane.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})

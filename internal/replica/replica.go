@@ -192,6 +192,7 @@ type Replica struct {
 	events       atomic.Uint64 // watch diff events applied
 	changes      atomic.Uint64 // placement changes applied
 	pollFailures atomic.Uint64 // upstream stat-poll failures
+	reads        atomic.Uint64 // placement lookups served
 
 	// fallbacks counts watch lines and bootstrap pages the canonical
 	// scanner did not recognise and encoding/json decoded instead
@@ -199,7 +200,7 @@ type Replica struct {
 	// primary, so an encoder change cannot silently fall back.
 	fallbacks atomic.Uint64
 
-	plane    *readplane.Plane // placement reads off cur; counts them
+	plane    readplane.Plane // placement reads off the servable cur
 	mux      *http.ServeMux
 	started  atomic.Bool
 	stopOnce sync.Once
@@ -248,7 +249,7 @@ func New(cfg Config) (*Replica, error) {
 		pollDone: make(chan struct{}),
 	}
 	r.state.Store(int32(StateBootstrapping))
-	r.plane = &readplane.Plane{Load: r.load}
+	r.plane.NotServing, r.plane.Reads = r.notServing, &r.reads
 	r.mux = r.routes()
 	return r, nil
 }
@@ -284,15 +285,11 @@ func (r *Replica) Stop() {
 // State returns the replica's current replication state.
 func (r *Replica) State() State { return State(r.state.Load()) }
 
-// load is the read plane's Load: the published table while it is
-// servable, else the error the plane answers 503 with (bootstrapping,
-// or a bootstrap seam not yet healed).
-func (r *Replica) load() (uint64, *partition.Frozen, error) {
-	t := r.cur.Load()
-	if !t.servable() {
-		return 0, nil, fmt.Errorf("replica is not serving yet (%s); retry shortly or read the primary", r.State())
-	}
-	return t.epoch, t.frozen, nil
+// notServing is the error the read plane answers 503 with while no
+// servable table is published (bootstrapping, or a bootstrap seam not
+// yet healed).
+func (r *Replica) notServing() error {
+	return fmt.Errorf("replica is not serving yet (%s); retry shortly or read the primary", r.State())
 }
 
 // Snapshot returns the currently served table and its epoch, with
@@ -300,21 +297,18 @@ func (r *Replica) load() (uint64, *partition.Frozen, error) {
 // bootstrap seam not yet healed). The Frozen is immutable; callers may
 // read it indefinitely without synchronization.
 func (r *Replica) Snapshot() (frozen *partition.Frozen, epoch uint64, ok bool) {
-	epoch, frozen, err := r.load()
+	epoch, frozen, err := r.plane.Load()
 	return frozen, epoch, err == nil
 }
 
 // Placement returns the partition of v in the replica's current table —
-// the same one-atomic-load-one-array-read path as the primary. ok=false
-// means v is not placed there OR the replica has no servable table yet;
-// HTTP callers can distinguish the two (404 vs 503), in-process callers
-// should check Snapshot first when it matters.
+// the read plane's single lookup, as GET /v1/placement serves it, so it
+// counts in apartr_reads_total. ok=false means v is not placed there OR
+// the replica has no servable table yet; HTTP callers can distinguish
+// the two (404 vs 503), in-process callers should check Snapshot first
+// when it matters.
 func (r *Replica) Placement(v int64) (p int64, ok bool) {
-	_, frozen, err := r.load()
-	if err != nil {
-		return int64(partition.None), false
-	}
-	id := frozen.Of(graph.VertexID(v))
+	_, id, _, _ := r.plane.One(graph.VertexID(v))
 	return int64(id), id != partition.None
 }
 
@@ -362,7 +356,7 @@ func (r *Replica) Healthy() (bool, string) {
 // signals (resync event, instance change, epoch regression) route back
 // through bootstrap.
 func (r *Replica) run(ctx context.Context) {
-	attempt := 0
+	attempt, stalled := 0, 0
 	first := true
 	for ctx.Err() == nil {
 		t, err := r.bootstrap(ctx)
@@ -381,6 +375,7 @@ func (r *Replica) run(ctx context.Context) {
 		}
 		first = false
 		r.publish(t)
+		applied := r.events.Load()
 
 		// Tail until the protocol demands a re-bootstrap.
 		for ctx.Err() == nil {
@@ -403,6 +398,16 @@ func (r *Replica) run(ctx context.Context) {
 				continue
 			}
 			break
+		}
+		// A resync before any event applied on this table may be the
+		// primary serving, at the same epoch, a line this replica
+		// refuses: back off like a failed bootstrap, so a lasting fault
+		// costs ever rarer re-pages instead of back-to-back ones.
+		if r.events.Load() == applied {
+			r.sleep(ctx, r.backoff(stalled))
+			stalled++
+		} else {
+			stalled = 0
 		}
 	}
 }
@@ -633,13 +638,16 @@ func (r *Replica) apply(ev watchLine) {
 	r.lastEventUnixNano.Store(time.Now().UnixNano())
 }
 
-// publish swaps the table in and keeps the state gauge consistent with
-// its servability.
+// publish swaps the table in, hands it to the read plane while it is
+// servable (and withdraws the plane's table while it is not), and keeps
+// the state gauge consistent with its servability.
 func (r *Replica) publish(t *table) {
 	r.cur.Store(t)
 	if t.servable() {
+		r.plane.Publish(t.epoch, t.frozen)
 		r.state.Store(int32(StateServing))
 	} else {
+		r.plane.Publish(0, nil)
 		r.state.Store(int32(StateSyncing))
 	}
 }

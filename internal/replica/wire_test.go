@@ -377,6 +377,15 @@ func TestReplicaRefusesOutOfRangePartitions(t *testing.T) {
 				bad, ok, epoch, r.Stats().EventsApplied)
 		}
 	}
+	// The refused line comes back after every re-bootstrap: the resyncs
+	// back off like failed bootstraps (at least ReconnectMin/2 apart,
+	// doubling to ReconnectMax/2 = 10ms) instead of re-paging back to
+	// back, so 200ms hold at most ~20 of them.
+	booted := r.Stats().Bootstraps
+	time.Sleep(200 * time.Millisecond)
+	if n := r.Stats().Bootstraps - booted; n > 25 {
+		t.Fatalf("%d bootstraps in 200ms on one refused line, want the resyncs backed off", n)
+	}
 	// A line cut mid-way is a transport drop: reconnect, no resync.
 	line.Store(`{"epoch":2,"changes":[{"vertex":0,"fr`)
 	before, resyncs := r.Stats().Reconnects, r.Stats().Resyncs

@@ -166,7 +166,7 @@ func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
 // plane: from one routing snapshot, pinned by one atomic load and never
 // the state lock, with each lookup recorded in the heat table.
 func (s *Server) BatchLookup(ids []graph.VertexID) readplane.BatchResponse {
-	resp, _ := s.plane.Lookup(ids) // the primary's Load never fails
+	resp, _ := s.plane.Lookup(ids) // the primary's plane always has a table
 	return resp
 }
 
@@ -187,13 +187,6 @@ type PageResponse struct {
 	Slots      int64                      `json:"slots"`
 	NextCursor int64                      `json:"next_cursor"`
 	Placements []readplane.BatchPlacement `json:"placements"`
-}
-
-// loadRouting is the read plane's Load: the current routing snapshot,
-// pinned by one atomic load. The primary always has a table to serve.
-func (s *Server) loadRouting() (uint64, *partition.Frozen, error) {
-	snap := s.routing.Load()
-	return snap.Epoch, snap.Table, nil
 }
 
 // servePage is the read plane's Page. Replica bootstrap pages are read

@@ -62,7 +62,9 @@ func (s *Server) Routing() *RoutingSnapshot {
 
 // publishRouting freezes the current assignment into the next epoch's
 // snapshot, derives its diff from the partitioner's drained change set,
-// swaps the snapshot in, and hands the diff to the watch hub. Callers
+// swaps the snapshot in (into the read plane first, so a read never
+// answers from an epoch older than Routing's), and hands the diff to the
+// watch hub. Callers
 // must hold s.mu (write): it reads the live assignment and mutates the
 // partitioner's change buffer. No-ops when nothing changed, so idle
 // ticks do not inflate epochs.
@@ -84,6 +86,7 @@ func (s *Server) publishRouting() {
 		Table:           cur,
 		CreatedUnixNano: time.Now().UnixNano(),
 	}
+	s.plane.Publish(next.Epoch, next.Table)
 	s.routing.Store(next)
 	s.publishes.Add(1)
 	s.hub.publish(&EpochDiff{Epoch: next.Epoch, Changes: changes})
@@ -96,9 +99,11 @@ func (s *Server) publishRouting() {
 // epoch E and follows from E+1 (docs/API.md).
 func (s *Server) publishInitialRouting() {
 	s.part.SetChangeTracking(true)
+	table := s.part.Assignment().Freeze()
+	s.plane.Publish(1, table)
 	s.routing.Store(&RoutingSnapshot{
 		Epoch:           1,
-		Table:           s.part.Assignment().Freeze(),
+		Table:           table,
 		CreatedUnixNano: time.Now().UnixNano(),
 	})
 }

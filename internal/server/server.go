@@ -288,11 +288,11 @@ type Server struct {
 	// The serving plane: routing holds the current epoch snapshot (all
 	// read endpoints load it with one atomic pointer read and never take
 	// mu), hub fans epoch diffs out to /v1/watch consumers. Both are
-	// written only by publishRouting, under mu. plane serves the
-	// placement reads off routing and counts them.
+	// written only by publishRouting, under mu, which also publishes
+	// each snapshot's table into plane, the placement reads' copy.
 	routing atomic.Pointer[RoutingSnapshot]
 	hub     *watchHub
-	plane   *readplane.Plane
+	plane   readplane.Plane
 
 	// Serving-plane counters, atomically updated, exported by /metrics.
 	publishes    atomic.Uint64 // routing snapshots published
@@ -430,11 +430,11 @@ func newServer(cfg Config, coreCfg core.Config, p *core.Partitioner) *Server {
 		loopDone:   make(chan struct{}),
 	}
 	s.heatTable.SetRecording(cfg.WorkloadWeight > 0 || cfg.HeatRecord)
-	s.publishInitialRouting()
-	s.plane = &readplane.Plane{Load: s.loadRouting, Read: s.heatTable.Record, Page: s.servePage}
+	s.plane.Heat, s.plane.Page = s.heatTable, s.servePage
 	if cfg.Exchange != nil {
 		s.plane.Owner = s.ownerShard
 	}
+	s.publishInitialRouting()
 	s.mux = s.routes()
 	return s
 }
@@ -958,14 +958,14 @@ func (s *Server) Stats() Stats {
 
 // Placement returns the partition of v as of the current routing
 // snapshot, with ok=false when v is not placed there (unknown, removed,
-// or still in the ingest queue). It is one atomic pointer load and one
-// array read — it never touches the adaptation state lock, so reads
-// stay fast while a tick is absorbing a batch. Staleness is bounded by
-// the publish points: at most one in-flight tick behind the live
-// assignment.
+// or still in the ingest queue). It is the read plane's single lookup,
+// the one GET /v1/placement serves: one atomic pointer load, one array
+// read and one heat record — it never touches the adaptation state lock,
+// so reads stay fast while a tick is absorbing a batch. Staleness is
+// bounded by the publish points: at most one in-flight tick behind the
+// live assignment.
 func (s *Server) Placement(v graph.VertexID) (partition.ID, bool) {
-	p := s.routing.Load().Table.Of(v)
-	s.heatTable.Record(v)
+	_, p, _, _ := s.plane.One(v) // the primary's plane always has a table
 	return p, p != partition.None
 }
 
