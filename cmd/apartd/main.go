@@ -109,7 +109,6 @@ func parseFlags(args []string) (*options, error) {
 		restore     = fs.String("restore", "", "resume from this snapshot (algorithm parameters come from the snapshot)")
 		drainTicks  = fs.Int("drain-ticks", 1000, "max ticks the shutdown drain runs to absorb the pending queue")
 		maxPending  = fs.Int("max-pending", 0, "ingest queue cap in mutations; producers over it get HTTP 429 / binary NAK backpressure (0 = default 1048576, -1 = unbounded)")
-		shards      = fs.Int("ingest-shards", 0, "independent ingest queues (0 = one per CPU, capped at 32)")
 		readHdrTO   = fs.Duration("read-header-timeout", 10*time.Second, "HTTP request-header read timeout (slowloris guard)")
 		idleTO      = fs.Duration("idle-timeout", 2*time.Minute, "HTTP keep-alive idle connection timeout")
 		watchTO     = fs.Duration("watch-write-timeout", 0, "per-event write deadline on GET /v1/watch streams; stalled consumers past it are dropped (0 = default 30s, -1ns = none)")
@@ -141,7 +140,6 @@ func parseFlags(args []string) (*options, error) {
 	cfg.CheckpointEvery = *ckptEvery
 	cfg.WatchRing = *watchRing
 	cfg.MaxPending = *maxPending
-	cfg.IngestShards = *shards
 	cfg.WatchWriteTimeout = *watchTO
 	cfg.BinaryIdleTimeout = *binIdleTO
 	cfg.WorkloadWeight = *workloadW

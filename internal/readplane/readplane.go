@@ -3,7 +3,7 @@
 // written once: the primary (internal/server) and the read replica
 // (internal/replica) each publish their table into one Plane, so a
 // client gets the same statuses, error shapes and success bytes from
-// either process, and the daemons' in-process Placement calls read
+// either process, and the primary's in-process Placement call reads
 // through the same code as GET /v1/placement. A Plane is wired with only
 // what differs between the tiers: why no table is published yet,
 // whether reads feed a heat table, and whether pages and owner shards
@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"xdgp/internal/graph"
 	"xdgp/internal/heat"
@@ -101,13 +102,24 @@ type Plane struct {
 	// the entries they answered. NotReady counts reads refused with 503.
 	Batches, BatchEntries, NotReady atomic.Uint64
 
-	cur atomic.Pointer[table] // nil until Publish, or after a withdrawal
+	cur atomic.Pointer[Snapshot] // nil until Publish, or after a withdrawal
 }
 
-// table is one published table and the epoch it is exact at.
-type table struct {
-	epoch  uint64
-	frozen *partition.Frozen
+// Snapshot is one published table: an immutable, epoch-numbered
+// vertex→partition map, retired by pointer swap. A goroutine that
+// loaded one may keep reading it for as long as it likes; nothing is
+// ever written to a published Snapshot.
+type Snapshot struct {
+	// Epoch is the epoch Table is exact at. Epochs are serving-plane
+	// state, numbered 1,2,3,… within one primary process and not
+	// persisted in checkpoints, so a restarted primary starts again at 1
+	// and watch consumers must resync (docs/OPERATIONS.md).
+	Epoch uint64
+	// Table answers vertex→partition lookups without synchronization.
+	Table *partition.Frozen
+	// CreatedUnixNano timestamps publication (the primary's /metrics
+	// snapshot-age gauge is now − this).
+	CreatedUnixNano int64
 }
 
 // Publish makes frozen, exact at epoch, the table every later read
@@ -118,17 +130,21 @@ func (p *Plane) Publish(epoch uint64, frozen *partition.Frozen) {
 		p.cur.Store(nil)
 		return
 	}
-	p.cur.Store(&table{epoch: epoch, frozen: frozen})
+	p.cur.Store(&Snapshot{Epoch: epoch, Table: frozen, CreatedUnixNano: time.Now().UnixNano()})
 }
 
-// Load returns the published table and its epoch, with one atomic load
-// and no lock, or NotServing's error when none is published.
+// Current returns the published Snapshot, or nil when none is
+// published, with one atomic load and no lock.
+func (p *Plane) Current() *Snapshot { return p.cur.Load() }
+
+// Load returns the published table and its epoch, or NotServing's error
+// when none is published.
 func (p *Plane) Load() (uint64, *partition.Frozen, error) {
 	t := p.cur.Load()
 	if t == nil {
 		return 0, nil, p.NotServing()
 	}
-	return t.epoch, t.frozen, nil
+	return t.Epoch, t.Table, nil
 }
 
 // Register mounts the plane's two endpoints on mux.
@@ -140,8 +156,8 @@ func (p *Plane) Register(mux *http.ServeMux) {
 // One answers one placement lookup from the current table: its epoch,
 // v's partition in it (partition.None when v is not placed there) and
 // its slot count, with ok=false when no table is published. GET
-// /v1/placement/{vertex} and the daemons' in-process Placement calls all
-// read through it. It calls nothing that is not inlined, so it runs
+// /v1/placement/{vertex} and the primary's in-process Placement call
+// both read through it. It calls nothing that is not inlined, so it runs
 // without a stack frame.
 func (p *Plane) One(v graph.VertexID) (epoch uint64, part partition.ID, slots int, ok bool) {
 	t := p.cur.Load()
@@ -150,7 +166,7 @@ func (p *Plane) One(v graph.VertexID) (epoch uint64, part partition.ID, slots in
 	}
 	// Read the table before the counters: their atomic adds would hold
 	// back the loads that follow them.
-	epoch, part, slots = t.epoch, t.frozen.Of(v), t.frozen.Slots()
+	epoch, part, slots = t.Epoch, t.Table.Of(v), t.Table.Slots()
 	if p.Reads != nil {
 		p.Reads.Add(1)
 	}

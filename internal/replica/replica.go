@@ -40,7 +40,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"xdgp/internal/graph"
 	"xdgp/internal/partition"
 	"xdgp/internal/readplane"
 )
@@ -299,17 +298,6 @@ func (r *Replica) notServing() error {
 func (r *Replica) Snapshot() (frozen *partition.Frozen, epoch uint64, ok bool) {
 	epoch, frozen, err := r.plane.Load()
 	return frozen, epoch, err == nil
-}
-
-// Placement returns the partition of v in the replica's current table —
-// the read plane's single lookup, as GET /v1/placement serves it, so it
-// counts in apartr_reads_total. ok=false means v is not placed there OR
-// the replica has no servable table yet; HTTP callers can distinguish
-// the two (404 vs 503), in-process callers should check Snapshot first
-// when it matters.
-func (r *Replica) Placement(v int64) (p int64, ok bool) {
-	_, id, _, _ := r.plane.One(graph.VertexID(v))
-	return int64(id), id != partition.None
 }
 
 // Lag returns the replica's staleness in epochs relative to the last

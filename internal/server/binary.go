@@ -16,9 +16,8 @@ import (
 // internal/graph's wire codec (docs/API.md, "Binary ingest plane"). One
 // connection = one producer stream: every batch frame is answered in
 // order with an ACK (accepted count + total queued) or a backpressure
-// NAK carrying a retry hint, and the connection sticks to one ingest
-// shard so the producer's own mutation order survives the sharded tick
-// drain. Protocol errors get a best-effort malformed NAK and the
+// NAK carrying a retry hint, and an ACKed batch drains in the order it
+// was acknowledged, like every other producer's. Protocol errors get a best-effort malformed NAK and the
 // connection is closed — a desynced framing stream cannot be trusted to
 // re-align. The JSON plane stays the simple/debuggable surface; this one
 // exists to move millions of mutations per second without JSON decode
@@ -36,7 +35,7 @@ const binaryWriteTimeout = 10 * time.Second
 
 // ServeBinary accepts binary-plane connections on l until the listener
 // is closed (returning nil) or fails (returning the error). Each
-// connection gets its own goroutine and ingest shard. Call CloseBinary
+// connection gets its own goroutine. Call CloseBinary
 // — or Stop, which includes it — to disconnect the accepted
 // connections; closing the listener only stops new ones.
 func (s *Server) ServeBinary(l net.Listener) error {
@@ -138,9 +137,6 @@ func (s *Server) serveBinaryConn(conn net.Conn) {
 	if idle == 0 {
 		idle = DefaultBinaryIdleTimeout
 	}
-	// The connection's lifetime shard: frames from this producer drain in
-	// the order they were acknowledged.
-	shard := s.enqueueRR.Add(1) - 1
 	br := bufio.NewReaderSize(conn, 1<<16)
 	reply := make([]byte, 0, 16)
 	for {
@@ -177,7 +173,7 @@ func (s *Server) serveBinaryConn(conn net.Conn) {
 			}
 			continue
 		}
-		queued, ok := s.EnqueueShard(f.Batch, shard)
+		queued, ok := s.Enqueue(f.Batch)
 		switch {
 		case !ok && s.ClusterError() != nil:
 			// Poisoned until restart: like a drain, the producer

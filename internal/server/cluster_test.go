@@ -96,7 +96,7 @@ func tickAll(t *testing.T, srvs []*Server) []TickResult {
 // routingTable snapshots a server's published placements for the whole
 // slot space.
 func routingTable(s *Server, slots int) []int {
-	snap := s.routing.Load()
+	snap := s.Routing()
 	out := make([]int, slots)
 	for v := 0; v < slots; v++ {
 		out[v] = int(snap.Table.Of(graph.VertexID(v)))
@@ -135,10 +135,10 @@ func TestClusterServerMatchesSingleProcess(t *testing.T) {
 		b := synthBatch(tick, 60)
 		// The batch lands on a rotating shard: the exchange, not the
 		// local queue, is what makes it reach every replica.
-		if _, ok := srvs[tick%n].EnqueueShard(b, 0); !ok {
+		if _, ok := srvs[tick%n].Enqueue(b); !ok {
 			t.Fatalf("tick %d: enqueue rejected", tick)
 		}
-		if _, ok := ref.EnqueueShard(b, 0); !ok {
+		if _, ok := ref.Enqueue(b); !ok {
 			t.Fatalf("tick %d: ref enqueue rejected", tick)
 		}
 
@@ -187,7 +187,7 @@ func TestClusterServerShardLossAndRejoin(t *testing.T) {
 	})
 
 	for tick := 0; tick <= crashTick; tick++ {
-		if _, ok := srvs[0].EnqueueShard(synthBatch(tick, 60), 0); !ok {
+		if _, ok := srvs[0].Enqueue(synthBatch(tick, 60)); !ok {
 			t.Fatalf("tick %d: enqueue rejected", tick)
 		}
 		tickAll(t, srvs)
@@ -206,7 +206,7 @@ func TestClusterServerShardLossAndRejoin(t *testing.T) {
 		go func(s int) {
 			for tick := crashTick + 1; tick <= lastTick; tick++ {
 				if s == 0 {
-					if _, ok := srvs[0].EnqueueShard(synthBatch(tick, 60), 0); !ok {
+					if _, ok := srvs[0].Enqueue(synthBatch(tick, 60)); !ok {
 						surv <- fmt.Errorf("tick %d: enqueue rejected", tick)
 						return
 					}
@@ -303,7 +303,7 @@ func TestClusterPoisonUntilRestart(t *testing.T) {
 	})
 	s := srvs[0]
 	for tick := 0; tick < 3; tick++ {
-		if _, ok := s.EnqueueShard(synthBatch(tick, 60), 0); !ok {
+		if _, ok := s.Enqueue(synthBatch(tick, 60)); !ok {
 			t.Fatalf("tick %d: enqueue rejected", tick)
 		}
 		tickAll(t, srvs)
@@ -327,7 +327,7 @@ func TestClusterPoisonUntilRestart(t *testing.T) {
 	// A poisoned shard acknowledges nothing: no tick would apply it.
 	pending, _ := s.PendingMutations()
 	ingested := s.Stats().Ingested
-	if _, ok := s.EnqueueShard(synthBatch(3, 60), 0); ok {
+	if _, ok := s.Enqueue(synthBatch(3, 60)); ok {
 		t.Fatal("a poisoned shard accepted a batch")
 	}
 	rec := httptest.NewRecorder()
@@ -434,7 +434,7 @@ func TestClusterOwnerShard(t *testing.T) {
 	const vertices = 100
 	for _, n := range []int{2, 3} {
 		srvs, _ := newClusterServers(t, n, nil)
-		if _, ok := srvs[0].EnqueueShard(ringBatch(vertices), 0); !ok {
+		if _, ok := srvs[0].Enqueue(ringBatch(vertices)); !ok {
 			t.Fatal("enqueue rejected")
 		}
 		tickAll(t, srvs)

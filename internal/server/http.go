@@ -111,9 +111,7 @@ func (s *Server) handleMutations(w http.ResponseWriter, r *http.Request) {
 		}
 		batch = append(batch, mu)
 	}
-	// A client keeps talking to the same shard (keyed by remote address),
-	// so its own mutation order survives the sharded queue drain.
-	queued, ok := s.EnqueueShard(batch, shardKey(r.RemoteAddr))
+	queued, ok := s.Enqueue(batch)
 	if !ok {
 		if err := s.ClusterError(); err != nil {
 			readplane.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("cluster fault, mutations refused until restart: %w", err))
@@ -129,16 +127,6 @@ func (s *Server) handleMutations(w http.ResponseWriter, r *http.Request) {
 		"accepted": len(batch),
 		"queued":   queued,
 	})
-}
-
-// shardKey hashes a producer identity (FNV-1a) onto the ingest shards.
-func shardKey(id string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // handleTick serves POST /v1/tick: one synchronous coalescing tick, the

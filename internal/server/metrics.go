@@ -30,7 +30,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Serving plane: epoch/age come from one atomic snapshot load, ring
 	// occupancy from the hub's own mutex — nothing here touches the
 	// adaptation state lock.
-	snap := s.routing.Load()
+	snap := s.Routing()
 	m.Counter("apartd_routing_publishes_total", "Routing snapshots published (epochs minus the bootstrap).", s.publishes.Load())
 	m.Gauge("apartd_routing_epoch", "Epoch of the currently served routing snapshot.", float64(snap.Epoch))
 	m.Gauge("apartd_routing_snapshot_age_seconds", "Age of the current routing snapshot (high while adaptation is idle — pair with apartd_ingest_pending).",
@@ -79,7 +79,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.Gauge("apartd_ingest_pending", "Mutations waiting for the next tick.", float64(pending))
 	m.Gauge("apartd_ingest_lag_seconds", "Age of the oldest pending mutation.", age.Seconds())
 	m.Gauge("apartd_ingest_capacity", "MaxPending queue cap the backpressure NAK/429 path enforces.", float64(s.maxPending))
-	m.Gauge("apartd_ingest_shards", "Independent ingest queues.", float64(len(s.shards)))
 	m.Gauge("apartd_binary_conns", "Currently connected binary-plane ingest connections.", float64(s.binaryConns.Load()))
 	m.Counter("apartd_binary_frames_total", "Batch frames accepted on the binary plane.", s.binaryFrames.Load())
 	m.Gauge("apartd_last_batch_size", "Mutations coalesced into the most recent tick.", float64(s.lastBatch.Load()))

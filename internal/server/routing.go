@@ -2,10 +2,10 @@ package server
 
 import (
 	"slices"
-	"time"
 
 	"xdgp/internal/graph"
 	"xdgp/internal/partition"
+	"xdgp/internal/readplane"
 )
 
 // This file is the serving plane's write side: deriving epoch-numbered
@@ -15,24 +15,11 @@ import (
 // docs/API.md for the consistency contract this buys.
 
 // RoutingSnapshot is one immutable, epoch-numbered routing table: the
-// compact vertex→partition map the read endpoints serve from. Snapshots
-// are published by the tick loop (after each applied mutation batch and
-// after each tick's adaptation steps) and retired by pointer swap; a
-// goroutine that loaded one may keep reading it for as long as it likes —
-// nothing is ever written to a published snapshot. All fields are
-// read-only after publication.
-type RoutingSnapshot struct {
-	// Epoch numbers snapshots 1,2,3,… within one daemon process. Epochs
-	// are serving-plane state, not partitioner state: they are NOT
-	// persisted in checkpoints, so a restarted daemon starts again at 1
-	// and watch consumers must resync (docs/OPERATIONS.md).
-	Epoch uint64
-	// Table answers vertex→partition lookups without synchronization.
-	Table *partition.Frozen
-	// CreatedUnixNano timestamps publication (the /metrics snapshot-age
-	// gauge is now − this).
-	CreatedUnixNano int64
-}
+// compact vertex→partition map the read endpoints serve from. The tick
+// loop publishes one into the read plane after each applied mutation
+// batch and after each tick's adaptation steps; the plane's published
+// pointer is the only copy.
+type RoutingSnapshot = readplane.Snapshot
 
 // PlacementChange is one vertex's placement transition within an epoch
 // diff. From/To use -1 (partition.None) for "not placed": From=-1 means
@@ -55,25 +42,24 @@ type EpochDiff struct {
 }
 
 // Routing returns the currently published snapshot. Never nil: the
-// constructor publishes epoch 1 before the server is reachable.
+// constructor publishes epoch 1 before the server is reachable, and the
+// primary never withdraws its table.
 func (s *Server) Routing() *RoutingSnapshot {
-	return s.routing.Load()
+	return s.plane.Current()
 }
 
 // publishRouting freezes the current assignment into the next epoch's
 // snapshot, derives its diff from the partitioner's drained change set,
-// swaps the snapshot in (into the read plane first, so a read never
-// answers from an epoch older than Routing's), and hands the diff to the
-// watch hub. Callers
-// must hold s.mu (write): it reads the live assignment and mutates the
-// partitioner's change buffer. No-ops when nothing changed, so idle
-// ticks do not inflate epochs.
+// publishes the snapshot into the read plane and hands the diff to the
+// watch hub. Callers must hold s.mu (write): it reads the live
+// assignment and mutates the partitioner's change buffer. No-ops when
+// nothing changed, so idle ticks do not inflate epochs.
 func (s *Server) publishRouting() {
 	candidates := s.part.DrainChanges()
 	if len(candidates) == 0 {
 		return
 	}
-	prev := s.routing.Load()
+	prev := s.Routing()
 	cur := s.part.Assignment().Freeze()
 	changes := diffChanges(prev.Table, cur, candidates)
 	if len(changes) == 0 {
@@ -81,15 +67,9 @@ func (s *Server) publishRouting() {
 		// removed and re-added to the same partition in one batch).
 		return
 	}
-	next := &RoutingSnapshot{
-		Epoch:           prev.Epoch + 1,
-		Table:           cur,
-		CreatedUnixNano: time.Now().UnixNano(),
-	}
-	s.plane.Publish(next.Epoch, next.Table)
-	s.routing.Store(next)
+	s.plane.Publish(prev.Epoch+1, cur)
 	s.publishes.Add(1)
-	s.hub.publish(&EpochDiff{Epoch: next.Epoch, Changes: changes})
+	s.hub.publish(&EpochDiff{Epoch: prev.Epoch + 1, Changes: changes})
 }
 
 // publishInitialRouting installs epoch 1 from the constructor-time
@@ -99,13 +79,7 @@ func (s *Server) publishRouting() {
 // epoch E and follows from E+1 (docs/API.md).
 func (s *Server) publishInitialRouting() {
 	s.part.SetChangeTracking(true)
-	table := s.part.Assignment().Freeze()
-	s.plane.Publish(1, table)
-	s.routing.Store(&RoutingSnapshot{
-		Epoch:           1,
-		Table:           table,
-		CreatedUnixNano: time.Now().UnixNano(),
-	})
+	s.plane.Publish(1, s.part.Assignment().Freeze())
 }
 
 // diffChanges reduces the raw change candidates (duplicates and

@@ -8,13 +8,13 @@
 //
 // Concurrency model: ingestion and adaptation never share a lock.
 // Ingest (JSON POST /v1/mutations or the binary frame plane) appends to
-// one of several sharded pending queues — each producer sticks to a
-// shard, so per-producer order is preserved while concurrent producers
-// never contend on one mutex — bounded by MaxPending (excess batches are
-// rejected with backpressure, not buffered). The tick loop swaps the
-// shard queues out, applies them and runs heuristic iterations under the
-// state lock, held per-iteration so placement queries (read lock)
-// interleave between iterations rather than waiting out a whole tick.
+// one pending queue under its own mutex, bounded by MaxPending (excess
+// batches are rejected with backpressure, not buffered), so every
+// acknowledged batch is applied in the order it was acknowledged,
+// whatever its connection or plane. The tick loop swaps the queue out,
+// applies it and runs heuristic iterations under the state lock, held
+// per-iteration so placement queries (read lock) interleave between
+// iterations rather than waiting out a whole tick.
 // Checkpoints capture under the state lock (pending heat samples fold
 // into the partitioner first, so no sampled read is lost between ticks)
 // and write to disk outside any lock.
@@ -27,7 +27,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,19 +77,13 @@ type Config struct {
 	// older epochs gets a resync event instead. Bounds the feed's memory
 	// regardless of consumer speed. 0 means DefaultWatchRing.
 	WatchRing int
-	// MaxPending caps the total ingest queue (mutations awaiting a tick,
-	// summed across shards). A batch that would exceed the cap is
+	// MaxPending caps the ingest queue (mutations awaiting a tick). A
+	// batch that would exceed the cap is
 	// rejected whole — HTTP 429 with a Retry-After hint, a backpressure
 	// NAK on the binary plane — so a producer outrunning the tick drain
 	// bounds the daemon's memory instead of growing it to OOM.
 	// 0 means DefaultMaxPending; negative disables the cap.
 	MaxPending int
-	// IngestShards is the number of independent ingest queues. Each
-	// connection (binary) or client (JSON, by remote address) sticks to
-	// one shard, so per-producer mutation order is preserved while
-	// concurrent producers stop contending on one mutex. 0 means one
-	// shard per CPU (capped at MaxIngestShards).
-	IngestShards int
 	// WatchWriteTimeout bounds each event write on a GET /v1/watch
 	// stream. A consumer that cannot take an event within the deadline
 	// is dropped (counted in apartd_watch_dropped_total) instead of
@@ -141,11 +134,6 @@ type Config struct {
 // typical tick drain rates, ~16 MiB resident worst case.
 const DefaultMaxPending = 1 << 20
 
-// MaxIngestShards caps the shard count resolved from IngestShards=0 —
-// beyond this, per-shard batches get too small for the tick drain to
-// amortise.
-const MaxIngestShards = 32
-
 // DefaultWatchWriteTimeout is the per-event write deadline used when
 // Config.WatchWriteTimeout is zero. 30 s tolerates long consumer GC
 // pauses while still reclaiming handlers from dead peers.
@@ -186,9 +174,6 @@ func (c Config) validate() error {
 	}
 	if c.WatchRing < 0 {
 		return fmt.Errorf("server: WatchRing must be ≥ 0, got %d", c.WatchRing)
-	}
-	if c.IngestShards < 0 {
-		return fmt.Errorf("server: IngestShards must be ≥ 0, got %d", c.IngestShards)
 	}
 	if !(c.WorkloadWeight >= 0) || math.IsInf(c.WorkloadWeight, 1) {
 		return fmt.Errorf("server: WorkloadWeight must be finite and ≥ 0, got %g", c.WorkloadWeight)
@@ -249,17 +234,16 @@ type Server struct {
 	mu   sync.RWMutex
 	part *core.Partitioner
 
-	// The ingest plane: per-shard queues (each with its own mutex, never
-	// held together with mu), a shared atomic occupancy counter that
-	// enforces maxPending without taking any shard lock, and a
-	// round-robin cursor for producers without a natural shard key.
-	shards     []ingestShard
-	maxPending int           // resolved cap (math.MaxInt when disabled)
-	pendingN   atomic.Int64  // mutations queued across all shards
-	enqueueRR  atomic.Uint32 // round-robin cursor for Enqueue
+	// The ingest queue: pending mutations in acknowledgement order and
+	// the UnixNano of the oldest (0 when empty), guarded by pendingMu,
+	// which is never held together with mu.
+	pendingMu   sync.Mutex
+	pending     graph.Batch
+	oldestUnixN int64
+	maxPending  int // resolved cap (math.MaxInt when disabled)
 
 	// Monotonic counters, atomically updated, exported by /metrics.
-	ingested     atomic.Uint64 // mutations accepted over HTTP
+	ingested     atomic.Uint64 // mutations accepted over JSON or the binary plane
 	rejected     atomic.Uint64 // mutations refused by the MaxPending cap
 	applied      atomic.Uint64 // mutations that changed the graph
 	ticks        atomic.Uint64 // coalescing ticks processed
@@ -285,14 +269,12 @@ type Server struct {
 	heatMaxBits atomic.Uint64 // float64 bits of the accumulator maximum
 	heatHot     atomic.Int64  // vertices with non-zero heat after the last fold
 
-	// The serving plane: routing holds the current epoch snapshot (all
+	// The serving plane: plane holds the current epoch snapshot (all
 	// read endpoints load it with one atomic pointer read and never take
 	// mu), hub fans epoch diffs out to /v1/watch consumers. Both are
-	// written only by publishRouting, under mu, which also publishes
-	// each snapshot's table into plane, the placement reads' copy.
-	routing atomic.Pointer[RoutingSnapshot]
-	hub     *watchHub
-	plane   readplane.Plane
+	// written only by publishRouting, under mu.
+	hub   *watchHub
+	plane readplane.Plane
 
 	// Serving-plane counters, atomically updated, exported by /metrics.
 	publishes    atomic.Uint64 // routing snapshots published
@@ -409,18 +391,10 @@ func newServer(cfg Config, coreCfg core.Config, p *core.Partitioner) *Server {
 	case maxPending < 0:
 		maxPending = math.MaxInt
 	}
-	nShards := cfg.IngestShards
-	if nShards == 0 {
-		nShards = runtime.GOMAXPROCS(0)
-		if nShards > MaxIngestShards {
-			nShards = MaxIngestShards
-		}
-	}
 	s := &Server{
 		cfg:        cfg,
 		coreCfg:    coreCfg,
 		part:       p,
-		shards:     make([]ingestShard, nShards),
 		maxPending: maxPending,
 		heatTable:  heat.New(cfg.HeatSample),
 		heatDecay:  heatDecayPerTick(cfg),
@@ -480,58 +454,34 @@ func (s *Server) Instance() string { return s.instance }
 // overrides).
 func (s *Server) Config() Config { return s.cfg }
 
-// ingestShard is one independent ingest queue. Its mutex is never held
-// together with the server's state lock, and shards never share cache
-// lines under write contention in practice (each is touched by a stable
-// subset of producers).
-type ingestShard struct {
-	mu          sync.Mutex
-	pending     graph.Batch
-	oldestUnixN int64 // UnixNano of the oldest pending mutation, 0 when empty
-}
-
 // Enqueue appends mutations to the pending queue consumed by the next
-// tick, picking a shard round-robin. It never blocks on adaptation.
-// Returns the total queue length after the append and whether the batch
-// was accepted: ok=false means NOTHING was enqueued, either because the
-// MaxPending cap would be exceeded — the producer should back off one
-// tick and retry the same batch — or because a cluster fault poisoned
-// this shard (ClusterError), whose ticks apply nothing until restart.
+// tick. It never blocks on adaptation. Batches drain in the order
+// Enqueue accepted them, whichever producer or plane sent them. Returns
+// the queue length after the append and whether the batch was accepted:
+// ok=false means NOTHING was enqueued, either because the MaxPending cap
+// would be exceeded — the producer should back off one tick and retry
+// the same batch — or because a cluster fault poisoned this shard
+// (ClusterError), whose ticks apply nothing until restart.
 func (s *Server) Enqueue(b graph.Batch) (queued int, ok bool) {
-	return s.EnqueueShard(b, s.enqueueRR.Add(1)-1)
-}
-
-// EnqueueShard is Enqueue onto an explicit shard (taken modulo the shard
-// count). Producers with a natural stream identity — a binary-plane
-// connection, a JSON client address — use a sticky shard so their own
-// mutation order survives the sharded drain; ordering across different
-// producers is unspecified, exactly as it already was under concurrent
-// HTTP ingest.
-func (s *Server) EnqueueShard(b graph.Batch, shard uint32) (queued int, ok bool) {
+	s.pendingMu.Lock()
+	defer s.pendingMu.Unlock()
+	n := len(s.pending)
 	if s.clusterErr.Load() != nil {
-		return int(s.pendingN.Load()), false
+		return n, false
+	}
+	if len(b) > s.maxPending-n {
+		s.rejected.Add(uint64(len(b)))
+		return n, false
 	}
 	if len(b) == 0 {
-		return int(s.pendingN.Load()), true
+		return n, true
 	}
-	// Reserve capacity first, against the atomic total: the cap check
-	// never takes a shard lock, and concurrent reservations can only
-	// under-fill, never overshoot.
-	n := s.pendingN.Add(int64(len(b)))
-	if n > int64(s.maxPending) {
-		s.pendingN.Add(-int64(len(b)))
-		s.rejected.Add(uint64(len(b)))
-		return int(n - int64(len(b))), false
+	if n == 0 {
+		s.oldestUnixN = time.Now().UnixNano()
 	}
-	sh := &s.shards[int(shard)%len(s.shards)]
-	sh.mu.Lock()
-	if len(sh.pending) == 0 {
-		sh.oldestUnixN = time.Now().UnixNano()
-	}
-	sh.pending = append(sh.pending, b...)
-	sh.mu.Unlock()
+	s.pending = append(s.pending, b...)
 	s.ingested.Add(uint64(len(b)))
-	return int(n), true
+	return len(s.pending), true
 }
 
 // RetryAfterHint is the backoff the daemon suggests to a producer that
@@ -544,49 +494,24 @@ func (s *Server) RetryAfterHint() time.Duration {
 	return time.Millisecond
 }
 
-// PendingMutations returns the current ingest-queue length (across all
-// shards) and the age of its oldest entry (zero when empty) — the
-// daemon's ingest lag.
+// PendingMutations returns the current ingest-queue length and the age
+// of its oldest entry (zero when empty) — the daemon's ingest lag.
 func (s *Server) PendingMutations() (n int, age time.Duration) {
-	oldest := int64(0)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.pending)
-		if len(sh.pending) > 0 && (oldest == 0 || sh.oldestUnixN < oldest) {
-			oldest = sh.oldestUnixN
-		}
-		sh.mu.Unlock()
-	}
-	if oldest != 0 {
+	s.pendingMu.Lock()
+	n, oldest := len(s.pending), s.oldestUnixN
+	s.pendingMu.Unlock()
+	if n > 0 {
 		age = time.Duration(time.Now().UnixNano() - oldest)
 	}
 	return n, age
 }
 
-// drainPending swaps out every shard's queue and concatenates them in
-// shard order. Mutations from one producer stay in their enqueue order
-// (a producer sticks to one shard); interleaving across producers is
-// arbitrary, as it is for any concurrent ingest.
+// drainPending swaps the queue out, in acknowledgement order.
 func (s *Server) drainPending() graph.Batch {
-	var batch graph.Batch
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		p := sh.pending
-		sh.pending = nil
-		sh.oldestUnixN = 0
-		sh.mu.Unlock()
-		if len(p) == 0 {
-			continue
-		}
-		if batch == nil {
-			batch = p // single-busy-shard fast path: no copy
-		} else {
-			batch = append(batch, p...)
-		}
-	}
-	s.pendingN.Add(-int64(len(batch)))
+	s.pendingMu.Lock()
+	defer s.pendingMu.Unlock()
+	batch := s.pending
+	s.pending, s.oldestUnixN = nil, 0
 	return batch
 }
 
@@ -939,7 +864,7 @@ func (s *Server) Stats() Stats {
 		st.CutRatio = float64(st.CutEdges) / float64(st.Edges)
 	}
 	st.Instance = s.instance
-	st.RoutingEpoch = s.routing.Load().Epoch
+	st.RoutingEpoch = s.Routing().Epoch
 	st.Ticks = s.ticks.Load()
 	st.Ingested = s.ingested.Load()
 	st.Applied = s.applied.Load()
