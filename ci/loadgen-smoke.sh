@@ -4,7 +4,8 @@
 # through BOTH ingest planes (JSON and binary) with a concurrent read
 # mix and a watch stream, and require a clean report each time — every
 # offered mutation accepted, zero hard errors, zero read errors, and the
-# ingest queue fully drained. CI runs this on every push/PR (the
+# ingest queue fully drained — and the daemon's own /v1/stats and
+# /metrics must count every mutation of both replays. CI runs this on every push/PR (the
 # "loadgen smoke" job); the nightly workflow runs the same harness at
 # 1M-vertex scale. Needs only bash and jq beyond the Go toolchain.
 set -euo pipefail
@@ -103,8 +104,15 @@ if [ "$INGESTED" != $((2 * EDGES)) ] || [ "$PENDING" != 0 ]; then
   echo "daemon stats disagree with the reports: $STATS" >&2
   exit 1
 fi
-curl -fsS "http://$ADDR/metrics" \
-  | grep -E '^apartd_(binary_frames_total|ingest_rejected_total|watch_dropped_total)' >&2
+METRICS=$(curl -fsS "http://$ADDR/metrics")
+metric() { awk -v name="$1" '$1 == name { print $2 }' <<<"$METRICS"; }
+if [ "$(metric apartd_mutations_ingested_total)" != $((2 * EDGES)) ] \
+  || [ "$(metric apartd_ingest_pending)" != 0 ]; then
+  echo "daemon metrics disagree with the reports (want $((2 * EDGES)) ingested, 0 pending):" >&2
+  grep -E '^apartd_(mutations_ingested_total|ingest_pending) ' <<<"$METRICS" >&2
+  exit 1
+fi
+grep -E '^apartd_(binary_frames_total|ingest_rejected_total|watch_dropped_total)' <<<"$METRICS" >&2
 
 kill -TERM "$PID"
 wait "$PID" || true

@@ -78,10 +78,10 @@ type Config struct {
 	// regardless of consumer speed. 0 means DefaultWatchRing.
 	WatchRing int
 	// MaxPending caps the ingest queue (mutations awaiting a tick). A
-	// batch that would exceed the cap is
-	// rejected whole — HTTP 429 with a Retry-After hint, a backpressure
-	// NAK on the binary plane — so a producer outrunning the tick drain
-	// bounds the daemon's memory instead of growing it to OOM.
+	// batch that would exceed the cap is rejected whole — HTTP 429 with
+	// a Retry-After hint, a backpressure NAK on the binary plane — so a
+	// producer outrunning the tick drain bounds the daemon's memory
+	// instead of growing it to OOM.
 	// 0 means DefaultMaxPending; negative disables the cap.
 	MaxPending int
 	// WatchWriteTimeout bounds each event write on a GET /v1/watch
@@ -472,9 +472,6 @@ func (s *Server) Enqueue(b graph.Batch) (queued int, ok bool) {
 	if len(b) > s.maxPending-n {
 		s.rejected.Add(uint64(len(b)))
 		return n, false
-	}
-	if len(b) == 0 {
-		return n, true
 	}
 	if n == 0 {
 		s.oldestUnixN = time.Now().UnixNano()
