@@ -17,9 +17,9 @@ import (
 // connection = one producer stream: every batch frame is answered in
 // order with an ACK (accepted count + total queued) or a backpressure
 // NAK carrying a retry hint, and an ACKed batch drains in the order it
-// was acknowledged, like every other producer's. Protocol errors get a best-effort malformed NAK and the
-// connection is closed — a desynced framing stream cannot be trusted to
-// re-align. The JSON plane stays the simple/debuggable surface; this one
+// was acknowledged, like every other producer's. Protocol errors get a
+// best-effort malformed NAK and the connection is closed — a desynced
+// framing stream cannot be trusted to re-align. The JSON plane stays the simple/debuggable surface; this one
 // exists to move millions of mutations per second without JSON decode
 // dominating the daemon's CPU.
 
@@ -35,9 +35,9 @@ const binaryWriteTimeout = 10 * time.Second
 
 // ServeBinary accepts binary-plane connections on l until the listener
 // is closed (returning nil) or fails (returning the error). Each
-// connection gets its own goroutine. Call CloseBinary
-// — or Stop, which includes it — to disconnect the accepted
-// connections; closing the listener only stops new ones.
+// connection gets its own goroutine. Call CloseBinary — or Stop, which
+// includes it — to disconnect the accepted connections; closing the
+// listener only stops new ones.
 func (s *Server) ServeBinary(l net.Listener) error {
 	for {
 		conn, err := l.Accept()
